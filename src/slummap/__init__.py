@@ -7,14 +7,17 @@ standardized samples. Reports per-class accuracy, IoU and mean IoU, and
 renders full-scene prediction maps.
 """
 
-from .ccf import CcfModel, cca_fit, load_model, predict, save_model, train_forest
+from .ccf import CcfModel, cca_fit, predict, train_forest
 from .experiment import (
     FeatureTable,
     MetricsReport,
+    Pipeline,
     assemble_table,
     evaluate,
     fit_scaler,
+    load_pipeline,
     run_experiment,
+    save_pipeline,
     split_train_test,
     undersample_balance,
 )
@@ -39,6 +42,7 @@ __all__ = [
     "GlcmParams",
     "LabelMask",
     "MetricsReport",
+    "Pipeline",
     "SENTINEL2_BANDS",
     "assemble_table",
     "cca_fit",
@@ -50,11 +54,11 @@ __all__ = [
     "haralick",
     "load_band_stack",
     "load_label_mask",
-    "load_model",
+    "load_pipeline",
     "predict",
     "quantize",
     "run_experiment",
-    "save_model",
+    "save_pipeline",
     "save_prediction_map",
     "split_train_test",
     "train_forest",

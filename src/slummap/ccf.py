@@ -14,10 +14,8 @@ training a pure function of (data, seed).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +34,7 @@ class DegenerateDataError(ValueError):
 
 
 class ModelFormatError(ValueError):
-    """Persisted model file is malformed or has an unsupported version."""
+    """Persisted model document is malformed or has an unsupported version."""
 
 
 @dataclass
@@ -83,7 +81,6 @@ class CcfModel:
 
 @dataclass
 class ForestParams:
-    n_trees: int = DEFAULT_TREES
     min_node_size: int = DEFAULT_MIN_NODE_SIZE
     n_candidate_features: int | None = None  # None = ceil(sqrt(d))
     master_seed: int = 0
@@ -380,7 +377,6 @@ def train_forest(
         raise ValueError("n_trees must be >= 1")
     d = x.shape[1]
     params = ForestParams(
-        n_trees=n_trees,
         min_node_size=min_node_size,
         n_candidate_features=n_candidate_features,
         master_seed=master_seed,
@@ -428,7 +424,7 @@ def predict(model: CcfModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# serialization: the "model" member of a pipeline document (experiment.py)
 # ---------------------------------------------------------------------------
 
 
@@ -459,7 +455,7 @@ def _node_from_dict(doc: dict) -> CcTreeNode:
         )
     subset = np.array(doc["feature_subset"], dtype=np.int64)
     projection = np.array(doc["projection"], dtype=np.float64)
-    if subset.shape != projection.shape:
+    if subset.ndim != 1 or subset.shape != projection.shape:
         raise ModelFormatError("projection length must match its feature subset")
     return CcTreeNode(
         feature_subset=subset,
@@ -481,38 +477,37 @@ def model_to_dict(model: CcfModel) -> dict:
     }
 
 
+def _tree_from_dict(doc: dict, n_features: int) -> CcTree:
+    """Rebuild a tree, enforcing the preorder layout grow_tree writes (every
+    child index lies after its parent's and inside the node list, so routing
+    terminates) and feature indices inside [0, n_features)."""
+    nodes = [_node_from_dict(n) for n in doc["nodes"]]
+    if not nodes:
+        raise ModelFormatError("a tree needs at least one node")
+    for i, node in enumerate(nodes):
+        if node.is_leaf:
+            continue
+        if not (i < node.left < len(nodes) and i < node.right < len(nodes)):
+            raise ModelFormatError(f"node {i}: child index outside ({i}, {len(nodes)})")
+        if ((node.feature_subset < 0) | (node.feature_subset >= n_features)).any():
+            raise ModelFormatError(f"node {i}: feature index outside [0, {n_features})")
+    return CcTree(nodes=nodes)
+
+
 def model_from_dict(doc: dict) -> CcfModel:
+    """Inverse of model_to_dict; raises ModelFormatError on a malformed document."""
     try:
-        if doc.get("format") != MODEL_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise ModelFormatError(f"not a {MODEL_FORMAT} document")
         if doc.get("version") != MODEL_VERSION:
             raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
-        trees = [
-            CcTree(nodes=[_node_from_dict(n) for n in tree["nodes"]])
-            for tree in doc["trees"]
-        ]
+        n_features = int(doc["n_features"])
         return CcfModel(
-            trees=trees,
-            n_features=int(doc["n_features"]),
+            trees=[_tree_from_dict(tree, n_features) for tree in doc["trees"]],
+            n_features=n_features,
             feature_names=[str(n) for n in doc["feature_names"]],
             training_params=dict(doc["training_params"]),
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
 
-
-def save_model(model: CcfModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-
-
-def load_model(path: str | Path) -> CcfModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not a valid model document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: not a model document")
-    return model_from_dict(doc)

@@ -234,6 +234,10 @@ def validate_config(config: RunConfig, need_scenes: bool = True) -> None:
         raise ConfigError("seed must be a non-negative integer")
     if config.jobs < 1:
         raise ConfigError("jobs must be >= 1")
+    if config.n_trees < 1:
+        raise ConfigError("[forest] n_trees must be >= 1")
+    if config.n_candidate_features is not None and config.n_candidate_features < 1:
+        raise ConfigError("[forest] n_candidate_features must be >= 1 or 'auto'")
     if need_scenes and not config.scenes:
         raise ConfigError("config declares no [scene] section")
     for scene in config.scenes:

@@ -43,20 +43,17 @@ CSV_HEADER = "location,technique,acc_slum,acc_non,iou_slum,iou_non,miou,seconds"
 
 @dataclass
 class FeatureTable:
-    """N pixel samples with D features, labels and pixel provenance."""
+    """N pixel samples with D features and labels."""
 
     features: np.ndarray  # (N, D) float64
     labels: np.ndarray  # (N,) uint8
-    provenance: np.ndarray  # (N, 2) int64 pixel (row, col)
     feature_names: list[str]
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.uint8).ravel()
-        self.provenance = np.asarray(self.provenance, dtype=np.int64)
-        n = self.features.shape[0]
-        if self.labels.shape[0] != n or self.provenance.shape != (n, 2):
-            raise ValueError("features, labels and provenance lengths disagree")
+        if self.labels.shape[0] != self.features.shape[0]:
+            raise ValueError("features and labels lengths disagree")
         if len(self.feature_names) != self.features.shape[1]:
             raise ValueError("feature_names length must match feature count")
         if not np.isfinite(self.features).all():
@@ -70,7 +67,6 @@ class FeatureTable:
         return FeatureTable(
             features=self.features[indices],
             labels=self.labels[indices],
-            provenance=self.provenance[indices],
             feature_names=self.feature_names,
         )
 
@@ -155,7 +151,6 @@ def assemble_table(features: FeatureRaster, mask: LabelMask) -> FeatureTable:
     return FeatureTable(
         features=features.values[:, rows, cols].T,
         labels=mask.labels[rows, cols],
-        provenance=np.stack([rows, cols], axis=1),
         feature_names=list(features.feature_names),
     )
 
@@ -217,7 +212,6 @@ def apply_scaler(stats: ScalerStats, table: FeatureTable) -> FeatureTable:
     return FeatureTable(
         features=scaled,
         labels=table.labels,
-        provenance=table.provenance,
         feature_names=table.feature_names,
     )
 
@@ -496,24 +490,33 @@ def save_pipeline(pipeline: Pipeline, path: str | Path) -> None:
 
 
 def load_pipeline(path: str | Path) -> Pipeline:
+    """Read a save_pipeline file; any malformed content raises ModelFormatError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
         raise ModelFormatError(f"{path}: not a valid pipeline document: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != PIPELINE_FORMAT:
+        raise ModelFormatError(f"{path}: not a {PIPELINE_FORMAT} document")
+    if doc.get("version") != PIPELINE_VERSION:
+        raise ModelFormatError(f"{path}: unsupported version {doc.get('version')!r}")
     try:
-        if doc.get("format") != PIPELINE_FORMAT:
-            raise ModelFormatError(f"{path}: not a {PIPELINE_FORMAT} document")
-        if doc.get("version") != PIPELINE_VERSION:
-            raise ModelFormatError(f"{path}: unsupported version {doc.get('version')!r}")
+        technique = str(doc["technique"])
+        if technique not in TECHNIQUES:
+            raise ModelFormatError(f"unknown technique {technique!r}")
         glcm_doc = doc.get("glcm_params")
-        return Pipeline(
-            technique=str(doc["technique"]),
-            glcm_params=GlcmParams.from_dict(glcm_doc) if glcm_doc else None,
-            scaler=ScalerStats(
-                means=np.array(doc["scaler"]["means"], dtype=np.float64),
-                stds=np.array(doc["scaler"]["stds"], dtype=np.float64),
-            ),
-            model=model_from_dict(doc["model"]),
+        model = model_from_dict(doc["model"])
+        scaler = ScalerStats(
+            means=np.array(doc["scaler"]["means"], dtype=np.float64),
+            stds=np.array(doc["scaler"]["stds"], dtype=np.float64),
         )
-    except (KeyError, TypeError) as exc:
+        if scaler.means.shape != (model.n_features,) or scaler.stds.shape != (model.n_features,):
+            raise ModelFormatError(f"scaler must hold {model.n_features} means and stds")
+        return Pipeline(
+            technique=technique,
+            glcm_params=GlcmParams.from_dict(glcm_doc) if glcm_doc else None,
+            scaler=scaler,
+            model=model,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        # Also catches model_from_dict's ModelFormatError (a ValueError) to add the path.
         raise ModelFormatError(f"{path}: malformed pipeline document: {exc}") from exc

@@ -102,9 +102,6 @@ class LabelMask:
     def width(self) -> int:
         return self.labels.shape[1]
 
-    def slum_fraction(self) -> float:
-        return float(self.labels[self.valid].mean())
-
 
 @dataclass
 class FeatureRaster:

@@ -5,8 +5,10 @@ partition, per-tree feature subsampling and projection bootstraps) draws from
 a PCG32 stream derived from one master seed. The algorithms are pinned so the
 same seed produces the same bytes on any platform or language:
 
-* ``mix64`` is the SplitMix64 finalizer (Steele, Lea & Flood 2014; the
-  constants are the ones in Vigna's reference ``splitmix64.c``).
+* ``mix64`` is the output finalizer of the splitmix64 generator (Steele,
+  Lea & Flood 2014; the constants are the ones in Vigna's reference
+  ``splitmix64.c``). ``mix64(k * GOLDEN_GAMMA mod 2^64)`` is that
+  generator's k-th output from seed 0.
 * ``derive_key(master, *path)`` absorbs a tuple of non-negative stream
   indices into the master seed, one ``mix64`` application per index:
   ``key <- mix64(key + (index + 1) * 0x9E3779B97F4A7C15 mod 2^64)``.
@@ -35,22 +37,11 @@ FOREST_STREAM = 2
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 output finalizer: a bijective avalanche on 64-bit ints."""
+    """splitmix64 output finalizer: a bijective avalanche on 64-bit ints."""
     z &= MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """The SplitMix64 sequence generator (state += golden gamma; mix)."""
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN_GAMMA) & MASK64
-        return mix64(self._state)
 
 
 def derive_key(master_seed: int, *path: int) -> int:
@@ -89,12 +80,6 @@ class Pcg32:
         xorshifted = (((old >> 18) ^ old) >> 27) & MASK32
         rot = old >> 59
         return ((xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))) & MASK32
-
-    def next_double(self) -> float:
-        # 53-bit uniform in [0, 1): high 27 bits of one draw, high 26 of the next.
-        a = self.next_u32() >> 5
-        b = self.next_u32() >> 6
-        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
     def randbelow(self, bound: int) -> int:
         """Unbiased integer in [0, bound) by rejection (pcg32_boundedrand_r)."""

@@ -12,6 +12,7 @@ marked invalid and excluded from sampling and scoring downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -145,17 +146,21 @@ def quantize(band: np.ndarray, levels: int) -> np.ndarray:
     return np.minimum(scaled, levels - 1).astype(np.int32)
 
 
-def _pair_counts(window: np.ndarray, direction: int, levels: int) -> np.ndarray:
-    """Symmetrized integer pair counts for one direction over one window."""
+def _direction_codes(quantized: np.ndarray, direction: int, levels: int) -> np.ndarray:
+    """Pair-code image for a direction; entry (r, c) encodes the pair whose
+    first pixel sits at quantized[r + max(0,-dr), c + max(0,-dc)]."""
     dr, dc = DIRECTION_OFFSETS[direction]
-    h, w = window.shape
+    h, w = quantized.shape
     r0, r1 = max(0, -dr), h - max(0, dr)
     c0, c1 = max(0, -dc), w - max(0, dc)
-    if r1 <= r0 or c1 <= c0:
-        return np.zeros((levels, levels), dtype=np.int64)
-    first = window[r0:r1, c0:c1]
-    second = window[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-    codes = first.astype(np.int64) * levels + second
+    first = quantized[r0:r1, c0:c1].astype(np.int64)
+    second = quantized[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+    return first * levels + second
+
+
+def _pair_counts(window: np.ndarray, direction: int, levels: int) -> np.ndarray:
+    """Symmetrized integer pair counts for one direction over one window."""
+    codes = _direction_codes(window, direction, levels)
     counts = np.bincount(codes.ravel(), minlength=levels * levels).reshape(levels, levels)
     return counts + counts.T
 
@@ -178,33 +183,21 @@ def cooccurrence(window: np.ndarray, direction: int, levels: int | None = None) 
     return CooccurrenceMatrix(levels=levels, p=counts / total)
 
 
-class _MeasureGrids:
-    """Contraction weights reused by every Haralick evaluation at a level count.
-
-    Columns of ``weights``: (i-j)^2, 1/(1+(i-j)^2), i, i^2, i*j, flattened
-    over the (i, j) grid.
-    """
-
-    def __init__(self, levels: int):
-        i = np.repeat(np.arange(levels, dtype=np.float64), levels).reshape(levels, levels)
-        j = i.T
-        diff2 = (i - j) ** 2
-        self.weights = np.stack(
-            [diff2, 1.0 / (1.0 + diff2), i, i * i, i * j], axis=-1
-        ).reshape(levels * levels, 5)
+@functools.lru_cache(maxsize=16)
+def _measure_weights(levels: int) -> np.ndarray:
+    """Read-only (levels^2, 5) contraction weights shared by every Haralick
+    evaluation at a level count. Columns: (i-j)^2, 1/(1+(i-j)^2), i, i^2,
+    i*j, flattened over the (i, j) grid."""
+    i = np.repeat(np.arange(levels, dtype=np.float64), levels).reshape(levels, levels)
+    j = i.T
+    diff2 = (i - j) ** 2
+    weights = np.stack([diff2, 1.0 / (1.0 + diff2), i, i * i, i * j], axis=-1)
+    weights = weights.reshape(levels * levels, 5)
+    weights.flags.writeable = False
+    return weights
 
 
-_GRID_CACHE: dict[int, _MeasureGrids] = {}
-
-
-def _grids(levels: int) -> _MeasureGrids:
-    grids = _GRID_CACHE.get(levels)
-    if grids is None:
-        grids = _GRID_CACHE[levels] = _MeasureGrids(levels)
-    return grids
-
-
-def _haralick_stack(p: np.ndarray, grids: _MeasureGrids) -> np.ndarray:
+def _haralick_stack(p: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Seven measures for a stack of normalized matrices, shape (k, L, L) -> (k, 7).
 
     Variance and correlation use the expansions sum(i^2 p) - mu^2 and
@@ -213,7 +206,7 @@ def _haralick_stack(p: np.ndarray, grids: _MeasureGrids) -> np.ndarray:
     correlation := 0 convention for degenerate matrices).
     """
     flat = p.reshape(p.shape[0], -1)
-    contracted = flat @ grids.weights
+    contracted = flat @ weights
     contrast = contracted[:, 0]
     homogeneity = contracted[:, 1]
     mean = contracted[:, 2]
@@ -233,7 +226,7 @@ def haralick(m: CooccurrenceMatrix) -> HaralickFeatures:
     Entropy uses the natural logarithm with 0*ln 0 = 0; correlation of a
     zero-variance matrix is defined as 0.
     """
-    values = _haralick_stack(m.p[np.newaxis], _grids(m.levels))[0]
+    values = _haralick_stack(m.p[np.newaxis], _measure_weights(m.levels))[0]
     return HaralickFeatures(*(float(v) for v in values))
 
 
@@ -242,18 +235,6 @@ def extract_spectral(stack: BandStack) -> FeatureRaster:
     values = stack.samples.astype(np.float32)
     valid = np.ones((stack.height, stack.width), dtype=bool)
     return FeatureRaster(feature_names=list(stack.band_names), values=values, valid=valid)
-
-
-def _direction_codes(quantized: np.ndarray, direction: int, levels: int) -> np.ndarray:
-    """Pair-code image for a direction; entry (r, c) encodes the pair whose
-    first pixel sits at quantized[r + max(0,-dr), c + max(0,-dc)]."""
-    dr, dc = DIRECTION_OFFSETS[direction]
-    h, w = quantized.shape
-    r0, r1 = max(0, -dr), h - max(0, dr)
-    c0, c1 = max(0, -dc), w - max(0, dc)
-    first = quantized[r0:r1, c0:c1].astype(np.int64)
-    second = quantized[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-    return first * levels + second
 
 
 def _band_rows(
@@ -270,7 +251,7 @@ def _band_rows(
     radius = params.window // 2
     h, w = quantized.shape
     n_dir = len(params.directions)
-    grids = _grids(levels)
+    weights = _measure_weights(levels)
     measure_idx = [MEASURES.index(m) for m in params.measures]
 
     codes = []
@@ -299,7 +280,7 @@ def _band_rows(
         stacked = np.stack(per_dir_counts, axis=1).astype(np.float64)
         totals = stacked.sum(axis=(2, 3), keepdims=True)
         p = (stacked / totals).reshape(n_cols * n_dir, levels, levels)
-        per_direction = _haralick_stack(p, grids).reshape(n_cols, n_dir, len(MEASURES))
+        per_direction = _haralick_stack(p, weights).reshape(n_cols, n_dir, len(MEASURES))
         out[out_r] = per_direction.sum(axis=1)[:, measure_idx] / n_dir
     return out
 

@@ -16,13 +16,12 @@ from slummap.ccf import (
     apply_tree,
     cca_fit,
     grow_tree,
-    load_model,
     model_to_dict,
     predict,
-    save_model,
     train_forest,
     tree_depth,
 )
+from slummap.experiment import Pipeline, ScalerStats, load_pipeline, save_pipeline
 from slummap.rng import FOREST_STREAM, stream
 
 
@@ -305,27 +304,35 @@ def test_tie_breaks_toward_class_zero():
 # ---------------------------------------------------------------------------
 
 
+def _save(model: CcfModel, path) -> None:
+    """Persist a bare forest through the pipeline format with an identity scaler."""
+    d = model.n_features
+    scaler = ScalerStats(means=np.zeros(d), stds=np.ones(d))
+    pipeline = Pipeline(technique="spectral", glcm_params=None, scaler=scaler, model=model)
+    save_pipeline(pipeline, path)
+
+
 def test_save_load_round_trip_preserves_predictions(tmp_path):
     x, y = _blobs(100, seed=5)
     model = train_forest(x, y)
-    save_model(model, tmp_path / "model.json")
-    loaded = load_model(tmp_path / "model.json")
+    _save(model, tmp_path / "model.json")
+    loaded = load_pipeline(tmp_path / "model.json").model
     labels_a, probs_a = predict(model, x)
     labels_b, probs_b = predict(loaded, x)
     assert np.array_equal(labels_a, labels_b)
     assert np.array_equal(probs_a, probs_b)
     assert loaded.training_params == model.training_params
 
-    save_model(loaded, tmp_path / "again.json")
+    _save(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
 
 
 def test_model_metadata_records_parameters(tmp_path):
     x, y = _blobs(50, seed=2)
     model = train_forest(x, y, n_trees=10, master_seed=0)
-    save_model(model, tmp_path / "m.json")
-    doc = json.loads((tmp_path / "m.json").read_text())
-    assert doc["version"] == 1
+    _save(model, tmp_path / "m.json")
+    doc = json.loads((tmp_path / "m.json").read_text())["model"]
+    assert (doc["format"], doc["version"]) == ("ccf-model", 1)
     assert doc["training_params"]["n_trees"] == 10
     assert doc["training_params"]["master_seed"] == 0
     assert doc["training_params"]["n_candidate_features"] == 2  # ceil(sqrt(2))
@@ -333,11 +340,11 @@ def test_model_metadata_records_parameters(tmp_path):
 
 def test_truncated_model_file_is_rejected(tmp_path):
     x, y = _blobs(40, seed=1)
-    save_model(train_forest(x, y, n_trees=2), tmp_path / "m.json")
+    _save(train_forest(x, y, n_trees=2), tmp_path / "m.json")
     raw = (tmp_path / "m.json").read_bytes()
     (tmp_path / "broken.json").write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ModelFormatError):
-        load_model(tmp_path / "broken.json")
+        load_pipeline(tmp_path / "broken.json")
     (tmp_path / "wrong.json").write_text('{"format": "other", "version": 1}')
     with pytest.raises(ModelFormatError):
-        load_model(tmp_path / "wrong.json")
+        load_pipeline(tmp_path / "wrong.json")

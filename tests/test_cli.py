@@ -262,3 +262,73 @@ def test_unknown_config_key_exits_two(demo, tmp_path):
     proc = run_cli("experiment", "--config", str(config))
     assert proc.returncode == 2
     assert "techniqe" in proc.stderr
+
+
+@pytest.mark.parametrize("key, value", [("n_trees", "0"), ("n_candidate_features", "-3")])
+def test_bad_forest_config_exits_two(key, value, demo, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text(demo["config"].read_text() + f"\n[forest]\n{key} = {value}\n")
+    proc = run_cli("experiment", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _craft_model(case: str, doc: dict) -> bytes:
+    """The experiment's model file, damaged in one way."""
+    nodes = doc["model"]["trees"][0]["nodes"]
+    split = next(i for i, node in enumerate(nodes) if "left" in node)
+    if case == "json-array":
+        return b"[]"
+    if case == "not-utf8":
+        return b"\xff\xfe" + json.dumps(doc).encode()
+    if case == "even-window":
+        doc["glcm_params"]["window"] = 4
+    elif case == "short-scaler":
+        doc["scaler"]["means"].pop()
+    elif case == "self-loop-child":
+        nodes[split]["left"] = split
+    elif case == "negative-feature":
+        nodes[split]["feature_subset"][0] = -1
+    elif case == "nested-format":
+        doc["model"]["format"] = "other"
+    elif case == "unknown-technique":
+        doc["technique"] = "lidar"
+    elif case == "empty-tree":
+        doc["model"]["trees"][0]["nodes"] = []
+    elif case == "nested-subset":
+        nodes[split]["feature_subset"] = [nodes[split]["feature_subset"]]
+        nodes[split]["projection"] = [nodes[split]["projection"]]
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "json-array",
+        "not-utf8",
+        "even-window",
+        "short-scaler",
+        "self-loop-child",
+        "negative-feature",
+        "nested-format",
+        "unknown-technique",
+        "empty-tree",
+        "nested-subset",
+    ],
+)
+def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
+    doc = json.loads((experiment_out / "two-texture_glcm_model.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_bytes(_craft_model(case, doc))
+    args = ["predict", "--model", str(model), "--image", str(demo["root"] / "scene.hdr")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "slummap", *args, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        timeout=10,  # a child index pointing backwards used to loop forever
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("i/o error:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -30,9 +30,13 @@ def make_table(n0: int, n1: int, d: int = 3, seed: int = 0) -> FeatureTable:
     return FeatureTable(
         features=rng.normal(size=(n, d)),
         labels=labels,
-        provenance=np.stack([np.arange(n), np.zeros(n, dtype=int)], axis=1),
         feature_names=[f"f{i}" for i in range(d)],
     )
+
+
+def row_ids(table: FeatureTable) -> list[tuple[float, ...]]:
+    """Rows of make_table's tables are unique, so a row identifies its sample."""
+    return [tuple(row) for row in table.features.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +52,6 @@ def test_assemble_all_valid_row_major():
     assert table.n_rows == 4
     assert table.features[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
     assert table.labels.tolist() == [0, 1, 1, 0]
-    assert table.provenance.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_assemble_respects_window_borders():
@@ -103,11 +106,11 @@ def test_balance_typical_scene_imbalance():
 def test_balance_preserves_row_order_and_is_subset():
     table = make_table(30, 10, seed=4)
     balanced = undersample_balance(table, seed=0)
-    provenance = [tuple(p) for p in table.provenance.tolist()]
-    kept = [tuple(p) for p in balanced.provenance.tolist()]
-    positions = [provenance.index(p) for p in kept]
+    original = row_ids(table)
+    kept = row_ids(balanced)
+    positions = [original.index(r) for r in kept]
     assert positions == sorted(positions)
-    assert set(kept) <= set(provenance)
+    assert set(kept) <= set(original)
 
 
 def test_balance_requires_both_classes():
@@ -120,8 +123,8 @@ def test_balance_seed_changes_selection():
     a = undersample_balance(table, seed=0)
     b = undersample_balance(table, seed=1)
     same = undersample_balance(table, seed=0)
-    assert np.array_equal(a.provenance, same.provenance)
-    assert not np.array_equal(a.provenance, b.provenance)
+    assert row_ids(a) == row_ids(same)
+    assert row_ids(a) != row_ids(b)
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +140,17 @@ def test_split_sizes_100():
 def test_split_sizes_5():
     train, test = split_train_test(make_table(3, 2), 0.8, seed=0)
     assert (train.n_rows, test.n_rows) == (4, 1)
-    joint = {tuple(p) for p in train.provenance.tolist()} | {
-        tuple(p) for p in test.provenance.tolist()
-    }
-    assert len(joint) == 5
+    assert len(set(row_ids(train)) | set(row_ids(test))) == 5
 
 
 def test_split_is_deterministic_and_disjoint():
     table = make_table(50, 50, seed=2)
     a_train, a_test = split_train_test(table, 0.8, seed=0)
     b_train, b_test = split_train_test(table, 0.8, seed=0)
-    assert np.array_equal(a_train.provenance, b_train.provenance)
-    assert np.array_equal(a_test.provenance, b_test.provenance)
-    train_set = {tuple(p) for p in a_train.provenance.tolist()}
-    test_set = {tuple(p) for p in a_test.provenance.tolist()}
+    assert row_ids(a_train) == row_ids(b_train)
+    assert row_ids(a_test) == row_ids(b_test)
+    train_set = set(row_ids(a_train))
+    test_set = set(row_ids(a_test))
     assert not train_set & test_set
     assert len(train_set | test_set) == table.n_rows
 
@@ -171,7 +171,6 @@ def test_scaler_on_one_two_three():
     table = FeatureTable(
         features=np.array([[1.0], [2.0], [3.0]]),
         labels=np.array([0, 1, 0], dtype=np.uint8),
-        provenance=np.zeros((3, 2), dtype=np.int64),
         feature_names=["f0"],
     )
     stats = fit_scaler(table)
@@ -194,7 +193,6 @@ def test_constant_columns_scale_to_zero():
     table = FeatureTable(
         features=features,
         labels=np.zeros(10, dtype=np.uint8),
-        provenance=np.zeros((10, 2), dtype=np.int64),
         feature_names=["const", "ramp"],
     )
     stats = fit_scaler(table)
