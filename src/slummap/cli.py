@@ -58,6 +58,7 @@ from .experiment import (
     save_pipeline,
 )
 from .raster import (
+    BandStack,
     RasterFormatError,
     ensure_aligned,
     load_band_stack,
@@ -286,6 +287,27 @@ def _prefix(scene: SceneConfig, technique: str) -> str:
     return f"{scene.location}_{technique}"
 
 
+def _missing_band(params: GlcmParams, stack: BandStack) -> str | None:
+    return next((band for band in params.bands if band not in stack.band_names), None)
+
+
+def _check_glcm_scene(config: RunConfig, scene: SceneConfig, stack: BandStack) -> None:
+    """Reject [glcm] settings the loaded scene cannot serve, before extraction."""
+    if config.technique != "glcm":
+        return
+    missing = _missing_band(config.glcm, stack)
+    if missing:
+        raise ConfigError(
+            f"scene {scene.location!r}: [glcm] band {missing!r} is not in the scene "
+            f"(it holds {','.join(stack.band_names)})"
+        )
+    if config.glcm.window > min(stack.height, stack.width):
+        raise ConfigError(
+            f"scene {scene.location!r}: [glcm] window {config.glcm.window} is larger "
+            f"than the {stack.width}x{stack.height} scene"
+        )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -296,6 +318,7 @@ def cmd_extract(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for scene in config.scenes:
         stack = load_band_stack(scene.image)
+        _check_glcm_scene(config, scene, stack)
         mask = load_label_mask(scene.mask)
         ensure_aligned(stack, mask)
         t0 = time.perf_counter()
@@ -313,8 +336,10 @@ def cmd_extract(config: RunConfig) -> int:
 
 def _train_pipeline(config: RunConfig, scene: SceneConfig):
     """The shared extract->...->train path used by both train and experiment."""
+    stack = load_band_stack(scene.image)
+    _check_glcm_scene(config, scene, stack)
     result = run_experiment(
-        load_band_stack(scene.image),
+        stack,
         load_label_mask(scene.mask),
         technique=config.technique,
         glcm_params=config.glcm,
@@ -378,6 +403,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pipeline = load_pipeline(args.model)
     technique = args.technique or pipeline.technique
     stack = load_band_stack(args.image)
+    if technique == "glcm":
+        missing = _missing_band(pipeline.glcm_params or GlcmParams(), stack)
+        if missing:
+            raise DimensionMismatchError(
+                f"model needs band {missing!r}, which {args.image} lacks "
+                f"(it holds {','.join(stack.band_names)})"
+            )
     features = extract_features(stack, technique, pipeline.glcm_params, jobs=args.jobs)
     if len(features.feature_names) != pipeline.model.n_features:
         raise DimensionMismatchError(

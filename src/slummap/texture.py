@@ -12,12 +12,11 @@ marked invalid and excluded from sampling and scoring downstream.
 
 from __future__ import annotations
 
-import functools
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .raster import BandStack, FeatureRaster
 
@@ -146,21 +145,23 @@ def quantize(band: np.ndarray, levels: int) -> np.ndarray:
     return np.minimum(scaled, levels - 1).astype(np.int32)
 
 
-def _direction_codes(quantized: np.ndarray, direction: int, levels: int) -> np.ndarray:
-    """Pair-code image for a direction; entry (r, c) encodes the pair whose
-    first pixel sits at quantized[r + max(0,-dr), c + max(0,-dc)]."""
+def _pair_images(quantized: np.ndarray, direction: int) -> tuple[np.ndarray, np.ndarray]:
+    """First- and second-pixel images of every pair at a direction, as int64.
+    Entry (r, c) is the pair whose first pixel sits at
+    quantized[r + max(0,-dr), c + max(0,-dc)]."""
     dr, dc = DIRECTION_OFFSETS[direction]
     h, w = quantized.shape
     r0, r1 = max(0, -dr), h - max(0, dr)
     c0, c1 = max(0, -dc), w - max(0, dc)
     first = quantized[r0:r1, c0:c1].astype(np.int64)
-    second = quantized[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-    return first * levels + second
+    second = quantized[r0 + dr : r1 + dr, c0 + dc : c1 + dc].astype(np.int64)
+    return first, second
 
 
 def _pair_counts(window: np.ndarray, direction: int, levels: int) -> np.ndarray:
     """Symmetrized integer pair counts for one direction over one window."""
-    codes = _direction_codes(window, direction, levels)
+    first, second = _pair_images(window, direction)
+    codes = first * levels + second
     counts = np.bincount(codes.ravel(), minlength=levels * levels).reshape(levels, levels)
     return counts + counts.T
 
@@ -183,51 +184,30 @@ def cooccurrence(window: np.ndarray, direction: int, levels: int | None = None) 
     return CooccurrenceMatrix(levels=levels, p=counts / total)
 
 
-@functools.lru_cache(maxsize=16)
-def _measure_weights(levels: int) -> np.ndarray:
-    """Read-only (levels^2, 5) contraction weights shared by every Haralick
-    evaluation at a level count. Columns: (i-j)^2, 1/(1+(i-j)^2), i, i^2,
-    i*j, flattened over the (i, j) grid."""
-    i = np.repeat(np.arange(levels, dtype=np.float64), levels).reshape(levels, levels)
-    j = i.T
-    diff2 = (i - j) ** 2
-    weights = np.stack([diff2, 1.0 / (1.0 + diff2), i, i * i, i * j], axis=-1)
-    weights = weights.reshape(levels * levels, 5)
-    weights.flags.writeable = False
-    return weights
-
-
-def _haralick_stack(p: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Seven measures for a stack of normalized matrices, shape (k, L, L) -> (k, 7).
-
-    Variance and correlation use the expansions sum(i^2 p) - mu^2 and
-    (sum(i j p) - mu^2) / var; rounding can push an exactly-zero variance
-    microscopically negative, so it is clamped at 0 (which also triggers the
-    correlation := 0 convention for degenerate matrices).
-    """
-    flat = p.reshape(p.shape[0], -1)
-    contracted = flat @ weights
-    contrast = contracted[:, 0]
-    homogeneity = contracted[:, 1]
-    mean = contracted[:, 2]
-    variance = np.maximum(contracted[:, 3] - mean * mean, 0.0)
-    cross = contracted[:, 4] - mean * mean
-    second_moment = (flat * flat).sum(axis=1)
-    entropy = -(flat * np.log(np.where(flat > 0, flat, 1.0))).sum(axis=1)
-    correlation = np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0)
-    return np.stack(
-        [second_moment, contrast, correlation, homogeneity, entropy, mean, variance], axis=1
-    )
-
-
 def haralick(m: CooccurrenceMatrix) -> HaralickFeatures:
     """Second moment, contrast, correlation, homogeneity, entropy, mean, variance.
 
-    Entropy uses the natural logarithm with 0*ln 0 = 0; correlation of a
-    zero-variance matrix is defined as 0.
+    Entropy uses the natural logarithm with 0*ln 0 = 0. Variance and
+    correlation use the expansions sum(i^2 p) - mu^2 and
+    (sum(i j p) - mu^2) / var; rounding can push an exactly-zero variance
+    microscopically negative, so it is clamped at 0, which also triggers the
+    convention that the correlation of a zero-variance matrix is 0.
     """
-    values = _haralick_stack(m.p[np.newaxis], _measure_weights(m.levels))[0]
-    return HaralickFeatures(*(float(v) for v in values))
+    p = m.p
+    i, j = np.indices(p.shape)
+    mean = (i * p).sum()
+    variance = max((i * i * p).sum() - mean * mean, 0.0)
+    cross = (i * j * p).sum() - mean * mean
+    positive = p[p > 0]
+    return HaralickFeatures(
+        second_moment=float((p * p).sum()),
+        contrast=float(((i - j) ** 2 * p).sum()),
+        correlation=float(cross / variance) if variance > 0 else 0.0,
+        homogeneity=float((p / (1.0 + (i - j) ** 2)).sum()),
+        entropy=float(-(positive * np.log(positive)).sum()),
+        mean=float(mean),
+        variance=float(variance),
+    )
 
 
 def extract_spectral(stack: BandStack) -> FeatureRaster:
@@ -237,57 +217,103 @@ def extract_spectral(stack: BandStack) -> FeatureRaster:
     return FeatureRaster(feature_names=list(stack.band_names), values=values, valid=valid)
 
 
-def _band_rows(
-    quantized: np.ndarray, params: GlcmParams, rows: range
-) -> np.ndarray:
-    """Direction-averaged measures for the requested window-centre rows.
+def _box_sums(image: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Sum of every height x width window of an image, from one integral image."""
+    integral = np.zeros((image.shape[0] + 1, image.shape[1] + 1), dtype=image.dtype)
+    np.cumsum(image, axis=0, out=integral[1:, 1:])
+    np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
+    return (
+        integral[height:, width:]
+        - integral[:-height, width:]
+        - integral[height:, :-width]
+        + integral[:-height, :-width]
+    )
 
-    Returns (len(rows), width - window + 1, n_measures) float64. Row/column
-    indices are centre positions offset by the window radius. Window counts
-    come from integer column-histogram prefix sums, so every window's pair
-    counts are exactly those of a direct per-window enumeration.
+
+def _run_measures(
+    keys: np.ndarray, height: int, width: int, levels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Second moment and entropy of every height x width window of a pair-key image.
+
+    ``keys`` holds |a-b|*levels + min(a,b) per pair, one key per unordered
+    pair, below ``levels`` exactly on the diagonal. Sorting one row of windows
+    at a time turns each window's keys into runs: an off-diagonal run of
+    length u fills two cells of the symmetric count matrix with u each, a
+    diagonal run one cell with 2u.
     """
+    n = height * width
+    total = 2 * n
+    u = np.arange(n + 1, dtype=np.float64)
+    # Per run, indexed by diagonal * (n+1) + u: the sum over the cells it
+    # fills of count^2 and of p ln p, with p = count / total.
+    per_run = np.concatenate(
+        [
+            np.stack([2 * u * u, 2 * (u / total) * np.log(np.maximum(u, 1) / total)], axis=1),
+            np.stack([4 * u * u, (2 * u / total) * np.log(np.maximum(2 * u, 1) / total)], axis=1),
+        ]
+    )
+    out_h, out_w = keys.shape[0] - height + 1, keys.shape[1] - width + 1
+    second_moment = np.empty((out_h, out_w))
+    entropy = np.empty((out_h, out_w))
+    windows = sliding_window_view(keys, (height, width))
+    window_starts = np.arange(out_w) * n
+    starts = np.ones((out_w, n), dtype=bool)
+    for r in range(out_h):
+        row = np.array(windows[r]).reshape(out_w, n)
+        row.sort(axis=1)
+        np.not_equal(row[:, 1:], row[:, :-1], out=starts[:, 1:])
+        first = np.flatnonzero(starts)
+        length = np.empty_like(first)
+        np.subtract(first[1:], first[:-1], out=length[:-1])
+        length[-1] = starts.size - first[-1]
+        diagonal = np.take(row, first) < levels
+        terms = np.take(per_run, length + diagonal * (n + 1), axis=0)
+        sums = np.add.reduceat(terms, first.searchsorted(window_starts))
+        second_moment[r] = sums[:, 0] / (total * total)
+        entropy[r] = -sums[:, 1]
+    return second_moment, entropy
+
+
+def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParams) -> np.ndarray:
+    """All seven measures, in MEASURES order, of every window at one direction.
+
+    Returns (7, height - window + 1, width - window + 1) float64. A window
+    holds n pairs and its symmetric matrix T = 2n counts. The five measures
+    linear in p are exact integer box sums over per-pair images divided by n
+    or T (homogeneity's box sum is float64); variance and correlation follow
+    :func:`haralick`.
+    """
+    dr, dc = DIRECTION_OFFSETS[direction]
+    height, width = params.window - abs(dr), params.window - abs(dc)
+    n = height * width
+    total = 2 * n
+    a, b = _pair_images(quantized, direction)
+    diff2 = (a - b) ** 2
+
+    contrast = _box_sums(diff2, height, width) / n
+    homogeneity = _box_sums(1.0 / (1.0 + diff2), height, width) / n
+    mean = _box_sums(a + b, height, width) / total
+    variance = np.maximum(_box_sums(a * a + b * b, height, width) / total - mean * mean, 0.0)
+    cross = _box_sums(a * b, height, width) / n - mean * mean
+    correlation = np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0)
+
     levels = params.levels
-    radius = params.window // 2
-    h, w = quantized.shape
-    n_dir = len(params.directions)
-    weights = _measure_weights(levels)
+    keys = (np.abs(a - b) * levels + np.minimum(a, b)).astype(
+        np.min_scalar_type(levels * levels - 1)
+    )
+    second_moment, entropy = _run_measures(keys, height, width, levels)
+    return np.stack(
+        [second_moment, contrast, correlation, homogeneity, entropy, mean, variance]
+    )
+
+
+def _band_measures(quantized: np.ndarray, params: GlcmParams) -> np.ndarray:
+    """Selected measures of one quantized band averaged over the directions,
+    (n_measures, height - window + 1, width - window + 1) float64."""
+    # sum() starts from 0, so a zero average is +0.0 even if every term is -0.0.
+    summed = sum(_direction_measures(quantized, d, params) for d in params.directions)
     measure_idx = [MEASURES.index(m) for m in params.measures]
-
-    codes = []
-    for direction in params.directions:
-        dr, dc = DIRECTION_OFFSETS[direction]
-        codes.append((_direction_codes(quantized, direction, levels), abs(dr), abs(dc)))
-
-    n_cols = w - 2 * radius
-    out = np.empty((len(rows), n_cols, len(measure_idx)), dtype=np.float64)
-    bins = levels * levels
-    for out_r, r in enumerate(rows):
-        per_dir_counts = []
-        for code_img, adr, adc in codes:
-            # Rows of the pair-code image covered by windows centred on row r.
-            slab = code_img[r - radius : r + radius + 1 - adr]
-            slab_w = slab.shape[1]
-            col_codes = np.arange(slab_w, dtype=np.int64) * bins + slab
-            col_hist = np.bincount(col_codes.ravel(), minlength=slab_w * bins)
-            col_hist = col_hist.reshape(slab_w, bins)
-            prefix = np.zeros((slab_w + 1, bins), dtype=np.int64)
-            np.cumsum(col_hist, axis=0, out=prefix[1:])
-            win_w = 2 * radius + 1 - adc
-            counts = prefix[win_w : win_w + n_cols] - prefix[:n_cols]
-            counts = counts.reshape(n_cols, levels, levels)
-            per_dir_counts.append(counts + counts.swapaxes(1, 2))
-        stacked = np.stack(per_dir_counts, axis=1).astype(np.float64)
-        totals = stacked.sum(axis=(2, 3), keepdims=True)
-        p = (stacked / totals).reshape(n_cols * n_dir, levels, levels)
-        per_direction = _haralick_stack(p, weights).reshape(n_cols, n_dir, len(MEASURES))
-        out[out_r] = per_direction.sum(axis=1)[:, measure_idx] / n_dir
-    return out
-
-
-def _band_rows_task(args) -> np.ndarray:
-    quantized, params, start, stop = args
-    return _band_rows(quantized, params, range(start, stop))
+    return summed[measure_idx] / len(params.directions)
 
 
 def extract_texture(stack: BandStack, params: GlcmParams | None = None, jobs: int = 1) -> FeatureRaster:
@@ -297,8 +323,9 @@ def extract_texture(stack: BandStack, params: GlcmParams | None = None, jobs: in
     inside the image one co-occurrence matrix is counted per direction and
     the selected measures are averaged over directions. Emits
     len(bands) * len(measures) planes named "<band>_<measure>"; border pixels
-    (within window//2 of any edge) are invalid. Results are independent of
-    ``jobs`` (each row is computed in isolation).
+    (within window//2 of any edge) are invalid. With ``jobs`` > 1 the bands
+    are computed in parallel, each whole band by one worker, so results are
+    bit-identical for any ``jobs``.
     """
     if params is None:
         params = GlcmParams()
@@ -314,25 +341,16 @@ def extract_texture(stack: BandStack, params: GlcmParams | None = None, jobs: in
         return FeatureRaster(feature_names=params.feature_names(), values=values, valid=valid)
 
     valid[radius : h - radius, radius : w - radius] = True
-    centre_rows = range(radius, h - radius)
     n_measures = len(params.measures)
-
-    for b, band in enumerate(params.bands):
-        quantized = quantize(stack.band(band), params.levels)
-        if jobs > 1:
-            chunk = math.ceil(len(centre_rows) / (4 * jobs))
-            spans = [
-                (centre_rows[k], min(centre_rows[k] + chunk, centre_rows[-1] + 1))
-                for k in range(0, len(centre_rows), chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                blocks = list(
-                    pool.map(_band_rows_task, [(quantized, params, s, e) for s, e in spans])
-                )
-            block = np.concatenate(blocks, axis=0)
-        else:
-            block = _band_rows(quantized, params, centre_rows)
-        planes = block.transpose(2, 0, 1).astype(np.float32)
-        values[b * n_measures : (b + 1) * n_measures, radius : h - radius, radius : w - radius] = planes
-
+    quantized = [quantize(stack.band(band), params.levels) for band in params.bands]
+    tasks = (_band_measures, quantized, [params] * len(quantized))
+    workers = min(jobs, len(quantized))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        blocks = pool.map(*tasks) if pool else map(*tasks)
+        for b, block in enumerate(blocks):
+            values[b * n_measures : (b + 1) * n_measures, radius : h - radius, radius : w - radius] = block
+    finally:
+        if pool:
+            pool.shutdown()
     return FeatureRaster(feature_names=params.feature_names(), values=values, valid=valid)

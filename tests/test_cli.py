@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
-from slummap.raster import LabelMask, save_band_stack, save_label_mask
+from slummap.raster import BandStack, LabelMask, load_band_stack, save_band_stack, save_label_mask
 
 
 def run_cli(*args: str, cwd=None):
@@ -272,6 +272,45 @@ def test_bad_forest_config_exits_two(key, value, demo, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "experiment"])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[glcm]\n", "[glcm]\nbands = B2,B9\n", "[glcm] band 'B9' is not in the scene"),
+        ("window = 5", "window = 201", "[glcm] window 201 is larger than the 48x48 scene"),
+    ],
+    ids=["unknown-band", "window-too-large"],
+)
+def test_glcm_scene_mismatch_exits_two(command, old, new, message, demo, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text(demo["config"].read_text().replace(old, new))
+    proc = run_cli(command, "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
+def test_predict_scene_missing_band_exits_five(demo, experiment_out, tmp_path):
+    stack = load_band_stack(demo["root"] / "scene.hdr")
+    keep = [name != "B8" for name in stack.band_names]
+    names = [name for name, k in zip(stack.band_names, keep) if k]
+    save_band_stack(BandStack(band_names=names, samples=stack.samples[keep]), tmp_path / "s.hdr")
+    proc = run_cli(
+        "predict",
+        "--model",
+        str(experiment_out / "two-texture_glcm_model.json"),
+        "--image",
+        str(tmp_path / "s.hdr"),
+        "--out",
+        str(tmp_path / "o"),
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("dimension mismatch:")
+    assert proc.stderr.count("\n") == 1
+    assert "'B8'" in proc.stderr
 
 
 def _craft_model(case: str, doc: dict) -> bytes:

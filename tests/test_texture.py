@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slummap.raster import BandStack
+from slummap.raster import BandStack, FeatureRaster
 from slummap.texture import (
     MEASURES,
     CooccurrenceMatrix,
     DegenerateWindowError,
     GlcmParams,
+    _band_measures,
     cooccurrence,
     extract_spectral,
     extract_texture,
@@ -269,6 +270,61 @@ def test_extract_texture_parallel_matches_serial():
     assert np.array_equal(
         serial.values[:, serial.valid], parallel.values[:, parallel.valid]
     )
+
+
+def _windowed_haralick(quantized: np.ndarray, params: GlcmParams) -> np.ndarray:
+    """Direction average of haralick(cooccurrence()) for every full window,
+    shape (n_measures, height - window + 1, width - window + 1)."""
+    k = params.window
+    h, w = quantized.shape
+    out = np.empty((len(params.measures), h - k + 1, w - k + 1))
+    for r in range(h - k + 1):
+        for c in range(w - k + 1):
+            win = quantized[r : r + k, c : c + k]
+            per_dir = [
+                haralick(cooccurrence(win, d, params.levels)) for d in params.directions
+            ]
+            for m, measure in enumerate(params.measures):
+                out[m, r, c] = sum(getattr(f, measure) for f in per_dir) / len(per_dir)
+    return out
+
+
+def _assert_kernel_matches_windowed_haralick(
+    samples: np.ndarray, params: GlcmParams
+) -> FeatureRaster:
+    """Every valid pixel of every band, float64 kernel against the per-window API
+    to 1e-9, and the float32 raster equal to the kernel's values."""
+    stack = BandStack(band_names=list(params.bands), samples=samples)
+    fr = extract_texture(stack, params)
+    n_measures = len(params.measures)
+    for b, band in enumerate(params.bands):
+        quantized = quantize(stack.band(band), params.levels)
+        kernel = _band_measures(quantized, params)
+        assert np.abs(kernel - _windowed_haralick(quantized, params)).max() <= 1e-9
+        planes = fr.values[b * n_measures : (b + 1) * n_measures]
+        expected = kernel.reshape(n_measures, -1).astype(np.float32)
+        assert np.array_equal(planes[:, fr.valid], expected)
+    return fr
+
+
+def test_extract_texture_matches_per_window_api_at_default_parameters():
+    rng = np.random.default_rng(11)
+    stripes = np.where(np.arange(23)[:, np.newaxis] % 2 == 0, 10000, 50000)
+    noise = rng.integers(-15000, 15000, size=(2, 23, 21))
+    samples = np.clip(stripes + noise, 0, 65535).astype(np.uint16)
+    params = GlcmParams(bands=("B2", "B3"))
+    assert (params.levels, params.window, params.directions) == (32, 19, (0, 45, 90, 135))
+    serial = _assert_kernel_matches_windowed_haralick(samples, params)
+    stack = BandStack(band_names=["B2", "B3"], samples=samples)
+    parallel = extract_texture(stack, params, jobs=2)
+    assert parallel.values.tobytes() == serial.values.tobytes()
+
+
+def test_extract_texture_pair_keys_do_not_overflow_at_300_levels():
+    # 300^2 pair keys exceed 16 bits, so a 16-bit key would merge distinct pairs.
+    samples = np.random.default_rng(5).integers(0, 65536, size=(1, 12, 11), dtype=np.uint16)
+    params = GlcmParams(levels=300, window=5, bands=("B2",))
+    _assert_kernel_matches_windowed_haralick(samples, params)
 
 
 @settings(max_examples=40, deadline=None)
