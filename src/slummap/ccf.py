@@ -276,10 +276,13 @@ def grow_tree(
             nodes.append(_leaf(y_node))
             continue
 
-        subset = np.array(sorted(rng.sample_without_replacement(d, lam)), dtype=np.int64)
-        boot = np.array(rng.bootstrap_indices(n), dtype=np.int64)
+        subset = np.sort(rng.sample_without_replacement(d, lam))
+        boot = rng.bootstrap_indices(n)
+        # Gathered through the transpose so the sample is column-major, the
+        # layout whose float reductions in cca_fit the pinned outputs rely on.
+        x_boot = x_node.T[np.ix_(subset, boot)].T
         try:
-            cca = cca_fit(x_node[boot][:, subset], _one_hot(y_node[boot]))
+            cca = cca_fit(x_boot, _one_hot(y_node[boot]))
         except DegenerateDataError:
             try:
                 cca = cca_fit(x_node[:, subset], _one_hot(y_node))

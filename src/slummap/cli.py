@@ -148,7 +148,11 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    sections = _parse_sections(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    sections = _parse_sections(text, str(path))
     config = RunConfig()
     glcm_fields: dict[str, str] = {}
     seen: set[str] = set()
@@ -404,11 +408,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
     technique = args.technique or pipeline.technique
     stack = load_band_stack(args.image)
     if technique == "glcm":
-        missing = _missing_band(pipeline.glcm_params or GlcmParams(), stack)
+        params = pipeline.glcm_params or GlcmParams()
+        missing = _missing_band(params, stack)
         if missing:
             raise DimensionMismatchError(
                 f"model needs band {missing!r}, which {args.image} lacks "
                 f"(it holds {','.join(stack.band_names)})"
+            )
+        if params.window > min(stack.height, stack.width):
+            raise DimensionMismatchError(
+                f"model's [glcm] window {params.window} is larger than the "
+                f"{stack.width}x{stack.height} scene {args.image}"
             )
     features = extract_features(stack, technique, pipeline.glcm_params, jobs=args.jobs)
     if len(features.feature_names) != pipeline.model.n_features:

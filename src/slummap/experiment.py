@@ -174,7 +174,7 @@ def undersample_balance(table: FeatureTable, seed: int = 0) -> FeatureTable:
     chosen = rng.sample_without_replacement(majority_positions.shape[0], minority_count)
     keep = np.zeros(table.n_rows, dtype=bool)
     keep[table.labels != majority] = True
-    keep[majority_positions[np.array(sorted(chosen), dtype=np.int64)]] = True
+    keep[majority_positions[np.sort(chosen)]] = True
     return table.take(np.nonzero(keep)[0])
 
 
@@ -189,10 +189,10 @@ def split_train_test(
         raise ValueError("need at least two rows to split")
     n_train = int(n * train_fraction + 0.5)
     n_train = max(1, min(n_train, n - 1))  # both parts stay non-empty
-    perm = list(range(n))
+    perm = np.arange(n)
     stream(seed, SPLIT_STREAM).shuffle(perm)
-    train_idx = np.array(sorted(perm[:n_train]), dtype=np.int64)
-    test_idx = np.array(sorted(perm[n_train:]), dtype=np.int64)
+    train_idx = np.sort(perm[:n_train])
+    test_idx = np.sort(perm[n_train:])
     return table.take(train_idx), table.take(test_idx)
 
 

@@ -148,8 +148,14 @@ def _payload_path(header_path: Path) -> Path:
 
 
 def _parse_header(header_path: Path) -> dict[str, str]:
+    try:
+        text = header_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RasterFormatError(
+            f"{header_path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     fields: dict[str, str] = {}
-    for lineno, line in enumerate(header_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -188,6 +194,8 @@ def _load_planes(header_path: str | Path, expect_dtype: str) -> tuple[list[str],
     names = [n.strip() for n in fields["bands"].split(",") if n.strip()]
     if not names:
         raise RasterFormatError(f"{header_path}: no band names declared")
+    if len(set(names)) != len(names):
+        raise RasterFormatError(f"{header_path}: band names must be unique")
 
     payload = _payload_path(header_path)
     if not payload.exists():

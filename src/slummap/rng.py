@@ -14,6 +14,24 @@ same seed produces the same bytes on any platform or language:
   ``key <- mix64(key + (index + 1) * 0x9E3779B97F4A7C15 mod 2^64)``.
 * ``Pcg32`` is the 64-bit-state / 32-bit-output PCG XSH-RR generator from
   O'Neill's ``pcg_basic.c``, seeded with ``(key, mix64(key))``.
+* ``Pcg32.randbelow_array`` draws many bounded values at once by jump-ahead.
+  The state k steps after ``s`` is ``A_k * s + C_k * inc (mod 2^64)`` with
+  ``A_k = M^k`` and ``C_k = M^(k-1) + ... + M + 1`` (Brown 1994, "Random
+  number generation with arbitrary strides"; ``pcg32_advance`` in O'Neill's
+  C library). One table of ``A_k``, ``C_k`` for k up to ``_BLOCK`` is built
+  per process. A block of ``_BLOCK`` states is then one multiply-add in
+  wrapping uint64 numpy, and XSH-RR runs on the whole block. Each generator
+  keeps its current block of raw outputs and serves the following draws from
+  it, across calls; longer draws chain block by block, so memory does not
+  grow with the draw count.
+* Bounded draws keep ``pcg32_boundedrand_r``'s rejection rule exactly: draw
+  i takes the first raw value at or above ``2^32 mod bound_i`` that comes
+  after draw i-1's accepted value and returns it ``mod bound_i``, and the
+  stream advances by exactly the raw values consumed. Bounds lie in
+  [1, 2^32]. ``bootstrap_indices``, ``sample_without_replacement`` and
+  ``shuffle`` therefore return the values, and leave the state, of the
+  scalar loop of ``randbelow`` calls that defines them; the test suite keeps
+  that loop as its oracle.
 
 Stream indices used by the pipeline (first element of the path):
 
@@ -25,6 +43,10 @@ FOREST_STREAM    2    tree induction; full path is (2, tree_index)
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -69,6 +91,13 @@ class Pcg32:
         self.next_u32()
         self._state = (self._state + init_state) & MASK64
         self.next_u32()
+        # Raw outputs computed ahead by randbelow_array: the block that starts
+        # at state _ahead_base, of which the first _ahead_pos are consumed.
+        # They are the stream's next values only while _state is _ahead_state.
+        self._ahead = np.empty(0, dtype=np.uint32)
+        self._ahead_base = 0
+        self._ahead_pos = 0
+        self._ahead_state: int | None = None
 
     @classmethod
     def from_key(cls, key: int) -> "Pcg32":
@@ -83,35 +112,98 @@ class Pcg32:
 
     def randbelow(self, bound: int) -> int:
         """Unbiased integer in [0, bound) by rejection (pcg32_boundedrand_r)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        threshold = (1 << 32) % bound
-        while True:
-            r = self.next_u32()
-            if r >= threshold:
-                return r % bound
+        return int(self.randbelow_array([bound])[0])
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, descending index order."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+    def randbelow_array(self, bounds) -> np.ndarray:
+        """One ``randbelow(bounds[i])`` per entry, in order, as an int64 array.
+
+        Equal, value for value and in the state left behind, to calling
+        ``randbelow`` on each bound in turn. Raw values come from blocks
+        computed ahead by jump-ahead; a rejected raw value is skipped and the
+        draws after it shift one position along the stream.
+        """
+        bounds = np.asarray(bounds)
+        if bounds.size and (bounds.min() < 1 or bounds.max() > 1 << 32):
+            raise ValueError("bound must lie in [1, 2**32]")
+        bounds = bounds.astype(np.int64, copy=False)
+        thresholds = (1 << 32) % bounds
+        out = np.empty(bounds.shape[0], dtype=np.int64)
+        done = 0
+        while done < out.shape[0]:
+            if self._state != self._ahead_state or self._ahead_pos == _BLOCK:
+                self._compute_ahead()
+            raw = self._ahead[self._ahead_pos :]
+            length = min(raw.shape[0], out.shape[0] - done)
+            ok = raw[:length] >= thresholds[done : done + length]
+            accepted = length if ok.all() else int(ok.argmin())
+            out[done : done + accepted] = raw[:accepted] % bounds[done : done + accepted]
+            done += accepted
+            self._consume(accepted + (accepted < length))  # with the rejected value
+        return out
+
+    def _compute_ahead(self) -> None:
+        """The next _BLOCK raw values: states A_k * s + C_k * inc, then XSH-RR."""
+        a, c = _jump_table()
+        states = a[:_BLOCK] * np.uint64(self._state) + c[:_BLOCK] * np.uint64(self._inc)
+        self._ahead = _xsh_rr(states)
+        self._ahead_base = self._state
+        self._ahead_pos = 0
+        self._ahead_state = self._state
+
+    def _consume(self, count: int) -> None:
+        """Move the stream past the next count raw values of the current block."""
+        a, c = _jump_table()
+        self._ahead_pos += count
+        k = self._ahead_pos
+        self._state = (int(a[k]) * self._ahead_base + int(c[k]) * self._inc) & MASK64
+        self._ahead_state = self._state
+
+    def shuffle(self, items) -> None:
+        """In-place Fisher-Yates shuffle of a list or 1-D array, descending index order."""
+        picks = self.randbelow_array(np.arange(len(items), 1, -1))
+        for i, j in zip(range(len(items) - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
-    def sample_without_replacement(self, n: int, k: int) -> list[int]:
+    def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), partial Fisher-Yates order."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.randbelow(n - i)
+        picks = np.arange(k) + self.randbelow_array(np.arange(n, n - k, -1))
+        pool = np.arange(n)
+        for i, j in enumerate(picks.tolist()):
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 
-    def bootstrap_indices(self, n: int, size: int | None = None) -> list[int]:
+    def bootstrap_indices(self, n: int, size: int | None = None) -> np.ndarray:
         """size draws from range(n) with replacement (default size = n)."""
         if size is None:
             size = n
-        return [self.randbelow(n) for _ in range(size)]
+        return self.randbelow_array(np.full(size, n, dtype=np.int64))
+
+
+_BLOCK = 1024
+
+
+@functools.cache
+def _jump_table() -> tuple[np.ndarray, np.ndarray]:
+    """A_k = M^k and C_k = M^(k-1) + ... + M + 1 (mod 2^64) for k = 0.._BLOCK.
+
+    The PCG32 state k steps after s is A_k * s + C_k * inc (mod 2^64).
+    """
+    a, c = [1], [0]
+    for _ in range(_BLOCK):
+        a.append(a[-1] * Pcg32.MULTIPLIER & MASK64)
+        c.append((c[-1] * Pcg32.MULTIPLIER + 1) & MASK64)
+    a, c = np.array(a, dtype=np.uint64), np.array(c, dtype=np.uint64)
+    a.flags.writeable = c.flags.writeable = False  # shared by every generator
+    return a, c
+
+
+def _xsh_rr(states: np.ndarray) -> np.ndarray:
+    """PCG32's XSH-RR output of each uint64 state (``next_u32`` on arrays)."""
+    xorshifted = (((states >> 18) ^ states) >> 27).astype(np.uint32)
+    rot = (states >> 59).astype(np.uint32)
+    return (xorshifted >> rot) | (xorshifted << (-rot & 31))
 
 
 def stream(master_seed: int, *path: int) -> Pcg32:

@@ -70,3 +70,32 @@ def confusion_oracle(pred, truth) -> dict[str, int]:
         else:
             tn += 1
     return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+
+
+def randbelow_oracle(rng, bound: int) -> int:
+    """pcg32_boundedrand_r: one raw draw at a time, rejecting below 2^32 % bound."""
+    threshold = (1 << 32) % bound
+    while True:
+        r = rng.next_u32()
+        if r >= threshold:
+            return r % bound
+
+
+def bootstrap_oracle(rng, n: int, size: int) -> list[int]:
+    return [randbelow_oracle(rng, n) for _ in range(size)]
+
+
+def sample_without_replacement_oracle(rng, n: int, k: int) -> list[int]:
+    """Partial Fisher-Yates over range(n): swap slot i with i + randbelow(n - i)."""
+    pool = list(range(n))
+    for i in range(k):
+        j = i + randbelow_oracle(rng, n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def shuffle_oracle(rng, items: list) -> None:
+    """Fisher-Yates in place, i from the top down, swapping with randbelow(i + 1)."""
+    for i in range(len(items) - 1, 0, -1):
+        j = randbelow_oracle(rng, i + 1)
+        items[i], items[j] = items[j], items[i]

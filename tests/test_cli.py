@@ -4,7 +4,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slummap.cli import (
+    _FOREST_KEYS,
+    _GLCM_KEYS,
+    _RUN_KEYS,
+    _SCENE_KEYS,
+    ConfigError,
+    _parse_sections,
+    load_config,
+    validate_config,
+)
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
 from slummap.raster import BandStack, LabelMask, load_band_stack, save_band_stack, save_label_mask
 
@@ -313,6 +325,46 @@ def test_predict_scene_missing_band_exits_five(demo, experiment_out, tmp_path):
     assert "'B8'" in proc.stderr
 
 
+def test_predict_scene_smaller_than_window_exits_five(demo, experiment_out, tmp_path):
+    stack = load_band_stack(demo["root"] / "scene.hdr")
+    small = BandStack(band_names=list(stack.band_names), samples=stack.samples[:, :4, :8])
+    save_band_stack(small, tmp_path / "s.hdr")
+    proc = run_cli(
+        "predict",
+        "--model",
+        str(experiment_out / "two-texture_glcm_model.json"),
+        "--image",
+        str(tmp_path / "s.hdr"),
+        "--out",
+        str(tmp_path / "o"),
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("dimension mismatch:")
+    assert proc.stderr.count("\n") == 1
+    assert "window 5" in proc.stderr and "8x4" in proc.stderr
+    assert not (tmp_path / "o" / "map.pgm").exists()
+
+
+def test_non_utf8_config_and_header_exit_cleanly(demo, tmp_path):
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_bytes(b"\xff\xfe[run]\n")
+    proc = run_cli("experiment", "--config", str(bad_config))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        demo["config"].read_text(encoding="utf-8").replace(
+            str(demo["root"] / "scene.hdr"), str(tmp_path / "scene.hdr")
+        ),
+        encoding="utf-8",
+    )
+    (tmp_path / "scene.hdr").write_bytes(b"\xff\xfewidth = 3\n")
+    proc = run_cli("experiment", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("i/o error:") and proc.stderr.count("\n") == 1
+
+
 def _craft_model(case: str, doc: dict) -> bytes:
     """The experiment's model file, damaged in one way."""
     nodes = doc["model"]["trees"][0]["nodes"]
@@ -371,3 +423,37 @@ def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
     assert proc.stderr.startswith("i/o error:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text())
+def test_parse_sections_fuzz_parses_or_raises_config_error(text):
+    try:
+        sections = _parse_sections(text, "fuzz.cfg")
+    except ConfigError:
+        return
+    for name, fields in sections:
+        assert isinstance(name, str)
+        assert all(isinstance(k, str) and isinstance(v, str) for k, v in fields.items())
+
+
+_CONFIG_LINES = st.one_of(
+    st.sampled_from(["[run]", "[glcm]", "[forest]", "[scene]", "[other]", "# note", ""]),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(sorted(_RUN_KEYS | _FOREST_KEYS | _GLCM_KEYS | _SCENE_KEYS)),
+        st.one_of(st.text(max_size=12), st.integers(-3, 40).map(str)),
+    ),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_CONFIG_LINES, max_size=12))
+def test_load_config_fuzz_loads_or_raises_config_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        validate_config(load_config(path), need_scenes=False)
+    except ConfigError:
+        pass

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slummap.raster import (
+    BYTE_ORDER,
+    HEADER_KEYS,
+    LAYOUT,
     SENTINEL2_BANDS,
     BandStack,
     FeatureRaster,
@@ -19,6 +22,7 @@ from slummap.raster import (
     save_label_mask,
     save_prediction_map,
 )
+from slummap.raster import _parse_header
 
 
 def test_round_trip_identity_small_stack(tmp_path):
@@ -94,6 +98,14 @@ def test_band_names_must_be_unique_and_nonempty():
         BandStack(band_names=["A", "A"], samples=samples)
     with pytest.raises(ValueError):
         BandStack(band_names=["A", ""], samples=samples)
+
+
+def test_duplicate_band_names_in_header_are_a_format_error(tmp_path):
+    save_band_stack(BandStack(["B2", "B3"], np.zeros((2, 1, 1), dtype=np.uint16)), tmp_path / "s.hdr")
+    header = tmp_path / "s.hdr"
+    header.write_text(header.read_text().replace("B2,B3", "B2,B2"))
+    with pytest.raises(RasterFormatError, match="unique"):
+        load_band_stack(header)
 
 
 def test_label_mask_all_zero_and_fraction(tmp_path):
@@ -174,3 +186,62 @@ def test_dimension_agreement_enforced():
     mask = LabelMask(labels=np.zeros((3, 4), dtype=np.uint8))
     with pytest.raises(RasterFormatError, match="pre-aligned"):
         ensure_aligned(stack, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200), st.text().map(str.encode)))
+def test_parse_header_fuzz_parses_or_raises_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.hdr"
+    path.write_bytes(data)
+    try:
+        fields = _parse_header(path)
+    except RasterFormatError:
+        return
+    assert set(HEADER_KEYS) <= set(fields)
+
+
+_SIZE_VALUES = st.one_of(st.integers(-1, 3).map(str), st.integers(1, 2).map(str), st.text(max_size=4))
+_HEADER_VALUES = {
+    "width": _SIZE_VALUES,
+    "height": _SIZE_VALUES,
+    "bands": st.one_of(
+        st.sampled_from(["B2", "B2,B3", "B2,B2", "labels", " , ", ""]), st.text(max_size=6)
+    ),
+    "dtype": st.sampled_from(["u16", "u8", "f32", "f64"]),
+    # Mostly the supported value, so that loads reach the later checks.
+    "byte_order": st.sampled_from([BYTE_ORDER] * 3 + ["big"]),
+    "layout": st.sampled_from([LAYOUT] * 3 + ["band-interleaved"]),
+}
+
+
+@st.composite
+def _raster_files(draw) -> tuple[str, bytes]:
+    """A header of mostly well-formed fields plus a payload, usually of the implied size."""
+    header = draw(st.fixed_dictionaries(_HEADER_VALUES))
+    for key in draw(st.sets(st.sampled_from(HEADER_KEYS), max_size=1)):
+        del header[key]
+    lines = [f"{key} = {value}" for key, value in header.items()]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    try:
+        n_bands = len([name for name in header["bands"].split(",") if name.strip()])
+        size = int(header["width"]) * int(header["height"]) * n_bands
+        size *= {"u8": 1, "u16": 2, "f32": 4}.get(header["dtype"], 1)
+    except (KeyError, ValueError):
+        size = 0
+    size = max(0, min(size, 64) + draw(st.sampled_from([0, 0, 1, -1])))
+    payload = draw(st.one_of(st.just(bytes(size)), st.binary(min_size=size, max_size=size)))
+    return "\n".join(lines), payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=_raster_files())
+def test_load_rasters_fuzz_load_or_raise_format_error(tmp_path_factory, files):
+    path = tmp_path_factory.getbasetemp() / "fuzz_raster.hdr"
+    path.write_text(files[0], encoding="utf-8")
+    path.with_suffix(".bin").write_bytes(files[1])
+    for load in (load_band_stack, load_label_mask, load_feature_raster):
+        try:
+            load(path)
+        except RasterFormatError:
+            pass

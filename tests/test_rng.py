@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slummap.rng import (
+    _BLOCK,
     BALANCE_STREAM,
     FOREST_STREAM,
     GOLDEN_GAMMA,
@@ -12,6 +15,16 @@ from slummap.rng import (
     mix64,
     stream,
 )
+
+from .oracles import (
+    bootstrap_oracle,
+    randbelow_oracle,
+    sample_without_replacement_oracle,
+    shuffle_oracle,
+)
+
+KEYS = (0, derive_key(1, FOREST_STREAM, 0), derive_key(2024, SPLIT_STREAM))
+SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK)
 
 
 def test_splitmix64_reference_vector():
@@ -83,3 +96,110 @@ def test_bootstrap_indices_size_and_range():
     idx = rng.bootstrap_indices(13)
     assert len(idx) == 13
     assert all(0 <= i < 13 for i in idx)
+
+
+def test_bound_above_2_32_is_rejected_without_drawing():
+    rng = Pcg32.from_key(KEYS[1])
+    state = rng._state
+    for bad in ([0], [1 << 32 | 1], [5, 1 << 33], [1 << 70]):
+        with pytest.raises(ValueError):
+            rng.randbelow_array(bad)
+    with pytest.raises(ValueError):
+        rng.randbelow((1 << 32) + 1)
+    assert rng._state == state
+    oracle = Pcg32.from_key(KEYS[1])
+    assert rng.randbelow(1 << 32) == randbelow_oracle(oracle, 1 << 32)
+    assert rng._state == oracle._state
+
+
+# 2**31 + 1 rejects every raw value below 2**31 - 1: about half of them.
+@pytest.mark.parametrize("bound", [1, 7, 2**31 + 1, 2**32])
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("key", KEYS)
+def test_bootstrap_indices_equal_scalar_oracle(key, size, bound):
+    rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+    got = rng.bootstrap_indices(bound, size)
+    assert got.dtype == np.int64
+    assert got.tolist() == bootstrap_oracle(oracle, bound, size)
+    assert rng._state == oracle._state
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("key", KEYS)
+def test_sample_without_replacement_equals_scalar_oracle(key, size):
+    for n, k in ((size, size), (size + 5, size // 2)):
+        rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+        assert rng.sample_without_replacement(n, k).tolist() == (
+            sample_without_replacement_oracle(oracle, n, k)
+        )
+        assert rng._state == oracle._state
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("key", KEYS)
+def test_shuffle_equals_scalar_oracle_on_lists_and_arrays(key, size):
+    rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+    expected = list(range(size))
+    shuffle_oracle(oracle, expected)
+    as_list = list(range(size))
+    rng.shuffle(as_list)
+    assert as_list == expected
+    assert rng._state == oracle._state
+    as_array = np.arange(size)
+    Pcg32.from_key(key).shuffle(as_array)
+    assert as_array.tolist() == expected
+
+
+def test_mixed_bounds_across_rejections_equal_scalar_oracle():
+    # Alternate a bound that rejects half the raw values with small ones, so
+    # rejections land inside, at the end of and across draw blocks.
+    bounds = [2**31 + 1 if i % 3 else 1 + i % 11 for i in range(3 * _BLOCK + 7)]
+    for key in KEYS:
+        rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+        assert rng.randbelow_array(bounds).tolist() == [
+            randbelow_oracle(oracle, b) for b in bounds
+        ]
+        assert rng._state == oracle._state
+
+
+def test_successive_calls_and_scalar_steps_equal_scalar_oracle():
+    # Later calls are served from the block an earlier call computed, until a
+    # scalar next_u32 step moves the stream past it.
+    rng, oracle = Pcg32.from_key(KEYS[2]), Pcg32.from_key(KEYS[2])
+    for size in (5, 1, _BLOCK - 7, 3, 2 * _BLOCK + 1, 0, 4):
+        assert rng.bootstrap_indices(9, size).tolist() == bootstrap_oracle(oracle, 9, size)
+        assert rng.sample_without_replacement(size + 2, 2).tolist() == (
+            sample_without_replacement_oracle(oracle, size + 2, 2)
+        )
+        items, expected = list(range(size)), list(range(size))
+        rng.shuffle(items)
+        shuffle_oracle(oracle, expected)
+        assert items == expected
+        assert rng._state == oracle._state
+        if size % 2:
+            assert rng.next_u32() == oracle.next_u32()
+
+
+def test_raw_value_equal_to_its_threshold_is_accepted():
+    # For r < 2**31, 2**32 % (2**32 - r) == r: the bound puts the stream's
+    # first raw value exactly on its rejection threshold.
+    key = next(k for k in range(100) if Pcg32.from_key(k).next_u32() < 2**31)
+    first = Pcg32.from_key(key).next_u32()
+    rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+    bounds = [2**32 - first, 3]
+    got = rng.randbelow_array(bounds).tolist()
+    assert got == [randbelow_oracle(oracle, b) for b in bounds]
+    assert got[0] == first
+    assert rng._state == oracle._state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.integers(0, 2**64 - 1),
+    bound=st.one_of(st.integers(1, 64), st.integers(1, 2**32)),
+    size=st.integers(0, 2 * _BLOCK + 3),
+)
+def test_block_draws_equal_scalar_oracle_property(key, bound, size):
+    rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+    assert rng.bootstrap_indices(bound, size).tolist() == bootstrap_oracle(oracle, bound, size)
+    assert rng._state == oracle._state
