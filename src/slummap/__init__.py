@@ -30,7 +30,7 @@ from .raster import (
     load_label_mask,
     save_prediction_map,
 )
-from .texture import GlcmParams, cooccurrence, extract_spectral, extract_texture, haralick, quantize
+from .texture import GlcmParams, extract_spectral, extract_texture, quantize
 
 __version__ = "0.1.0"
 
@@ -46,12 +46,10 @@ __all__ = [
     "SENTINEL2_BANDS",
     "assemble_table",
     "cca_fit",
-    "cooccurrence",
     "evaluate",
     "extract_spectral",
     "extract_texture",
     "fit_scaler",
-    "haralick",
     "load_band_stack",
     "load_label_mask",
     "load_pipeline",

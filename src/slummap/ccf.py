@@ -83,7 +83,6 @@ class CcfModel:
 class ForestParams:
     min_node_size: int = DEFAULT_MIN_NODE_SIZE
     n_candidate_features: int | None = None  # None = ceil(sqrt(d))
-    master_seed: int = 0
 
     def resolve_lambda(self, d: int) -> int:
         if self.n_candidate_features:
@@ -232,8 +231,8 @@ def _leaf(y_node: np.ndarray) -> CcTreeNode:
 def grow_tree(
     x: np.ndarray,
     y: np.ndarray,
-    params: ForestParams | None = None,
-    rng: Pcg32 | None = None,
+    params: ForestParams,
+    rng: Pcg32,
 ) -> CcTree:
     """Induce one canonical correlation tree on (x, y).
 
@@ -244,10 +243,6 @@ def grow_tree(
     canonical direction of a bootstrap resample; rows with projection <=
     threshold go left.
     """
-    if params is None:
-        params = ForestParams()
-    if rng is None:
-        rng = stream(params.master_seed, FOREST_STREAM, 0)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).astype(np.uint8).ravel()
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -382,7 +377,6 @@ def train_forest(
     params = ForestParams(
         min_node_size=min_node_size,
         n_candidate_features=n_candidate_features,
-        master_seed=master_seed,
     )
     lam = params.resolve_lambda(d)
     trees = [

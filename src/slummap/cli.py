@@ -291,25 +291,27 @@ def _prefix(scene: SceneConfig, technique: str) -> str:
     return f"{scene.location}_{technique}"
 
 
-def _missing_band(params: GlcmParams, stack: BandStack) -> str | None:
-    return next((band for band in params.bands if band not in stack.band_names), None)
+def _glcm_scene_problem(params: GlcmParams, stack: BandStack) -> str | None:
+    """Why the scene cannot serve these [glcm] settings, or None if it can."""
+    missing = next((band for band in params.bands if band not in stack.band_names), None)
+    if missing:
+        return (
+            f"[glcm] band {missing!r} is not in the scene "
+            f"(it holds {','.join(stack.band_names)})"
+        )
+    if params.window > min(stack.height, stack.width):
+        return (
+            f"[glcm] window {params.window} is larger than the "
+            f"{stack.width}x{stack.height} scene"
+        )
+    return None
 
 
 def _check_glcm_scene(config: RunConfig, scene: SceneConfig, stack: BandStack) -> None:
     """Reject [glcm] settings the loaded scene cannot serve, before extraction."""
-    if config.technique != "glcm":
-        return
-    missing = _missing_band(config.glcm, stack)
-    if missing:
-        raise ConfigError(
-            f"scene {scene.location!r}: [glcm] band {missing!r} is not in the scene "
-            f"(it holds {','.join(stack.band_names)})"
-        )
-    if config.glcm.window > min(stack.height, stack.width):
-        raise ConfigError(
-            f"scene {scene.location!r}: [glcm] window {config.glcm.window} is larger "
-            f"than the {stack.width}x{stack.height} scene"
-        )
+    problem = _glcm_scene_problem(config.glcm, stack) if config.technique == "glcm" else None
+    if problem:
+        raise ConfigError(f"scene {scene.location!r}: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,27 +406,19 @@ def cmd_experiment(config: RunConfig) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     pipeline = load_pipeline(args.model)
-    technique = args.technique or pipeline.technique
     stack = load_band_stack(args.image)
-    if technique == "glcm":
-        params = pipeline.glcm_params or GlcmParams()
-        missing = _missing_band(params, stack)
-        if missing:
-            raise DimensionMismatchError(
-                f"model needs band {missing!r}, which {args.image} lacks "
-                f"(it holds {','.join(stack.band_names)})"
-            )
-        if params.window > min(stack.height, stack.width):
-            raise DimensionMismatchError(
-                f"model's [glcm] window {params.window} is larger than the "
-                f"{stack.width}x{stack.height} scene {args.image}"
-            )
-    features = extract_features(stack, technique, pipeline.glcm_params, jobs=args.jobs)
+    if pipeline.technique == "glcm":
+        problem = _glcm_scene_problem(pipeline.glcm_params or GlcmParams(), stack)
+        if problem:
+            raise DimensionMismatchError(f"scene {args.image}: model's {problem}")
+    features = extract_features(stack, pipeline.technique, pipeline.glcm_params, jobs=args.jobs)
     if len(features.feature_names) != pipeline.model.n_features:
         raise DimensionMismatchError(
             f"model expects {pipeline.model.n_features} features but "
-            f"{technique!r} extraction produced {len(features.feature_names)}"
+            f"{pipeline.technique!r} extraction produced {len(features.feature_names)}"
         )
     prediction, _ = predict_scene(features, None, pipeline.model, pipeline.scaler)
     out = Path(args.out)
@@ -490,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--model", required=True, help="pipeline model file")
     p_predict.add_argument("--image", required=True, help="scene image header")
     p_predict.add_argument("--out", required=True, help="output directory")
-    p_predict.add_argument("--technique", choices=("spectral", "glcm"), default=None)
     p_predict.add_argument("--jobs", type=int, default=1)
 
     p_eval = sub.add_parser("evaluate", help="score a prediction map against ground truth")

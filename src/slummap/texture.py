@@ -40,10 +40,6 @@ DEFAULT_WINDOW = 19
 DEFAULT_BANDS = ("B2", "B3", "B4", "B8")
 
 
-class DegenerateWindowError(ValueError):
-    """Window too small to contain any pixel pair at the requested offset."""
-
-
 @dataclass
 class GlcmParams:
     levels: int = DEFAULT_LEVELS
@@ -97,39 +93,6 @@ class GlcmParams:
         )
 
 
-@dataclass
-class CooccurrenceMatrix:
-    """Symmetric joint relative frequencies of grey-level pairs."""
-
-    levels: int
-    p: np.ndarray  # (levels, levels) float64, entries sum to 1
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=np.float64)
-        if self.p.shape != (self.levels, self.levels):
-            raise ValueError("p must be a levels x levels grid")
-        if (self.p < 0).any():
-            raise ValueError("p entries must be non-negative")
-        if abs(self.p.sum() - 1.0) > 1e-9:
-            raise ValueError("p entries must sum to 1")
-        if not np.array_equal(self.p, self.p.T):
-            raise ValueError("p must be exactly symmetric")
-
-
-@dataclass
-class HaralickFeatures:
-    second_moment: float
-    contrast: float
-    correlation: float
-    homogeneity: float
-    entropy: float
-    mean: float
-    variance: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, m) for m in MEASURES], dtype=np.float64)
-
-
 def quantize(band: np.ndarray, levels: int) -> np.ndarray:
     """Equal-width binning over the band's global min..max.
 
@@ -156,58 +119,6 @@ def _pair_images(quantized: np.ndarray, direction: int) -> tuple[np.ndarray, np.
     first = quantized[r0:r1, c0:c1].astype(np.int64)
     second = quantized[r0 + dr : r1 + dr, c0 + dc : c1 + dc].astype(np.int64)
     return first, second
-
-
-def _pair_counts(window: np.ndarray, direction: int, levels: int) -> np.ndarray:
-    """Symmetrized integer pair counts for one direction over one window."""
-    first, second = _pair_images(window, direction)
-    codes = first * levels + second
-    counts = np.bincount(codes.ravel(), minlength=levels * levels).reshape(levels, levels)
-    return counts + counts.T
-
-
-def cooccurrence(window: np.ndarray, direction: int, levels: int | None = None) -> CooccurrenceMatrix:
-    """Normalized symmetric co-occurrence matrix of a window at one direction."""
-    window = np.asarray(window)
-    if direction not in DIRECTION_OFFSETS:
-        raise ValueError(f"unknown direction {direction}")
-    if levels is None:
-        levels = int(window.max()) + 1
-    if window.min() < 0 or window.max() >= levels:
-        raise ValueError("window entries must lie in [0, levels)")
-    counts = _pair_counts(window, direction, levels)
-    total = counts.sum()
-    if total == 0:
-        raise DegenerateWindowError(
-            f"window of shape {window.shape} holds no pixel pair at {direction} degrees"
-        )
-    return CooccurrenceMatrix(levels=levels, p=counts / total)
-
-
-def haralick(m: CooccurrenceMatrix) -> HaralickFeatures:
-    """Second moment, contrast, correlation, homogeneity, entropy, mean, variance.
-
-    Entropy uses the natural logarithm with 0*ln 0 = 0. Variance and
-    correlation use the expansions sum(i^2 p) - mu^2 and
-    (sum(i j p) - mu^2) / var; rounding can push an exactly-zero variance
-    microscopically negative, so it is clamped at 0, which also triggers the
-    convention that the correlation of a zero-variance matrix is 0.
-    """
-    p = m.p
-    i, j = np.indices(p.shape)
-    mean = (i * p).sum()
-    variance = max((i * i * p).sum() - mean * mean, 0.0)
-    cross = (i * j * p).sum() - mean * mean
-    positive = p[p > 0]
-    return HaralickFeatures(
-        second_moment=float((p * p).sum()),
-        contrast=float(((i - j) ** 2 * p).sum()),
-        correlation=float(cross / variance) if variance > 0 else 0.0,
-        homogeneity=float((p / (1.0 + (i - j) ** 2)).sum()),
-        entropy=float(-(positive * np.log(positive)).sum()),
-        mean=float(mean),
-        variance=float(variance),
-    )
 
 
 def extract_spectral(stack: BandStack) -> FeatureRaster:
@@ -280,8 +191,11 @@ def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParam
     Returns (7, height - window + 1, width - window + 1) float64. A window
     holds n pairs and its symmetric matrix T = 2n counts. The five measures
     linear in p are exact integer box sums over per-pair images divided by n
-    or T (homogeneity's box sum is float64); variance and correlation follow
-    :func:`haralick`.
+    or T (homogeneity's box sum is float64). Entropy uses the natural
+    logarithm with 0 ln 0 = 0. Variance and correlation use the expansions
+    sum(i^2 p) - mu^2 and (sum(i j p) - mu^2) / variance; rounding can push
+    an exactly-zero variance microscopically negative, so it is clamped at 0,
+    and the correlation of a zero-variance window is 0 by convention.
     """
     dr, dc = DIRECTION_OFFSETS[direction]
     height, width = params.window - abs(dr), params.window - abs(dc)
@@ -298,8 +212,9 @@ def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParam
     correlation = np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0)
 
     levels = params.levels
+    # At least 16 bits: numpy sorts uint8 rows far slower than uint16 rows.
     keys = (np.abs(a - b) * levels + np.minimum(a, b)).astype(
-        np.min_scalar_type(levels * levels - 1)
+        np.promote_types(np.min_scalar_type(levels * levels - 1), np.uint16)
     )
     second_moment, entropy = _run_measures(keys, height, width, levels)
     return np.stack(

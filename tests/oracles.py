@@ -30,28 +30,22 @@ def glcm_oracle(window, direction: int, levels: int) -> list[list[float]]:
 
 
 def haralick_oracle(p) -> dict[str, float]:
-    """The seven measures evaluated straight off their definitions."""
-    levels = len(p)
-    mu = sum(i * p[i][j] for i in range(levels) for j in range(levels))
-    var = sum((i - mu) ** 2 * p[i][j] for i in range(levels) for j in range(levels))
-    cross = sum(
-        (i - mu) * (j - mu) * p[i][j] for i in range(levels) for j in range(levels)
-    )
-    entropy = 0.0
-    for i in range(levels):
-        for j in range(levels):
-            if p[i][j] > 0:
-                entropy -= p[i][j] * math.log(p[i][j])
+    """The seven measures evaluated straight off their definitions.
+
+    The sums run over the nonzero cells only, in row-major order: a zero cell
+    adds exactly 0 to every one of them, so skipping it changes no value and
+    keeps the oracle fast at hundreds of grey levels.
+    """
+    cells = [(i, j, pij) for i, row in enumerate(p) for j, pij in enumerate(row) if pij]
+    mu = sum(i * pij for i, _, pij in cells)
+    var = sum((i - mu) ** 2 * pij for i, _, pij in cells)
+    cross = sum((i - mu) * (j - mu) * pij for i, j, pij in cells)
     return {
-        "second_moment": sum(p[i][j] ** 2 for i in range(levels) for j in range(levels)),
-        "contrast": sum(
-            (i - j) ** 2 * p[i][j] for i in range(levels) for j in range(levels)
-        ),
+        "second_moment": sum(pij**2 for _, _, pij in cells),
+        "contrast": sum((i - j) ** 2 * pij for i, j, pij in cells),
         "correlation": cross / var if var > 0 else 0.0,
-        "homogeneity": sum(
-            p[i][j] / (1 + (i - j) ** 2) for i in range(levels) for j in range(levels)
-        ),
-        "entropy": entropy,
+        "homogeneity": sum(pij / (1 + (i - j) ** 2) for i, j, pij in cells),
+        "entropy": sum(-pij * math.log(pij) for _, _, pij in cells),
         "mean": mu,
         "variance": var,
     }

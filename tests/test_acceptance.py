@@ -12,7 +12,7 @@ import numpy as np
 from slummap.ccf import _one_hot, cca_fit, model_to_dict, predict, train_forest
 from slummap.experiment import evaluate, run_experiment
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
-from slummap.texture import MEASURES, CooccurrenceMatrix, cooccurrence, haralick
+from slummap.texture import MEASURES, GlcmParams, _direction_measures
 
 from .oracles import confusion_oracle, glcm_oracle, haralick_oracle
 
@@ -22,61 +22,77 @@ def report(criterion: str, elapsed: float, budget: float | None = None) -> None:
     print(f"[criterion] {criterion}: PASS in {elapsed:.2f}s{budget_note}")
 
 
+def _kernel(image, direction: int, levels: int, window: int) -> dict[str, np.ndarray]:
+    """The co-occurrence kernel's seven planes for one direction, by measure name."""
+    planes = _direction_measures(
+        np.asarray(image), direction, GlcmParams(levels=levels, window=window)
+    )
+    return dict(zip(MEASURES, planes))
+
+
 def test_c1_glcm_matches_bruteforce_oracle_on_1000_windows():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260808)
-    directions = (0, 45, 90, 135)
-    for _ in range(1000):
-        h = int(rng.integers(2, 8))
-        w = int(rng.integers(2, 8))
+    windows = 0
+    while windows < 1000:
+        window = int(rng.choice([3, 5, 7]))
+        h = window + int(rng.integers(0, 3))
+        w = window + int(rng.integers(0, 3))
         levels = int(rng.integers(2, 5))
-        window = rng.integers(0, levels, size=(h, w)).astype(np.int32)
-        for direction in directions:
-            if (h == 1 and direction != 0) or (w == 1 and direction == 0):
-                continue
-            m = cooccurrence(window, direction, levels)
-            expected_p = np.array(glcm_oracle(window.tolist(), direction, levels))
-            assert np.abs(m.p - expected_p).max() <= 1e-9
-            feats = haralick(m)
-            expected_f = haralick_oracle(m.p.tolist())
-            for name in MEASURES:
-                assert abs(getattr(feats, name) - expected_f[name]) <= 1e-9, name
+        image = rng.integers(0, levels, size=(h, w)).astype(np.int32)
+        for direction in (0, 45, 90, 135):
+            kernel = _kernel(image, direction, levels, window)
+            for r in range(h - window + 1):
+                for c in range(w - window + 1):
+                    win = image[r : r + window, c : c + window].tolist()
+                    expected = haralick_oracle(glcm_oracle(win, direction, levels))
+                    for name in MEASURES:
+                        assert abs(kernel[name][r, c] - expected[name]) <= 1e-9, name
+        windows += (h - window + 1) * (w - window + 1)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    report("1 GLCM oracle equivalence (1000 windows, <=7x7, <=4 levels)", elapsed, 10.0)
+    report(
+        f"1 GLCM kernel vs oracle ({windows} windows, <=7x7, <=4 levels, 4 directions)",
+        elapsed,
+        10.0,
+    )
 
 
 def test_c2_haralick_hand_values():
     t0 = time.perf_counter()
     tol = 1e-12
 
-    point = haralick(CooccurrenceMatrix(levels=2, p=np.array([[1.0, 0.0], [0.0, 0.0]])))
-    assert abs(point.second_moment - 1.0) <= tol
-    assert abs(point.contrast) <= tol
-    assert abs(point.homogeneity - 1.0) <= tol
-    assert abs(point.entropy) <= tol
-    assert abs(point.mean) <= tol
-    assert abs(point.variance) <= tol
-    assert point.correlation == 0.0
+    # A constant image: the point mass p[0, 0] = 1.
+    point = _kernel(np.zeros((3, 3)), 0, levels=2, window=3)
+    assert abs(point["second_moment"][0, 0] - 1.0) <= tol
+    assert abs(point["contrast"][0, 0]) <= tol
+    assert abs(point["homogeneity"][0, 0] - 1.0) <= tol
+    assert abs(point["entropy"][0, 0]) <= tol
+    assert abs(point["mean"][0, 0]) <= tol
+    assert abs(point["variance"][0, 0]) <= tol
+    assert point["correlation"][0, 0] == 0.0
 
-    uniform = haralick(CooccurrenceMatrix(levels=2, p=np.full((2, 2), 0.25)))
-    assert abs(uniform.second_moment - 0.25) <= tol
-    assert abs(uniform.contrast - 0.5) <= tol
-    assert abs(uniform.homogeneity - 0.75) <= tol
-    assert abs(uniform.entropy - math.log(4)) <= tol
-    assert abs(uniform.mean - 0.5) <= tol
-    assert abs(uniform.variance - 0.25) <= tol
-    assert abs(uniform.correlation) <= tol
+    # Every row 0,0,1,1,0: horizontal pairs (0,0), (0,1), (1,1), (1,0) equally
+    # often, the uniform matrix at 0 degrees.
+    uniform = _kernel(np.tile([0, 0, 1, 1, 0], (5, 1)), 0, levels=2, window=5)
+    assert abs(uniform["second_moment"][0, 0] - 0.25) <= tol
+    assert abs(uniform["contrast"][0, 0] - 0.5) <= tol
+    assert abs(uniform["homogeneity"][0, 0] - 0.75) <= tol
+    assert abs(uniform["entropy"][0, 0] - math.log(4)) <= tol
+    assert abs(uniform["mean"][0, 0] - 0.5) <= tol
+    assert abs(uniform["variance"][0, 0] - 0.25) <= tol
+    assert abs(uniform["correlation"][0, 0]) <= tol
 
-    anti = haralick(CooccurrenceMatrix(levels=2, p=np.array([[0.0, 0.5], [0.5, 0.0]])))
-    assert abs(anti.contrast - 1.0) <= tol
-    assert abs(anti.second_moment - 0.5) <= tol
-    assert abs(anti.homogeneity - 0.5) <= tol
-    assert abs(anti.mean - 0.5) <= tol
-    assert abs(anti.variance - 0.25) <= tol
-    assert abs(anti.correlation + 1.0) <= tol
+    # A checkerboard: every horizontal pair differs, the anti-diagonal matrix.
+    anti = _kernel(np.indices((3, 3)).sum(axis=0) % 2, 0, levels=2, window=3)
+    assert abs(anti["contrast"][0, 0] - 1.0) <= tol
+    assert abs(anti["second_moment"][0, 0] - 0.5) <= tol
+    assert abs(anti["homogeneity"][0, 0] - 0.5) <= tol
+    assert abs(anti["mean"][0, 0] - 0.5) <= tol
+    assert abs(anti["variance"][0, 0] - 0.25) <= tol
+    assert abs(anti["correlation"][0, 0] + 1.0) <= tol
 
-    report("2 Haralick hand values (three worked matrices, 1e-12)", time.perf_counter() - t0)
+    report("2 Haralick hand values (three worked images, 1e-12)", time.perf_counter() - t0)
 
 
 def test_c3_cca_range_and_transform_invariance():
@@ -167,8 +183,6 @@ def test_c5_metric_identities_on_10000_random_pairs():
 
 
 def test_c6_two_texture_scene_glcm_beats_spectral():
-    from slummap.texture import GlcmParams
-
     t0 = time.perf_counter()
     stack, mask = make_two_texture_scene(size=128)
     glcm = run_experiment(

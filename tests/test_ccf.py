@@ -137,7 +137,7 @@ def test_cca_sign_canonicalization():
 def test_pure_node_is_single_leaf():
     x = np.random.default_rng(0).normal(size=(20, 3))
     y = np.ones(20, dtype=np.uint8)
-    tree = grow_tree(x, y)
+    tree = grow_tree(x, y, ForestParams(), stream(0, FOREST_STREAM, 0))
     assert len(tree.nodes) == 1
     assert tree.nodes[0].distribution == (0.0, 1.0)
 
@@ -148,7 +148,7 @@ def test_oblique_line_split_reaches_training_accuracy_one():
     margin = np.abs(x.sum(axis=1)) > 0.05  # keep a clear corridor, no ties
     x = x[margin]
     y = (x.sum(axis=1) > 0).astype(np.uint8)
-    tree = grow_tree(x, y, rng=stream(0, FOREST_STREAM, 0))
+    tree = grow_tree(x, y, ForestParams(), stream(0, FOREST_STREAM, 0))
     leaves = apply_tree(tree, x)
     pred = np.array([tree.nodes[i].distribution[1] > 0.5 for i in leaves])
     assert (pred == y.astype(bool)).all()
@@ -162,7 +162,7 @@ def test_xor_layout_needs_depth_two_and_fits_training_data():
     labels = np.array([0, 0, 1, 1], dtype=np.uint8)
     x = np.vstack([c + 0.05 * rng.normal(size=(20, 2)) for c in centres])
     y = np.repeat(labels, 20)
-    tree = grow_tree(x, y, rng=stream(0, FOREST_STREAM, 0))
+    tree = grow_tree(x, y, ForestParams(), stream(0, FOREST_STREAM, 0))
     leaves = apply_tree(tree, x)
     pred = np.array([tree.nodes[i].distribution[1] > 0.5 for i in leaves])
     assert (pred == y.astype(bool)).all()
@@ -196,7 +196,7 @@ def test_information_gain_positive_at_every_split():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(100, 4))
     y = (x[:, 0] * x[:, 1] > 0).astype(np.uint8)
-    tree = grow_tree(x, y, rng=stream(3, FOREST_STREAM, 1))
+    tree = grow_tree(x, y, ForestParams(), stream(3, FOREST_STREAM, 1))
     for node in tree.nodes:
         if node.is_leaf:
             total = node.class_counts[0] + node.class_counts[1]
@@ -215,7 +215,7 @@ def test_leaf_partition_invariant_under_positive_feature_scaling(data_seed):
         pytest.skip("degenerate draw")
     scale = np.array([0.5, 4.0, 2.0])
     shift = np.array([1.0, -3.0, 0.25])
-    params = ForestParams(master_seed=0)
+    params = ForestParams()
     tree_a = grow_tree(x, y, params, stream(0, FOREST_STREAM, 0))
     tree_b = grow_tree(x * scale + shift, y, params, stream(0, FOREST_STREAM, 0))
     leaves_a = apply_tree(tree_a, x)

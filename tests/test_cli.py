@@ -52,6 +52,25 @@ def test_help_exits_zero():
 
 def test_unknown_flag_exits_two():
     assert run_cli("experiment", "--frobnicate").returncode == 2
+    # predict takes its technique from the model file only.
+    proc = run_cli(
+        "predict", "--model", "m.json", "--image", "s.hdr", "--out", "o", "--technique", "glcm"
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --technique glcm" in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["extract", "train", "experiment", "predict"])
+def test_jobs_below_one_exits_two(command, jobs, demo, experiment_out, tmp_path):
+    if command == "predict":
+        model = experiment_out / "two-texture_glcm_model.json"
+        inputs = ["--model", str(model), "--image", str(demo["root"] / "scene.hdr")]
+    else:
+        inputs = ["--config", str(demo["config"])]
+    proc = run_cli(command, *inputs, "--out", str(tmp_path / "o"), "--jobs", jobs)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "config error: jobs must be >= 1\n"
 
 
 def test_extract_glcm_counts_and_files(demo):
@@ -185,20 +204,32 @@ def test_predict_reproduces_experiment_map(demo, experiment_out, tmp_path):
     ).read_bytes()
 
 
-def test_predict_wrong_technique_exits_five(demo, experiment_out, tmp_path):
-    proc = run_cli(
-        "predict",
-        "--model",
-        str(experiment_out / "two-texture_glcm_model.json"),
-        "--image",
-        str(demo["root"] / "scene.hdr"),
+def test_predict_wrong_technique_exits_five(demo, tmp_path):
+    """A spectral model trained on the 10-band scene cannot map 4 of its bands."""
+    train = run_cli(
+        "train",
+        "--config",
+        str(demo["config"]),
         "--technique",
         "spectral",
         "--out",
-        str(tmp_path),
+        str(tmp_path / "m"),
     )
-    assert proc.returncode == 5
-    assert "28" in proc.stderr and "10" in proc.stderr
+    assert train.returncode == 0, train.stderr
+    stack = load_band_stack(demo["root"] / "scene.hdr")
+    four = BandStack(band_names=list(stack.band_names[:4]), samples=stack.samples[:4])
+    save_band_stack(four, tmp_path / "s.hdr")
+    proc = run_cli(
+        "predict",
+        "--model",
+        str(tmp_path / "m" / "two-texture_spectral_model.json"),
+        "--image",
+        str(tmp_path / "s.hdr"),
+        "--out",
+        str(tmp_path / "o"),
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert "expects 10 features" in proc.stderr and "produced 4" in proc.stderr
 
 
 def test_evaluate_matches_full_image_report(demo, experiment_out, tmp_path):

@@ -9,14 +9,11 @@ from hypothesis.extra import numpy as hnp
 from slummap.raster import BandStack, FeatureRaster
 from slummap.texture import (
     MEASURES,
-    CooccurrenceMatrix,
-    DegenerateWindowError,
     GlcmParams,
     _band_measures,
-    cooccurrence,
+    _direction_measures,
     extract_spectral,
     extract_texture,
-    haralick,
     quantize,
 )
 
@@ -68,120 +65,153 @@ def test_quantize_surjective_when_band_spans_range():
 
 
 # ---------------------------------------------------------------------------
-# cooccurrence
+# co-occurrence kernel
 # ---------------------------------------------------------------------------
+
+
+def _measures(image, direction: int, levels: int, window: int = 3) -> dict[str, np.ndarray]:
+    """The kernel's seven planes for one direction, by measure name."""
+    planes = _direction_measures(
+        np.asarray(image), direction, GlcmParams(levels=levels, window=window)
+    )
+    return dict(zip(MEASURES, planes))
+
+
+def _oracle_planes(image: np.ndarray, direction: int, levels: int, window: int):
+    """haralick_oracle(glcm_oracle()) of every window, by measure name."""
+    out_h, out_w = image.shape[0] - window + 1, image.shape[1] - window + 1
+    planes = {m: np.empty((out_h, out_w)) for m in MEASURES}
+    for r in range(out_h):
+        for c in range(out_w):
+            win = image[r : r + window, c : c + window].tolist()
+            for m, value in haralick_oracle(glcm_oracle(win, direction, levels)).items():
+                planes[m][r, c] = value
+    return planes
+
+
+def _windowed_oracle(image: np.ndarray, params: GlcmParams) -> np.ndarray:
+    """Direction average of the oracle for every window, in params.measures order."""
+    per_dir = [_oracle_planes(image, d, params.levels, params.window) for d in params.directions]
+    return np.stack([sum(p[m] for p in per_dir) / len(per_dir) for m in params.measures])
+
+
+def _images_with_window(max_side: int = 8):
+    """Quantized images of 4 levels with an odd window that fits them."""
+    return st.integers(1, (max_side - 1) // 2).flatmap(
+        lambda half: st.tuples(
+            hnp.arrays(
+                np.int32,
+                st.tuples(st.integers(2 * half + 1, max_side), st.integers(2 * half + 1, max_side)),
+                elements=st.integers(0, 3),
+            ),
+            st.just(2 * half + 1),
+        )
+    )
 
 
 @pytest.mark.parametrize("direction", [0, 45, 90, 135])
 def test_cooccurrence_constant_window(direction):
-    window = np.full((3, 3), 5, dtype=np.int32)
-    m = cooccurrence(window, direction, levels=8)
-    assert m.p[5, 5] == 1.0
-    assert m.p.sum() == pytest.approx(1.0, abs=1e-12)
+    f = _measures(np.full((3, 3), 5), direction, levels=8)
+    assert f["second_moment"][0, 0] == 1.0
+    assert f["entropy"][0, 0] == 0.0
+    assert f["mean"][0, 0] == 5.0
+    assert f["contrast"][0, 0] == 0.0
+    assert f["variance"][0, 0] == 0.0
+    assert f["correlation"][0, 0] == 0.0
 
 
 def test_cooccurrence_two_row_window_horizontal():
-    window = np.array([[0, 0], [1, 1]])
-    m = cooccurrence(window, 0, levels=2)
-    assert m.p[0, 0] == pytest.approx(0.5, abs=1e-12)
-    assert m.p[1, 1] == pytest.approx(0.5, abs=1e-12)
-    assert m.p[0, 1] == 0.0
+    # Rows of 0s and 1s: every horizontal pair repeats a value, p = diag(2/3, 1/3).
+    f = _measures([[0, 0, 0], [1, 1, 1], [0, 0, 0]], 0, levels=2)
+    assert f["second_moment"][0, 0] == pytest.approx(5 / 9, abs=1e-12)
+    assert f["contrast"][0, 0] == 0.0
+    assert f["mean"][0, 0] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_cooccurrence_two_row_window_vertical():
-    window = np.array([[0, 0], [1, 1]])
-    m = cooccurrence(window, 90, levels=2)
-    assert m.p[0, 1] == pytest.approx(0.5, abs=1e-12)
-    assert m.p[1, 0] == pytest.approx(0.5, abs=1e-12)
-    assert m.p[0, 0] == 0.0
-
-
-def test_cooccurrence_degenerate_window():
-    with pytest.raises(DegenerateWindowError):
-        cooccurrence(np.array([[0]]), 0, levels=2)
-    with pytest.raises(DegenerateWindowError):
-        cooccurrence(np.array([[0, 1]]), 90, levels=2)
+    # The same rows: every vertical pair is (0, 1), p[0, 1] = p[1, 0] = 1/2.
+    f = _measures([[0, 0, 0], [1, 1, 1], [0, 0, 0]], 90, levels=2)
+    assert f["second_moment"][0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert f["contrast"][0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert f["mean"][0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert f["correlation"][0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    window=hnp.arrays(
-        np.int32,
-        st.tuples(st.integers(2, 7), st.integers(2, 7)),
-        elements=st.integers(0, 3),
-    ),
-    direction=st.sampled_from([0, 45, 90, 135]),
-)
-def test_cooccurrence_matches_oracle_and_invariants(window, direction):
-    m = cooccurrence(window, direction, levels=4)
-    assert abs(m.p.sum() - 1.0) <= 1e-9
-    assert np.array_equal(m.p, m.p.T)
-    expected = np.array(glcm_oracle(window.tolist(), direction, 4))
-    assert np.abs(m.p - expected).max() <= 1e-9
+@given(case=_images_with_window(), direction=st.sampled_from([0, 45, 90, 135]))
+def test_cooccurrence_matches_oracle_and_invariants(case, direction):
+    """Every window against the oracle; turning the image by 180 degrees
+    reverses every pair, which the symmetric matrix must not notice."""
+    image, window = case
+    kernel = _measures(image, direction, 4, window)
+    turned = _measures(np.rot90(image, 2), direction, 4, window)
+    expected = _oracle_planes(image, direction, 4, window)
+    for name in MEASURES:
+        assert np.abs(kernel[name] - expected[name]).max() <= 1e-9, name
+        assert np.abs(kernel[name] - np.rot90(turned[name], 2)).max() <= 1e-12, name
 
 
 # ---------------------------------------------------------------------------
-# haralick
+# Haralick measures
 # ---------------------------------------------------------------------------
 
 
 def test_haralick_point_mass():
-    p = np.zeros((2, 2))
-    p[0, 0] = 1.0
-    f = haralick(CooccurrenceMatrix(levels=2, p=p))
-    assert f.second_moment == pytest.approx(1.0, abs=1e-12)
-    assert f.contrast == pytest.approx(0.0, abs=1e-12)
-    assert f.homogeneity == pytest.approx(1.0, abs=1e-12)
-    assert f.entropy == pytest.approx(0.0, abs=1e-12)
-    assert f.mean == pytest.approx(0.0, abs=1e-12)
-    assert f.variance == pytest.approx(0.0, abs=1e-12)
-    assert f.correlation == 0.0  # zero-variance convention
+    for direction in (0, 45, 90, 135):
+        f = _measures(np.zeros((3, 3), dtype=np.int32), direction, levels=2)
+        assert f["second_moment"][0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert f["contrast"][0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert f["homogeneity"][0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert f["entropy"][0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert f["mean"][0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert f["variance"][0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert f["correlation"][0, 0] == 0.0  # zero-variance convention
 
 
 def test_haralick_uniform_2x2():
-    p = np.full((2, 2), 0.25)
-    f = haralick(CooccurrenceMatrix(levels=2, p=p))
-    assert f.second_moment == pytest.approx(0.25, abs=1e-12)
-    assert f.contrast == pytest.approx(0.5, abs=1e-12)
-    assert f.homogeneity == pytest.approx(0.75, abs=1e-12)
-    assert f.entropy == pytest.approx(math.log(4), abs=1e-12)
-    assert f.mean == pytest.approx(0.5, abs=1e-12)
-    assert f.variance == pytest.approx(0.25, abs=1e-12)
-    assert f.correlation == pytest.approx(0.0, abs=1e-12)
+    # Every row is 0,0,1,1,0: the horizontal and both diagonal pairs are
+    # (0,0), (0,1), (1,1) and (1,0) equally often.
+    image = np.tile([0, 0, 1, 1, 0], (5, 1))
+    for direction in (0, 45, 135):
+        f = _measures(image, direction, levels=2, window=5)
+        assert f["second_moment"][0, 0] == pytest.approx(0.25, abs=1e-12)
+        assert f["contrast"][0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert f["homogeneity"][0, 0] == pytest.approx(0.75, abs=1e-12)
+        assert f["entropy"][0, 0] == pytest.approx(math.log(4), abs=1e-12)
+        assert f["mean"][0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert f["variance"][0, 0] == pytest.approx(0.25, abs=1e-12)
+        assert f["correlation"][0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_haralick_anti_diagonal():
-    p = np.array([[0.0, 0.5], [0.5, 0.0]])
-    f = haralick(CooccurrenceMatrix(levels=2, p=p))
-    assert f.contrast == pytest.approx(1.0, abs=1e-12)
-    assert f.second_moment == pytest.approx(0.5, abs=1e-12)
-    assert f.homogeneity == pytest.approx(0.5, abs=1e-12)
-    assert f.mean == pytest.approx(0.5, abs=1e-12)
-    assert f.variance == pytest.approx(0.25, abs=1e-12)
-    assert f.correlation == pytest.approx(-1.0, abs=1e-12)
+    # A checkerboard: every horizontal and vertical pair differs.
+    checkerboard = np.indices((3, 3)).sum(axis=0) % 2
+    for direction in (0, 90):
+        f = _measures(checkerboard, direction, levels=2)
+        assert f["contrast"][0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert f["second_moment"][0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert f["homogeneity"][0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert f["mean"][0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert f["variance"][0, 0] == pytest.approx(0.25, abs=1e-12)
+        assert f["correlation"][0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    window=hnp.arrays(
-        np.int32,
-        st.tuples(st.integers(3, 7), st.integers(3, 7)),
-        elements=st.integers(0, 3),
-    ),
-    direction=st.sampled_from([0, 45, 90, 135]),
-)
-def test_haralick_ranges_and_oracle(window, direction):
-    m = cooccurrence(window, direction, levels=4)
-    f = haralick(m)
-    assert 0.0 < f.second_moment <= 1.0 + 1e-12
-    assert 0.0 < f.homogeneity <= 1.0 + 1e-12
-    assert -1e-12 <= f.entropy <= 2 * math.log(4) + 1e-12
-    assert f.contrast >= 0.0
-    assert -1.0 - 1e-9 <= f.correlation <= 1.0 + 1e-9
-    assert f.variance >= 0.0
-    expected = haralick_oracle(m.p.tolist())
-    for name in MEASURES:
-        assert getattr(f, name) == pytest.approx(expected[name], abs=1e-9), name
+@given(case=_images_with_window())
+def test_haralick_ranges_and_oracle(case):
+    """Every window in range at every direction; the direction average equal
+    to the oracle's."""
+    image, window = case
+    params = GlcmParams(levels=4, window=window)
+    for direction in params.directions:
+        f = _measures(image, direction, 4, window)
+        assert (f["second_moment"] > 0.0).all() and (f["second_moment"] <= 1.0 + 1e-12).all()
+        assert (f["homogeneity"] > 0.0).all() and (f["homogeneity"] <= 1.0 + 1e-12).all()
+        assert (f["entropy"] >= -1e-12).all() and (f["entropy"] <= 2 * math.log(4) + 1e-12).all()
+        assert (f["contrast"] >= 0.0).all()
+        assert (np.abs(f["correlation"]) <= 1.0 + 1e-9).all()
+        assert (f["variance"] >= 0.0).all()
+    assert np.abs(_band_measures(image, params) - _windowed_oracle(image, params)).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -272,49 +302,32 @@ def test_extract_texture_parallel_matches_serial():
     )
 
 
-def _windowed_haralick(quantized: np.ndarray, params: GlcmParams) -> np.ndarray:
-    """Direction average of haralick(cooccurrence()) for every full window,
-    shape (n_measures, height - window + 1, width - window + 1)."""
-    k = params.window
-    h, w = quantized.shape
-    out = np.empty((len(params.measures), h - k + 1, w - k + 1))
-    for r in range(h - k + 1):
-        for c in range(w - k + 1):
-            win = quantized[r : r + k, c : c + k]
-            per_dir = [
-                haralick(cooccurrence(win, d, params.levels)) for d in params.directions
-            ]
-            for m, measure in enumerate(params.measures):
-                out[m, r, c] = sum(getattr(f, measure) for f in per_dir) / len(per_dir)
-    return out
-
-
-def _assert_kernel_matches_windowed_haralick(
+def _assert_kernel_matches_oracle(
     samples: np.ndarray, params: GlcmParams
 ) -> FeatureRaster:
-    """Every valid pixel of every band, float64 kernel against the per-window API
-    to 1e-9, and the float32 raster equal to the kernel's values."""
+    """Every valid pixel of every band, float64 kernel against the oracle to
+    1e-9, and the float32 raster equal to the kernel's values."""
     stack = BandStack(band_names=list(params.bands), samples=samples)
     fr = extract_texture(stack, params)
     n_measures = len(params.measures)
     for b, band in enumerate(params.bands):
         quantized = quantize(stack.band(band), params.levels)
         kernel = _band_measures(quantized, params)
-        assert np.abs(kernel - _windowed_haralick(quantized, params)).max() <= 1e-9
+        assert np.abs(kernel - _windowed_oracle(quantized, params)).max() <= 1e-9
         planes = fr.values[b * n_measures : (b + 1) * n_measures]
         expected = kernel.reshape(n_measures, -1).astype(np.float32)
         assert np.array_equal(planes[:, fr.valid], expected)
     return fr
 
 
-def test_extract_texture_matches_per_window_api_at_default_parameters():
+def test_extract_texture_matches_oracle_at_default_parameters():
     rng = np.random.default_rng(11)
     stripes = np.where(np.arange(23)[:, np.newaxis] % 2 == 0, 10000, 50000)
     noise = rng.integers(-15000, 15000, size=(2, 23, 21))
     samples = np.clip(stripes + noise, 0, 65535).astype(np.uint16)
     params = GlcmParams(bands=("B2", "B3"))
     assert (params.levels, params.window, params.directions) == (32, 19, (0, 45, 90, 135))
-    serial = _assert_kernel_matches_windowed_haralick(samples, params)
+    serial = _assert_kernel_matches_oracle(samples, params)
     stack = BandStack(band_names=["B2", "B3"], samples=samples)
     parallel = extract_texture(stack, params, jobs=2)
     assert parallel.values.tobytes() == serial.values.tobytes()
@@ -324,27 +337,18 @@ def test_extract_texture_pair_keys_do_not_overflow_at_300_levels():
     # 300^2 pair keys exceed 16 bits, so a 16-bit key would merge distinct pairs.
     samples = np.random.default_rng(5).integers(0, 65536, size=(1, 12, 11), dtype=np.uint16)
     params = GlcmParams(levels=300, window=5, bands=("B2",))
-    _assert_kernel_matches_windowed_haralick(samples, params)
+    _assert_kernel_matches_oracle(samples, params)
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    window=hnp.arrays(
-        np.int32,
-        st.tuples(st.integers(3, 6), st.integers(3, 6)),
-        elements=st.integers(0, 3),
-    )
-)
-def test_direction_average_is_rotation_invariant(window):
-    """Rotating a window by 90 degrees permutes the four directions."""
-    levels = 4
-    rotated = np.rot90(window)
-    directions = (0, 45, 90, 135)
-    grids_avg = []
-    for win in (window, rotated):
-        per_dir = [haralick(cooccurrence(win, d, levels)).as_array() for d in directions]
-        grids_avg.append(sum(per_dir) / len(per_dir))
-    assert np.abs(grids_avg[0] - grids_avg[1]).max() <= 1e-9
+@given(case=_images_with_window(max_side=7))
+def test_direction_average_is_rotation_invariant(case):
+    """Turning an image by 90 degrees permutes the four directions, so the
+    direction averages turn with it."""
+    image, window = case
+    params = GlcmParams(levels=4, window=window)
+    turned = _band_measures(np.rot90(image), params)
+    assert np.abs(np.rot90(_band_measures(image, params), axes=(1, 2)) - turned).max() <= 1e-9
 
 
 def test_extract_spectral_identity_and_dimension():
