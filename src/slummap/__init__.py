@@ -7,7 +7,7 @@ standardized samples. Reports per-class accuracy, IoU and mean IoU, and
 renders full-scene prediction maps.
 """
 
-from .ccf import CcfModel, cca_fit, predict, train_forest
+from .ccf import CcfModel, ForestParams, cca_fit, predict, train_forest
 from .experiment import (
     FeatureTable,
     MetricsReport,
@@ -39,6 +39,7 @@ __all__ = [
     "CcfModel",
     "FeatureRaster",
     "FeatureTable",
+    "ForestParams",
     "GlcmParams",
     "LabelMask",
     "MetricsReport",

@@ -24,8 +24,6 @@ from .rng import FOREST_STREAM, Pcg32, stream
 MODEL_FORMAT = "ccf-model"
 MODEL_VERSION = 1
 
-DEFAULT_TREES = 10
-DEFAULT_MIN_NODE_SIZE = 2
 RIDGE = 1e-9
 
 
@@ -79,10 +77,21 @@ class CcfModel:
             raise ValueError("a model needs at least one tree")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForestParams:
-    min_node_size: int = DEFAULT_MIN_NODE_SIZE
+    """Classifier settings, carried from the [forest] config section to grow_tree."""
+
+    n_trees: int = 10
+    min_node_size: int = 2
     n_candidate_features: int | None = None  # None = ceil(sqrt(d))
+
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
+        if self.min_node_size < 1:
+            raise ValueError("min_node_size must be >= 1")
+        if self.n_candidate_features is not None and self.n_candidate_features < 1:
+            raise ValueError("n_candidate_features must be >= 1, or unset for ceil(sqrt(d))")
 
     def resolve_lambda(self, d: int) -> int:
         if self.n_candidate_features:
@@ -113,10 +122,10 @@ def _inv_sqrt(s: np.ndarray, floor: float) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
-def cca_fit(x: np.ndarray, y: np.ndarray, ridge: float = RIDGE) -> CcaResult:
+def cca_fit(x: np.ndarray, y: np.ndarray) -> CcaResult:
     """Leading canonical directions between features x and one-hot classes y.
 
-    Covariance-block formulation: both auto-covariance blocks get ``ridge``
+    Covariance-block formulation: both auto-covariance blocks get ``RIDGE``
     added to their diagonals, the cross-covariance is whitened on both sides
     and decomposed by SVD. Returns m = min(d, k-1) directions for the feature
     block with their canonical correlations. The sign of each direction is
@@ -141,12 +150,12 @@ def cca_fit(x: np.ndarray, y: np.ndarray, ridge: float = RIDGE) -> CcaResult:
 
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
-    sxx = xc.T @ xc / (n - 1) + ridge * np.eye(d)
-    syy = yc.T @ yc / (n - 1) + ridge * np.eye(k)
+    sxx = xc.T @ xc / (n - 1) + RIDGE * np.eye(d)
+    syy = yc.T @ yc / (n - 1) + RIDGE * np.eye(k)
     sxy = xc.T @ yc / (n - 1)
 
-    isx = _inv_sqrt(sxx, ridge)
-    isy = _inv_sqrt(syy, ridge)
+    isx = _inv_sqrt(sxx, RIDGE)
+    isy = _inv_sqrt(syy, RIDGE)
     u, s, _ = np.linalg.svd(isx @ sxy @ isy)
     m = min(d, k - 1)
     projections = isx @ u[:, :m]
@@ -350,13 +359,11 @@ def _tree_probabilities(tree: CcTree, x: np.ndarray) -> np.ndarray:
 def train_forest(
     x: np.ndarray,
     y: np.ndarray,
-    n_trees: int = DEFAULT_TREES,
+    params: ForestParams = ForestParams(),
     master_seed: int = 0,
-    min_node_size: int = DEFAULT_MIN_NODE_SIZE,
-    n_candidate_features: int | None = None,
     feature_names: list[str] | None = None,
 ) -> CcfModel:
-    """Train n_trees canonical correlation trees, each on the full data.
+    """Train params.n_trees canonical correlation trees, each on the full data.
 
     There is no forest-level bagging; diversity comes from per-node feature
     subsampling and projection bootstraps. Tree t draws from the stream keyed
@@ -371,17 +378,10 @@ def train_forest(
         raise DegenerateDataError("need at least two training rows")
     if y.min() == y.max():
         raise DegenerateDataError("training set holds a single class")
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
     d = x.shape[1]
-    params = ForestParams(
-        min_node_size=min_node_size,
-        n_candidate_features=n_candidate_features,
-    )
-    lam = params.resolve_lambda(d)
     trees = [
         grow_tree(x, y, params, stream(master_seed, FOREST_STREAM, t))
-        for t in range(n_trees)
+        for t in range(params.n_trees)
     ]
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(d)]
@@ -392,9 +392,9 @@ def train_forest(
         n_features=d,
         feature_names=list(feature_names),
         training_params={
-            "n_trees": n_trees,
-            "n_candidate_features": lam,
-            "min_node_size": min_node_size,
+            "n_trees": params.n_trees,
+            "n_candidate_features": params.resolve_lambda(d),
+            "min_node_size": params.min_node_size,
             "master_seed": master_seed,
         },
     )

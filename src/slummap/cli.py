@@ -1,37 +1,12 @@
 """Command-line interface.
 
 Subcommands: extract, train, predict, evaluate, experiment. Scene-driven
-commands read a plain-text config (``key = value`` lines grouped by
-``[section]`` headers); flags override config values. Exit codes: 0 success,
-2 configuration errors, 3 I/O errors, 4 degenerate data (single class),
-5 feature-dimension mismatch.
-
-Config example::
-
-    [run]
-    technique = glcm
-    seed = 0
-    out = out/
-    jobs = 1
-
-    [glcm]
-    levels = 32
-    window = 19
-    directions = 0,45,90,135
-    bands = B2,B3,B4,B8
-    measures = second_moment,contrast,correlation,homogeneity,entropy,mean,variance
-
-    [forest]
-    n_trees = 10
-    min_node_size = 2
-    n_candidate_features = auto
-
-    [scene]
-    location = medellin
-    image = scenes/medellin.hdr
-    mask = scenes/medellin_mask.hdr
-
-``[scene]`` may repeat; the experiment report gets one row per scene.
+commands read a plain-text config: ``key = value`` lines grouped by
+``[section]`` headers, with the sections and keys of ``CONFIG_KEYS``.
+``[scene]`` may repeat; the experiment report gets one row per scene. Flags
+override ``[run]`` values, and ``echo_config`` writes the effective config
+back in the same format. Exit codes: 0 success, 2 configuration errors,
+3 I/O errors, 4 degenerate data (single class), 5 feature-dimension mismatch.
 """
 
 from __future__ import annotations
@@ -40,12 +15,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .ccf import DegenerateDataError, ModelFormatError
+from .ccf import DegenerateDataError, ForestParams, ModelFormatError
 from .experiment import (
     CSV_HEADER,
+    TECHNIQUES,
     Pipeline,
     evaluate,
     extract_features,
@@ -99,15 +75,47 @@ class RunConfig:
     out: Path = Path("out")
     jobs: int = 1
     glcm: GlcmParams = field(default_factory=GlcmParams)
-    n_trees: int = 10
-    min_node_size: int = 2
-    n_candidate_features: int | None = None
+    forest: ForestParams = field(default_factory=ForestParams)
+
+    def __post_init__(self):
+        if self.technique not in TECHNIQUES:
+            raise ValueError(f"technique must be 'spectral' or 'glcm', got {self.technique!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
 
-_RUN_KEYS = {"technique", "seed", "out", "jobs"}
-_FOREST_KEYS = {"n_trees", "min_node_size", "n_candidate_features"}
-_GLCM_KEYS = {"levels", "window", "directions", "bands", "measures"}
-_SCENE_KEYS = {"location", "image", "mask"}
+def _list_of(parse):
+    def parse_list(text: str) -> tuple:
+        items = [item.strip() for item in text.split(",")]
+        if not all(items):
+            raise ValueError(f"empty item in the list {text!r}")
+        return tuple(map(parse, items))
+
+    return parse_list
+
+
+def _int_or_auto(text: str) -> int | None:
+    return None if text == "auto" else int(text)
+
+
+# The config file format. Each section is one dataclass: [run] RunConfig,
+# [glcm] GlcmParams, [forest] ForestParams and [scene] SceneConfig. Each key is
+# one of its fields, with the parser of the value text. load_config reads and
+# echo_config writes by this table, in this order.
+CONFIG_KEYS = {
+    "run": {"technique": str, "seed": int, "out": Path, "jobs": int},
+    "glcm": {
+        "levels": int,
+        "window": int,
+        "directions": _list_of(int),
+        "bands": _list_of(str),
+        "measures": _list_of(str),
+    },
+    "forest": {"n_trees": int, "min_node_size": int, "n_candidate_features": _int_or_auto},
+    "scene": {"location": str, "image": Path, "mask": Path},
+}
 
 
 def _parse_sections(text: str, source: str) -> list[tuple[str, dict[str, str]]]:
@@ -127,21 +135,11 @@ def _parse_sections(text: str, source: str) -> list[tuple[str, dict[str, str]]]:
         if current is None:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
+        key = key.strip()
+        if key in current:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in [{name}]")
+        current[key] = value.strip()
     return sections
-
-
-def _check_keys(section: str, fields: dict[str, str], allowed: set[str], source: str) -> None:
-    unknown = sorted(set(fields) - allowed)
-    if unknown:
-        raise ConfigError(f"{source}: unknown key {unknown[0]!r} in [{section}]")
-
-
-def _parse_int(fields: dict[str, str], key: str, source: str) -> int:
-    try:
-        return int(fields[key])
-    except ValueError:
-        raise ConfigError(f"{source}: {key} must be an integer, got {fields[key]!r}") from None
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -152,135 +150,81 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    sections = _parse_sections(text, str(path))
     config = RunConfig()
-    glcm_fields: dict[str, str] = {}
     seen: set[str] = set()
-    for name, fields in sections:
-        if name == "run":
-            _check_keys(name, fields, _RUN_KEYS, str(path))
-            if "technique" in fields:
-                config.technique = fields["technique"]
-            if "seed" in fields:
-                config.seed = _parse_int(fields, "seed", str(path))
-            if "out" in fields:
-                config.out = Path(fields["out"])
-            if "jobs" in fields:
-                config.jobs = _parse_int(fields, "jobs", str(path))
-        elif name == "glcm":
-            _check_keys(name, fields, _GLCM_KEYS, str(path))
-            glcm_fields = fields
-        elif name == "forest":
-            _check_keys(name, fields, _FOREST_KEYS, str(path))
-            if "n_trees" in fields:
-                config.n_trees = _parse_int(fields, "n_trees", str(path))
-            if "min_node_size" in fields:
-                config.min_node_size = _parse_int(fields, "min_node_size", str(path))
-            if "n_candidate_features" in fields and fields["n_candidate_features"] != "auto":
-                config.n_candidate_features = _parse_int(fields, "n_candidate_features", str(path))
-        elif name == "scene":
-            _check_keys(name, fields, _SCENE_KEYS, str(path))
-            for key in ("location", "image", "mask"):
-                if key not in fields:
-                    raise ConfigError(f"{path}: [scene] is missing the key {key!r}")
-            config.scenes.append(
-                SceneConfig(
-                    location=fields["location"],
-                    image=Path(fields["image"]),
-                    mask=Path(fields["mask"]),
-                )
-            )
-        else:
+    for name, fields in _parse_sections(text, str(path)):
+        parsers = CONFIG_KEYS.get(name)
+        if parsers is None:
             raise ConfigError(f"{path}: unknown section [{name}]")
         if name != "scene" and name in seen:
             raise ConfigError(f"{path}: duplicate section [{name}]")
         seen.add(name)
-
-    defaults = GlcmParams()
-    try:
-        config.glcm = GlcmParams(
-            levels=int(glcm_fields.get("levels", defaults.levels)),
-            window=int(glcm_fields.get("window", defaults.window)),
-            directions=tuple(
-                int(d) for d in glcm_fields["directions"].split(",")
-            )
-            if "directions" in glcm_fields
-            else defaults.directions,
-            bands=tuple(b.strip() for b in glcm_fields["bands"].split(","))
-            if "bands" in glcm_fields
-            else defaults.bands,
-            measures=tuple(m.strip() for m in glcm_fields["measures"].split(","))
-            if "measures" in glcm_fields
-            else defaults.measures,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad [glcm] section: {exc}") from None
+        values = {}
+        for key, value in fields.items():
+            if key not in parsers:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
+            try:
+                values[key] = parsers[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad value for [{name}] {key}: {exc}") from None
+        if name == "scene" and values.keys() != parsers.keys():
+            missing = next(key for key in parsers if key not in values)
+            raise ConfigError(f"{path}: [scene] is missing the key {missing!r}")
+        try:
+            if name == "run":
+                config = replace(config, **values)
+            elif name == "glcm":
+                config.glcm = GlcmParams(**values)
+            elif name == "forest":
+                config.forest = ForestParams(**values)
+            else:
+                config.scenes.append(SceneConfig(**values))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad [{name}] section: {exc}") from None
     return config
 
 
 def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "technique", None):
-        config.technique = args.technique
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "out", None):
-        config.out = Path(args.out)
-    if getattr(args, "jobs", None) is not None:
-        config.jobs = args.jobs
-    return config
+    """The config with the [run] values given as flags replaced."""
+    flags = {
+        key: parse(getattr(args, key))
+        for key, parse in CONFIG_KEYS["run"].items()
+        if getattr(args, key, None) is not None
+    }
+    try:
+        return replace(config, **flags)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def validate_config(config: RunConfig, need_scenes: bool = True) -> None:
-    if config.technique not in ("spectral", "glcm"):
-        raise ConfigError(
-            f"technique must be 'spectral' or 'glcm', got {config.technique!r}"
-        )
-    if config.seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    if config.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if config.n_trees < 1:
-        raise ConfigError("[forest] n_trees must be >= 1")
-    if config.n_candidate_features is not None and config.n_candidate_features < 1:
-        raise ConfigError("[forest] n_candidate_features must be >= 1 or 'auto'")
     if need_scenes and not config.scenes:
         raise ConfigError("config declares no [scene] section")
     for scene in config.scenes:
-        if not scene.image.exists():
-            raise ConfigError(f"scene {scene.location!r}: image path not found: {scene.image}")
-        if not scene.mask.exists():
-            raise ConfigError(f"scene {scene.location!r}: mask path not found: {scene.mask}")
+        for key, value in vars(scene).items():
+            if isinstance(value, Path) and not value.exists():
+                raise ConfigError(f"[scene] {scene.location!r}: {key} not found: {value}")
+
+
+def _echo_value(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, Path):
+        return str(value.resolve())
+    if isinstance(value, tuple):
+        return ",".join(str(item) for item in value)
+    return str(value)
 
 
 def echo_config(config: RunConfig) -> str:
-    lines = [
-        "[run]",
-        f"technique = {config.technique}",
-        f"seed = {config.seed}",
-        f"out = {config.out.resolve()}",
-        f"jobs = {config.jobs}",
-        "",
-        "[glcm]",
-        f"levels = {config.glcm.levels}",
-        f"window = {config.glcm.window}",
-        f"directions = {','.join(str(d) for d in config.glcm.directions)}",
-        f"bands = {','.join(config.glcm.bands)}",
-        f"measures = {','.join(config.glcm.measures)}",
-        "",
-        "[forest]",
-        f"n_trees = {config.n_trees}",
-        f"min_node_size = {config.min_node_size}",
-        f"n_candidate_features = {config.n_candidate_features or 'auto'}",
-    ]
-    for scene in config.scenes:
-        lines += [
-            "",
-            "[scene]",
-            f"location = {scene.location}",
-            f"image = {scene.image.resolve()}",
-            f"mask = {scene.mask.resolve()}",
-        ]
-    return "\n".join(lines) + "\n"
+    """The effective config in the file format; loading it gives the same config."""
+    sections = [("run", config), ("glcm", config.glcm), ("forest", config.forest)]
+    sections += [("scene", scene) for scene in config.scenes]
+    return "\n".join(
+        f"[{name}]\n"
+        + "".join(f"{key} = {_echo_value(getattr(params, key))}\n" for key in CONFIG_KEYS[name])
+        for name, params in sections
+    )
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -349,9 +293,7 @@ def _train_pipeline(config: RunConfig, scene: SceneConfig):
         load_label_mask(scene.mask),
         technique=config.technique,
         glcm_params=config.glcm,
-        n_trees=config.n_trees,
-        min_node_size=config.min_node_size,
-        n_candidate_features=config.n_candidate_features,
+        forest=config.forest,
         master_seed=config.seed,
         jobs=config.jobs,
         location=scene.location,

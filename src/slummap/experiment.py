@@ -26,6 +26,7 @@ import numpy as np
 from .ccf import (
     CcfModel,
     DegenerateDataError,
+    ForestParams,
     ModelFormatError,
     model_from_dict,
     model_to_dict,
@@ -37,6 +38,8 @@ from .rng import BALANCE_STREAM, SPLIT_STREAM, stream
 from .texture import GlcmParams, extract_spectral, extract_texture
 
 TECHNIQUES = ("spectral", "glcm")
+
+TRAIN_FRACTION = 0.8  # the 80/20 train/test split of the protocol
 
 CSV_HEADER = "location,technique,acc_slum,acc_non,iou_slum,iou_non,miou,seconds"
 
@@ -178,16 +181,12 @@ def undersample_balance(table: FeatureTable, seed: int = 0) -> FeatureTable:
     return table.take(np.nonzero(keep)[0])
 
 
-def split_train_test(
-    table: FeatureTable, train_fraction: float = 0.8, seed: int = 0
-) -> tuple[FeatureTable, FeatureTable]:
-    """Disjoint, exhaustive random partition with round(N * fraction) train rows."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+def split_train_test(table: FeatureTable, seed: int = 0) -> tuple[FeatureTable, FeatureTable]:
+    """Disjoint, exhaustive random partition with round(N * TRAIN_FRACTION) train rows."""
     n = table.n_rows
     if n < 2:
         raise ValueError("need at least two rows to split")
-    n_train = int(n * train_fraction + 0.5)
+    n_train = int(n * TRAIN_FRACTION + 0.5)
     n_train = max(1, min(n_train, n - 1))  # both parts stay non-empty
     perm = np.arange(n)
     stream(seed, SPLIT_STREAM).shuffle(perm)
@@ -205,15 +204,6 @@ def fit_scaler(train: FeatureTable) -> ScalerStats:
     else:
         stds = train.features.std(axis=0, ddof=1)
     return ScalerStats(means=means, stds=stds)
-
-
-def apply_scaler(stats: ScalerStats, table: FeatureTable) -> FeatureTable:
-    scaled = scale_matrix(stats, table.features)
-    return FeatureTable(
-        features=scaled,
-        labels=table.labels,
-        feature_names=table.feature_names,
-    )
 
 
 def scale_matrix(stats: ScalerStats, features: np.ndarray) -> np.ndarray:
@@ -301,10 +291,7 @@ def run_experiment(
     mask: LabelMask,
     technique: str = "glcm",
     glcm_params: GlcmParams | None = None,
-    n_trees: int = 10,
-    min_node_size: int = 2,
-    n_candidate_features: int | None = None,
-    train_fraction: float = 0.8,
+    forest: ForestParams = ForestParams(),
     master_seed: int = 0,
     jobs: int = 1,
     location: str = "scene",
@@ -327,30 +314,24 @@ def run_experiment(
     timings["balance"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    train, test = split_train_test(balanced, train_fraction, seed=master_seed)
+    train, test = split_train_test(balanced, seed=master_seed)
     timings["split"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     scaler = fit_scaler(train)
-    train_scaled = apply_scaler(scaler, train)
-    test_scaled = apply_scaler(scaler, test)
+    train_x = scale_matrix(scaler, train.features)
+    test_x = scale_matrix(scaler, test.features)
     timings["scale"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     model = train_forest(
-        train_scaled.features,
-        train_scaled.labels,
-        n_trees=n_trees,
-        master_seed=master_seed,
-        min_node_size=min_node_size,
-        n_candidate_features=n_candidate_features,
-        feature_names=train_scaled.feature_names,
+        train_x, train.labels, forest, master_seed=master_seed, feature_names=train.feature_names
     )
     timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    test_labels, _ = predict(model, test_scaled.features)
-    report = evaluate(test_labels, test_scaled.labels)
+    test_labels, _ = predict(model, test_x)
+    report = evaluate(test_labels, test.labels)
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -38,6 +38,9 @@ MEASURES = (
 DEFAULT_LEVELS = 32
 DEFAULT_WINDOW = 19
 DEFAULT_BANDS = ("B2", "B3", "B4", "B8")
+# A u16 band holds at most 2**16 distinct values, so more levels add nothing;
+# the cap also keeps the int64 pair keys |a-b|*levels + min(a,b) exact.
+MAX_LEVELS = 2**16
 
 
 @dataclass
@@ -50,22 +53,23 @@ class GlcmParams:
 
     def __post_init__(self):
         self.bands = tuple(self.bands)
-        if self.levels < 2:
-            raise ValueError("levels must be >= 2")
+        _check_levels(self.levels)
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError("window must be odd and >= 3")
         if not self.directions:
-            raise ValueError("at least one direction is required")
+            raise ValueError("directions must not be empty")
         for d in self.directions:
             if d not in DIRECTION_OFFSETS:
-                raise ValueError(f"unknown direction {d}; choose from {sorted(DIRECTION_OFFSETS)}")
+                raise ValueError(
+                    f"directions: unknown angle {d}; choose from {sorted(DIRECTION_OFFSETS)}"
+                )
         if not self.bands:
-            raise ValueError("at least one band is required")
+            raise ValueError("bands must not be empty")
         if not self.measures:
-            raise ValueError("at least one measure is required")
+            raise ValueError("measures must not be empty")
         for m in self.measures:
             if m not in MEASURES:
-                raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
+                raise ValueError(f"measures: unknown measure {m!r}; choose from {MEASURES}")
         # bands keep caller order; directions and measures are canonicalized
         self.directions = tuple(sorted(set(self.directions)))
         self.measures = tuple(m for m in MEASURES if m in set(self.measures))
@@ -93,14 +97,18 @@ class GlcmParams:
         )
 
 
+def _check_levels(levels: int) -> None:
+    if not 2 <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must lie in [2, {MAX_LEVELS}], got {levels}")
+
+
 def quantize(band: np.ndarray, levels: int) -> np.ndarray:
     """Equal-width binning over the band's global min..max.
 
     q(v) = min(levels-1, floor((v - min) * levels / (max - min + 1))).
     A constant band quantizes to all zeros. Monotone in v.
     """
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
+    _check_levels(levels)
     band = np.asarray(band)
     lo = int(band.min())
     hi = int(band.max())

@@ -11,32 +11,38 @@ import math
 OFFSETS = {0: (0, 1), 45: (-1, 1), 90: (-1, 0), 135: (-1, -1)}
 
 
-def glcm_oracle(window, direction: int, levels: int) -> list[list[float]]:
-    """Symmetrized, normalized co-occurrence matrix by pair enumeration."""
+def glcm_oracle(window, direction: int, levels: int) -> dict[tuple[int, int], float]:
+    """Symmetrized, normalized co-occurrence matrix by pair enumeration.
+
+    Returns {(i, j): p} over the nonzero cells only, so a window costs its
+    pair count rather than levels^2 cells.
+    """
     dr, dc = OFFSETS[direction]
     h = len(window)
     w = len(window[0])
-    counts = [[0] * levels for _ in range(levels)]
+    counts: dict[tuple[int, int], int] = {}
     total = 0
     for r in range(h):
         for c in range(w):
             rr, cc = r + dr, c + dc
             if 0 <= rr < h and 0 <= cc < w:
                 a, b = window[r][c], window[rr][cc]
-                counts[a][b] += 1
-                counts[b][a] += 1  # transpose added pair by pair
+                if not (0 <= a < levels and 0 <= b < levels):
+                    raise ValueError(f"grey level outside [0, {levels}): {a}, {b}")
+                counts[a, b] = counts.get((a, b), 0) + 1
+                counts[b, a] = counts.get((b, a), 0) + 1  # transpose added pair by pair
                 total += 2
-    return [[counts[i][j] / total for j in range(levels)] for i in range(levels)]
+    return {cell: count / total for cell, count in counts.items()}
 
 
 def haralick_oracle(p) -> dict[str, float]:
     """The seven measures evaluated straight off their definitions.
 
-    The sums run over the nonzero cells only, in row-major order: a zero cell
-    adds exactly 0 to every one of them, so skipping it changes no value and
-    keeps the oracle fast at hundreds of grey levels.
+    ``p`` maps each nonzero cell (i, j) to its probability. The sums run over
+    those cells in row-major order; a zero cell would add exactly 0 to every
+    one of them.
     """
-    cells = [(i, j, pij) for i, row in enumerate(p) for j, pij in enumerate(row) if pij]
+    cells = [(i, j, pij) for (i, j), pij in sorted(p.items())]
     mu = sum(i * pij for i, _, pij in cells)
     var = sum((i - mu) ** 2 * pij for i, _, pij in cells)
     cross = sum((i - mu) * (j - mu) * pij for i, j, pij in cells)

@@ -281,7 +281,7 @@ def test_forest_rejects_single_class():
 
 def test_predict_dimension_mismatch():
     x, y = _blobs(40)
-    model = train_forest(x, y, n_trees=2)
+    model = train_forest(x, y, ForestParams(n_trees=2))
     with pytest.raises(ValueError, match="mismatch"):
         predict(model, np.zeros((3, 5)))
 
@@ -329,7 +329,7 @@ def test_save_load_round_trip_preserves_predictions(tmp_path):
 
 def test_model_metadata_records_parameters(tmp_path):
     x, y = _blobs(50, seed=2)
-    model = train_forest(x, y, n_trees=10, master_seed=0)
+    model = train_forest(x, y, ForestParams(n_trees=10), master_seed=0)
     _save(model, tmp_path / "m.json")
     doc = json.loads((tmp_path / "m.json").read_text())["model"]
     assert (doc["format"], doc["version"]) == ("ccf-model", 1)
@@ -340,7 +340,7 @@ def test_model_metadata_records_parameters(tmp_path):
 
 def test_truncated_model_file_is_rejected(tmp_path):
     x, y = _blobs(40, seed=1)
-    _save(train_forest(x, y, n_trees=2), tmp_path / "m.json")
+    _save(train_forest(x, y, ForestParams(n_trees=2)), tmp_path / "m.json")
     raw = (tmp_path / "m.json").read_bytes()
     (tmp_path / "broken.json").write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ModelFormatError):

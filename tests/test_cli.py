@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,18 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slummap.ccf import ForestParams
 from slummap.cli import (
-    _FOREST_KEYS,
-    _GLCM_KEYS,
-    _RUN_KEYS,
-    _SCENE_KEYS,
+    CONFIG_KEYS,
     ConfigError,
+    RunConfig,
+    SceneConfig,
     _parse_sections,
+    echo_config,
     load_config,
+    main,
     validate_config,
 )
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
 from slummap.raster import BandStack, LabelMask, load_band_stack, save_band_stack, save_label_mask
+from slummap.texture import MEASURES, GlcmParams
 
 
 def run_cli(*args: str, cwd=None):
@@ -307,7 +312,16 @@ def test_unknown_config_key_exits_two(demo, tmp_path):
     assert "techniqe" in proc.stderr
 
 
-@pytest.mark.parametrize("key, value", [("n_trees", "0"), ("n_candidate_features", "-3")])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_trees", "0"),
+        ("n_candidate_features", "-3"),
+        ("min_node_size", "0"),
+        ("n_trees", "5\nn_trees = 6"),  # the last value used to win silently
+    ],
+    ids=["n_trees-0", "n_candidate_features--3", "min_node_size-0", "duplicate-key"],
+)
 def test_bad_forest_config_exits_two(key, value, demo, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text(demo["config"].read_text() + f"\n[forest]\n{key} = {value}\n")
@@ -421,6 +435,8 @@ def _craft_model(case: str, doc: dict) -> bytes:
     elif case == "nested-subset":
         nodes[split]["feature_subset"] = [nodes[split]["feature_subset"]]
         nodes[split]["projection"] = [nodes[split]["projection"]]
+    elif case == "too-many-levels":
+        doc["glcm_params"]["levels"] = 2**16 + 1
     return json.dumps(doc).encode()
 
 
@@ -437,6 +453,7 @@ def _craft_model(case: str, doc: dict) -> bytes:
         "unknown-technique",
         "empty-tree",
         "nested-subset",
+        "too-many-levels",
     ],
 )
 def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
@@ -472,7 +489,7 @@ _CONFIG_LINES = st.one_of(
     st.sampled_from(["[run]", "[glcm]", "[forest]", "[scene]", "[other]", "# note", ""]),
     st.builds(
         "{} = {}".format,
-        st.sampled_from(sorted(_RUN_KEYS | _FOREST_KEYS | _GLCM_KEYS | _SCENE_KEYS)),
+        st.sampled_from(sorted({key for keys in CONFIG_KEYS.values() for key in keys})),
         st.one_of(st.text(max_size=12), st.integers(-3, 40).map(str)),
     ),
     st.text(max_size=20),
@@ -488,3 +505,139 @@ def test_load_config_fuzz_loads_or_raises_config_error(tmp_path_factory, lines):
         validate_config(load_config(path), need_scenes=False)
     except ConfigError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the config table: every key round-trips through config.used, every bad
+# value is one config error naming its section and key
+# ---------------------------------------------------------------------------
+
+_NAME = st.text(alphabet="ABCXYZ0189-_", min_size=1, max_size=6)
+
+
+def _tuples(elements, max_size):
+    return st.lists(elements, min_size=1, max_size=max_size, unique=True).map(tuple)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config").resolve()
+    (root / "scene.hdr").write_text("")
+    (root / "mask.hdr").write_text("")
+    return root
+
+
+@st.composite
+def _sections(draw, root):
+    """A valid config as (section, {key: value}) pairs, every value non-default."""
+    run = {
+        "technique": "spectral",
+        "seed": draw(st.integers(1, 2**64)),
+        "out": root / draw(_NAME),
+        "jobs": draw(st.integers(2, 64)),
+    }
+    glcm = {
+        "levels": draw(st.integers(2, 2**16).filter(lambda v: v != 32)),
+        "window": draw(st.integers(1, 60).map(lambda k: 2 * k + 1).filter(lambda v: v != 19)),
+        "directions": draw(_tuples(st.sampled_from([0, 45, 90, 135]), max_size=3)),
+        "bands": draw(_tuples(_NAME, max_size=5)),
+        "measures": draw(_tuples(st.sampled_from(MEASURES), max_size=6)),
+    }
+    forest = {
+        "n_trees": draw(st.integers(1, 500).filter(lambda v: v != 10)),
+        "min_node_size": draw(st.integers(1, 100).filter(lambda v: v != 2)),
+        "n_candidate_features": draw(st.integers(1, 100)),
+    }
+    scenes = [
+        ("scene", {"location": location, "image": root / "scene.hdr", "mask": root / "mask.hdr"})
+        for location in draw(st.lists(_NAME, min_size=1, max_size=3))
+    ]
+    return [("run", run), ("glcm", glcm), ("forest", forest), *scenes]
+
+
+def _render(sections) -> str:
+    """Config text; lists are written with spaces, which the reader strips."""
+    lines = []
+    for name, values in sections:
+        lines.append(f"[{name}]")
+        for key, value in values.items():
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_config_key_round_trips_through_the_echo(config_dir, data):
+    sections = data.draw(_sections(config_dir))
+    path = config_dir / "valid.cfg"
+    path.write_text(_render(sections), encoding="utf-8")
+    config = load_config(path)
+    run, glcm, forest, *scenes = (values for _, values in sections)
+    assert config == RunConfig(
+        scenes=[SceneConfig(**scene) for scene in scenes],
+        glcm=GlcmParams(**glcm),
+        forest=ForestParams(**forest),
+        **run,
+    )
+    defaults = RunConfig()
+    for name, loaded, default in [
+        ("run", config, defaults),
+        ("glcm", config.glcm, defaults.glcm),
+        ("forest", config.forest, defaults.forest),
+    ]:
+        assert all(getattr(loaded, key) != getattr(default, key) for key in CONFIG_KEYS[name])
+    echo = echo_config(config)
+    path.write_text(echo, encoding="utf-8")
+    assert load_config(path) == config
+    assert echo_config(load_config(path)) == echo
+
+
+# Every key that has bad values. Any text is a valid [run] out or [scene] location.
+_BAD_VALUES = {
+    ("run", "technique"): ["lidar", ""],
+    ("run", "seed"): ["-1", "1.5", "x"],
+    ("run", "jobs"): ["0", "-2", "two"],
+    ("glcm", "levels"): ["1", "65537", "x"],
+    ("glcm", "window"): ["4", "1", "x"],
+    ("glcm", "directions"): ["30", "", "0,,45", "0;45"],
+    ("glcm", "bands"): ["", "B2,,B3", "B2,"],
+    ("glcm", "measures"): ["energy", "", "mean,"],
+    ("forest", "n_trees"): ["0", "-1", "x"],
+    ("forest", "min_node_size"): ["0", "-7"],
+    ("forest", "n_candidate_features"): ["0", "-3", "Auto"],
+    ("scene", "image"): ["/nonexistent/scene.hdr"],
+    ("scene", "mask"): ["/nonexistent/mask.hdr"],
+}
+
+
+def test_bad_values_cover_every_key_that_has_one():
+    keys = {(name, key) for name, keys in CONFIG_KEYS.items() for key in keys}
+    assert keys - set(_BAD_VALUES) == {("run", "out"), ("scene", "location")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    target=st.sampled_from(sorted(_BAD_VALUES)),
+    duplicate=st.booleans(),
+)
+def test_bad_config_value_is_one_error_naming_section_and_key(config_dir, data, target, duplicate):
+    sections = [(name, dict(values)) for name, values in data.draw(_sections(config_dir))]
+    section, key = target
+    if not duplicate:
+        values = next(values for name, values in sections if name == section)
+        values[key] = data.draw(st.sampled_from(_BAD_VALUES[target]))
+    text = _render(sections)
+    if duplicate:  # the key twice in its first section, each value valid on its own
+        line = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+        text = text.replace(line, f"{line}\n{line}", 1)
+    path = config_dir / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["extract", "--config", str(path)])
+    message = stderr.getvalue()
+    assert code == 2, message
+    assert message.startswith("config error:") and message.count("\n") == 1
+    assert f"[{section}]" in message and key in message

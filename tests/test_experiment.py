@@ -5,13 +5,13 @@ from slummap.ccf import DegenerateDataError
 from slummap.experiment import (
     CSV_HEADER,
     FeatureTable,
-    apply_scaler,
     assemble_table,
     evaluate,
     fit_scaler,
     format_percent,
     report_csv_row,
     run_experiment,
+    scale_matrix,
     split_train_test,
     undersample_balance,
 )
@@ -133,20 +133,20 @@ def test_balance_seed_changes_selection():
 
 
 def test_split_sizes_100():
-    train, test = split_train_test(make_table(60, 40), 0.8, seed=0)
+    train, test = split_train_test(make_table(60, 40), seed=0)
     assert (train.n_rows, test.n_rows) == (80, 20)
 
 
 def test_split_sizes_5():
-    train, test = split_train_test(make_table(3, 2), 0.8, seed=0)
+    train, test = split_train_test(make_table(3, 2), seed=0)
     assert (train.n_rows, test.n_rows) == (4, 1)
     assert len(set(row_ids(train)) | set(row_ids(test))) == 5
 
 
 def test_split_is_deterministic_and_disjoint():
     table = make_table(50, 50, seed=2)
-    a_train, a_test = split_train_test(table, 0.8, seed=0)
-    b_train, b_test = split_train_test(table, 0.8, seed=0)
+    a_train, a_test = split_train_test(table, seed=0)
+    b_train, b_test = split_train_test(table, seed=0)
     assert row_ids(a_train) == row_ids(b_train)
     assert row_ids(a_test) == row_ids(b_test)
     train_set = set(row_ids(a_train))
@@ -157,9 +157,7 @@ def test_split_is_deterministic_and_disjoint():
 
 def test_split_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        split_train_test(make_table(50, 50), 1.0, seed=0)
-    with pytest.raises(ValueError):
-        split_train_test(make_table(1, 0), 0.8, seed=0)
+        split_train_test(make_table(1, 0), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +174,16 @@ def test_scaler_on_one_two_three():
     stats = fit_scaler(table)
     assert stats.means[0] == pytest.approx(2.0)
     assert stats.stds[0] == pytest.approx(1.0)
-    scaled = apply_scaler(stats, table)
-    assert scaled.features[:, 0].tolist() == [-1.0, 0.0, 1.0]
+    scaled = scale_matrix(stats, table.features)
+    assert scaled[:, 0].tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_scaled_train_has_zero_mean_unit_std():
     table = make_table(200, 100, d=5, seed=3)
     stats = fit_scaler(table)
-    scaled = apply_scaler(stats, table)
-    assert np.abs(scaled.features.mean(axis=0)).max() < 1e-9
-    assert np.abs(scaled.features.std(axis=0, ddof=1) - 1).max() < 1e-9
+    scaled = scale_matrix(stats, table.features)
+    assert np.abs(scaled.mean(axis=0)).max() < 1e-9
+    assert np.abs(scaled.std(axis=0, ddof=1) - 1).max() < 1e-9
 
 
 def test_constant_columns_scale_to_zero():
@@ -197,13 +195,13 @@ def test_constant_columns_scale_to_zero():
     )
     stats = fit_scaler(table)
     assert stats.constant_columns.tolist() == [True, False]
-    scaled = apply_scaler(stats, table)
-    assert (scaled.features[:, 0] == 0).all()
+    scaled = scale_matrix(stats, table.features)
+    assert (scaled[:, 0] == 0).all()
 
 
 def test_test_set_outliers_never_touch_scaler():
     table = make_table(50, 50, seed=6)
-    train, test = split_train_test(table, 0.8, seed=0)
+    train, test = split_train_test(table, seed=0)
     stats = fit_scaler(train)
     test.features[0] = 1e9  # extreme outlier in the test block
     stats_after = fit_scaler(train)

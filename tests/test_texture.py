@@ -35,6 +35,13 @@ def test_quantize_identity_when_bins_have_width_one():
     assert np.array_equal(quantize(band, 16), band.astype(np.int32))
 
 
+def test_quantize_levels_capped_at_two_to_the_16():
+    band = np.array([0, 1, 40000, 65535], dtype=np.uint16)
+    assert np.array_equal(quantize(band, 2**16), band.astype(np.int32))
+    with pytest.raises(ValueError, match="levels"):
+        quantize(band, 2**16 + 1)
+
+
 def test_quantize_full_range_evaluation():
     band = np.array([0, 2047, 2048, 65535], dtype=np.uint16)
     q = quantize(band, 32)
@@ -376,6 +383,9 @@ def test_unknown_band_is_rejected():
 def test_glcm_params_validation():
     with pytest.raises(ValueError):
         GlcmParams(levels=1)
+    with pytest.raises(ValueError, match="levels"):
+        GlcmParams(levels=2**16 + 1)  # past 2**16 a u16 band gains nothing
+    assert GlcmParams(levels=2**16).levels == 2**16
     with pytest.raises(ValueError):
         GlcmParams(window=4)
     with pytest.raises(ValueError):
