@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pool import TaskPool
 from .rng import FOREST_STREAM, Pcg32, stream
 
 MODEL_FORMAT = "ccf-model"
@@ -362,13 +363,15 @@ def train_forest(
     params: ForestParams = ForestParams(),
     master_seed: int = 0,
     feature_names: list[str] | None = None,
+    pool: TaskPool | None = None,
 ) -> CcfModel:
     """Train params.n_trees canonical correlation trees, each on the full data.
 
     There is no forest-level bagging; diversity comes from per-node feature
     subsampling and projection bootstraps. Tree t draws from the stream keyed
     by (master_seed, FOREST_STREAM, t), so identical inputs and seed give a
-    bit-identical model.
+    bit-identical model. Whole trees are split between the processes of
+    ``pool`` (default: the calling process alone), with the same result.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).astype(np.uint8).ravel()
@@ -379,10 +382,8 @@ def train_forest(
     if y.min() == y.max():
         raise DegenerateDataError("training set holds a single class")
     d = x.shape[1]
-    trees = [
-        grow_tree(x, y, params, stream(master_seed, FOREST_STREAM, t))
-        for t in range(params.n_trees)
-    ]
+    tasks = [(x, y, params, stream(master_seed, FOREST_STREAM, t)) for t in range(params.n_trees)]
+    trees = list((pool or TaskPool()).map(grow_tree, tasks))
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(d)]
     if len(feature_names) != d:

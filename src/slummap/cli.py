@@ -197,8 +197,8 @@ def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
-def validate_config(config: RunConfig, need_scenes: bool = True) -> None:
-    if need_scenes and not config.scenes:
+def validate_config(config: RunConfig) -> None:
+    if not config.scenes:
         raise ConfigError("config declares no [scene] section")
     for scene in config.scenes:
         for key, value in vars(scene).items():
@@ -401,6 +401,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+_JOBS_HELP = (
+    "processes: the caller plus N-1 forked workers, which split whole GLCM bands "
+    "and whole trees; outputs are bit-identical for any N"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slummap",
@@ -414,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--technique", choices=("spectral", "glcm"))
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, default=None, help="worker cap (default 1)")
+        p.add_argument(
+            "--jobs", type=int, default=None, metavar="N", help=_JOBS_HELP + " (default 1)"
+        )
 
     add_config_flags(sub.add_parser("extract", help="write feature rasters per scene"))
     add_config_flags(sub.add_parser("train", help="train and persist one model per scene"))
@@ -426,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--model", required=True, help="pipeline model file")
     p_predict.add_argument("--image", required=True, help="scene image header")
     p_predict.add_argument("--out", required=True, help="output directory")
-    p_predict.add_argument("--jobs", type=int, default=1)
+    p_predict.add_argument(
+        "--jobs", type=int, default=1, metavar="N", help=_JOBS_HELP + " (default 1)"
+    )
 
     p_eval = sub.add_parser("evaluate", help="score a prediction map against ground truth")
     p_eval.add_argument("--pred", required=True, help="prediction map (P5 greymap)")

@@ -33,6 +33,7 @@ from .ccf import (
     predict,
     train_forest,
 )
+from .pool import TaskPool
 from .raster import BandStack, FeatureRaster, LabelMask, ensure_aligned
 from .rng import BALANCE_STREAM, SPLIT_STREAM, stream
 from .texture import GlcmParams, extract_spectral, extract_texture
@@ -278,11 +279,12 @@ def extract_features(
     technique: str,
     glcm_params: GlcmParams | None = None,
     jobs: int = 1,
+    pool: TaskPool | None = None,
 ) -> FeatureRaster:
     if technique == "spectral":
         return extract_spectral(stack)
     if technique == "glcm":
-        return extract_texture(stack, glcm_params, jobs=jobs)
+        return extract_texture(stack, glcm_params, jobs=jobs, pool=pool)
     raise ValueError(f"unknown technique {technique!r}; choose from {TECHNIQUES}")
 
 
@@ -296,38 +298,49 @@ def run_experiment(
     jobs: int = 1,
     location: str = "scene",
 ) -> ExperimentResult:
-    """Run the full protocol on one scene and one technique."""
+    """Run the full protocol on one scene and one technique.
+
+    One pool of ``jobs`` processes, the caller included, serves both parallel
+    stages: extraction splits whole bands and training whole trees.
+    """
     ensure_aligned(stack, mask)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
+    n_bands = len((glcm_params or GlcmParams()).bands) if technique == "glcm" else 0
 
-    t0 = time.perf_counter()
-    features = extract_features(stack, technique, glcm_params, jobs=jobs)
-    timings["extract"] = time.perf_counter() - t0
+    with TaskPool(jobs, max(n_bands, forest.n_trees)) as pool:
+        t0 = time.perf_counter()
+        features = extract_features(stack, technique, glcm_params, pool=pool)
+        timings["extract"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    table = assemble_table(features, mask)
-    timings["assemble"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        table = assemble_table(features, mask)
+        timings["assemble"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    balanced = undersample_balance(table, seed=master_seed)
-    timings["balance"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        balanced = undersample_balance(table, seed=master_seed)
+        timings["balance"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    train, test = split_train_test(balanced, seed=master_seed)
-    timings["split"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        train, test = split_train_test(balanced, seed=master_seed)
+        timings["split"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    scaler = fit_scaler(train)
-    train_x = scale_matrix(scaler, train.features)
-    test_x = scale_matrix(scaler, test.features)
-    timings["scale"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        scaler = fit_scaler(train)
+        train_x = scale_matrix(scaler, train.features)
+        test_x = scale_matrix(scaler, test.features)
+        timings["scale"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    model = train_forest(
-        train_x, train.labels, forest, master_seed=master_seed, feature_names=train.feature_names
-    )
-    timings["train"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        model = train_forest(
+            train_x,
+            train.labels,
+            forest,
+            master_seed=master_seed,
+            feature_names=train.feature_names,
+            pool=pool,
+        )
+        timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     test_labels, _ = predict(model, test_x)

@@ -12,12 +12,13 @@ marked invalid and excluded from sampling and scoring downstream.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .pool import TaskPool
 from .raster import BandStack, FeatureRaster
 
 # (row, col) offset of the second pixel of a pair, per direction in degrees.
@@ -78,13 +79,7 @@ class GlcmParams:
         return [f"{band}_{measure}" for band in self.bands for measure in self.measures]
 
     def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "window": self.window,
-            "directions": list(self.directions),
-            "bands": list(self.bands),
-            "measures": list(self.measures),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GlcmParams":
@@ -239,16 +234,21 @@ def _band_measures(quantized: np.ndarray, params: GlcmParams) -> np.ndarray:
     return summed[measure_idx] / len(params.directions)
 
 
-def extract_texture(stack: BandStack, params: GlcmParams | None = None, jobs: int = 1) -> FeatureRaster:
+def extract_texture(
+    stack: BandStack,
+    params: GlcmParams | None = None,
+    jobs: int = 1,
+    pool: TaskPool | None = None,
+) -> FeatureRaster:
     """Windowed GLCM features for the selected bands.
 
     Each band is quantized globally, then for every pixel whose window fits
     inside the image one co-occurrence matrix is counted per direction and
     the selected measures are averaged over directions. Emits
     len(bands) * len(measures) planes named "<band>_<measure>"; border pixels
-    (within window//2 of any edge) are invalid. With ``jobs`` > 1 the bands
-    are computed in parallel, each whole band by one worker, so results are
-    bit-identical for any ``jobs``.
+    (within window//2 of any edge) are invalid. Whole bands are split between
+    the processes of ``pool``, or of a pool of ``jobs`` processes made for
+    this call, so results are bit-identical for any ``jobs``.
     """
     if params is None:
         params = GlcmParams()
@@ -265,15 +265,8 @@ def extract_texture(stack: BandStack, params: GlcmParams | None = None, jobs: in
 
     valid[radius : h - radius, radius : w - radius] = True
     n_measures = len(params.measures)
-    quantized = [quantize(stack.band(band), params.levels) for band in params.bands]
-    tasks = (_band_measures, quantized, [params] * len(quantized))
-    workers = min(jobs, len(quantized))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        blocks = pool.map(*tasks) if pool else map(*tasks)
-        for b, block in enumerate(blocks):
+    tasks = [(quantize(stack.band(band), params.levels), params) for band in params.bands]
+    with nullcontext(pool) if pool is not None else TaskPool(jobs, len(tasks)) as pool:
+        for b, block in enumerate(pool.map(_band_measures, tasks)):
             values[b * n_measures : (b + 1) * n_measures, radius : h - radius, radius : w - radius] = block
-    finally:
-        if pool:
-            pool.shutdown()
     return FeatureRaster(feature_names=params.feature_names(), values=values, valid=valid)

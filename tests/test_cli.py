@@ -502,7 +502,7 @@ def test_load_config_fuzz_loads_or_raises_config_error(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
     path.write_text("\n".join(lines), encoding="utf-8")
     try:
-        validate_config(load_config(path), need_scenes=False)
+        validate_config(load_config(path))
     except ConfigError:
         pass
 
