@@ -37,12 +37,6 @@ class ModelFormatError(ValueError):
 
 
 @dataclass
-class CcaResult:
-    projections: np.ndarray  # (d, m), columns are canonical directions
-    correlations: np.ndarray  # (m,), non-increasing, in [0, 1]
-
-
-@dataclass
 class CcTreeNode:
     """One node of a tree stored in preorder; children are node-list indices."""
 
@@ -109,12 +103,6 @@ class ForestParams:
 # ---------------------------------------------------------------------------
 
 
-def _one_hot(y: np.ndarray, k: int = 2) -> np.ndarray:
-    out = np.zeros((y.shape[0], k), dtype=np.float64)
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
-
-
 def _inv_sqrt(s: np.ndarray, floor: float) -> np.ndarray:
     w, v = np.linalg.eigh(s)
     # The ridge guarantees eigenvalues >= floor mathematically; clamp what
@@ -123,49 +111,52 @@ def _inv_sqrt(s: np.ndarray, floor: float) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
-def cca_fit(x: np.ndarray, y: np.ndarray) -> CcaResult:
-    """Leading canonical directions between features x and one-hot classes y.
+def cca_fit(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Leading canonical direction between features x and 0/1 labels, shape (d,).
 
-    Covariance-block formulation: both auto-covariance blocks get ``RIDGE``
-    added to their diagonals, the cross-covariance is whitened on both sides
-    and decomposed by SVD. Returns m = min(d, k-1) directions for the feature
-    block with their canonical correlations. The sign of each direction is
-    canonicalized so its first nonzero coefficient is positive.
+    Covariance-block formulation: the labels become one-hot (n, 2) columns,
+    both auto-covariance blocks get ``RIDGE`` added to their diagonals, the
+    cross-covariance is whitened on both sides and decomposed by SVD. With
+    two classes this is the Fisher LDA direction ``(Sxx + RIDGE*I)^-1 (mu1 -
+    mu0)`` up to scale. The sign is canonicalized so the first nonzero
+    coefficient is positive.
 
     Raises DegenerateDataError when all rows of x are identical or only one
-    class is present in y.
+    class is present.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("x must be (n, d) and y (n, k) with matching n")
+    labels = np.asarray(labels).astype(np.intp, copy=False)
+    if x.ndim != 2 or labels.ndim != 1 or x.shape[0] != labels.shape[0]:
+        raise ValueError("x must be (n, d) and labels (n,) with matching n")
     n, d = x.shape
-    k = y.shape[1]
     if n < 2:
         raise DegenerateDataError("need at least two rows")
     if (x == x[0]).all():
         raise DegenerateDataError("all rows of x are identical")
-    present = (y.sum(axis=0) > 0).sum()
-    if present < 2:
-        raise DegenerateDataError("only one class present in y")
+    lo, hi = labels.min(), labels.max()
+    if lo < 0 or hi > 1:
+        raise ValueError("labels must be 0 or 1")
+    if lo == hi:
+        raise DegenerateDataError("only one class present in labels")
 
+    y = np.zeros((n, 2), dtype=np.float64)
+    y[np.arange(n), labels] = 1.0
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
     sxx = xc.T @ xc / (n - 1) + RIDGE * np.eye(d)
-    syy = yc.T @ yc / (n - 1) + RIDGE * np.eye(k)
+    syy = yc.T @ yc / (n - 1) + RIDGE * np.eye(2)
     sxy = xc.T @ yc / (n - 1)
 
     isx = _inv_sqrt(sxx, RIDGE)
     isy = _inv_sqrt(syy, RIDGE)
-    u, s, _ = np.linalg.svd(isx @ sxy @ isy)
-    m = min(d, k - 1)
-    projections = isx @ u[:, :m]
-    for col in range(m):
-        column = projections[:, col]
-        nonzero = np.nonzero(column)[0]
-        if nonzero.size and column[nonzero[0]] < 0:
-            projections[:, col] = -column
-    return CcaResult(projections=projections, correlations=s[:m].copy())
+    u, _, _ = np.linalg.svd(isx @ sxy @ isy)
+    # A (d, 1) product, not a matrix-vector one: the pinned outputs rely on
+    # its rounding.
+    w = (isx @ u[:, :1])[:, 0]
+    nonzero = np.nonzero(w)[0]
+    if nonzero.size and w[nonzero[0]] < 0:
+        w = -w
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +171,8 @@ def _entropy_terms(counts: np.ndarray) -> np.ndarray:
 
 def _weighted_child_entropy(n0l, n1l, n0r, n1r, n: int) -> np.ndarray:
     """Sum over children of (n_child/n) * H(child), in nats, vectorized."""
-    nl = n0l + n1l
-    nr = n0r + n1r
-    hl = np.where(nl > 0, np.log(np.maximum(nl, 1.0)), 0.0) * nl
-    hl -= _entropy_terms(n0l) + _entropy_terms(n1l)
-    hr = np.where(nr > 0, np.log(np.maximum(nr, 1.0)), 0.0) * nr
-    hr -= _entropy_terms(n0r) + _entropy_terms(n1r)
+    hl = _entropy_terms(n0l + n1l) - (_entropy_terms(n0l) + _entropy_terms(n1l))
+    hr = _entropy_terms(n0r + n1r) - (_entropy_terms(n0r) + _entropy_terms(n1r))
     return (hl + hr) / n
 
 
@@ -198,12 +185,13 @@ def _node_entropy(n0: int, n1: int) -> float:
     return h / n
 
 
-def _best_split(z: np.ndarray, labels: np.ndarray) -> tuple[float, float] | None:
-    """Best (threshold, gain) over midpoints of consecutive distinct values.
+def _best_split(z: np.ndarray, labels: np.ndarray) -> float | None:
+    """Threshold of the best split over midpoints of consecutive distinct values.
 
-    Gain is Shannon entropy reduction in nats; ties resolve to the lowest
-    threshold. The returned threshold t satisfies: (z <= t) reproduces the
-    scored partition exactly. Returns None when no split has positive gain.
+    The split maximizes the Shannon entropy reduction (gain, in nats); ties
+    resolve to the lowest threshold. The returned threshold t satisfies:
+    (z <= t) reproduces the scored partition exactly. Returns None when no
+    split has positive gain.
     """
     n = z.shape[0]
     order = np.argsort(z, kind="stable")
@@ -228,7 +216,7 @@ def _best_split(z: np.ndarray, labels: np.ndarray) -> tuple[float, float] | None
     thr = (zs[i] + zs[i + 1]) / 2.0
     if thr >= zs[i + 1]:  # midpoint rounded up to the right value
         thr = float(zs[i])
-    return float(thr), float(gains[best])
+    return float(thr)
 
 
 def _leaf(y_node: np.ndarray) -> CcTreeNode:
@@ -287,28 +275,20 @@ def grow_tree(
         # layout whose float reductions in cca_fit the pinned outputs rely on.
         x_boot = x_node.T[np.ix_(subset, boot)].T
         try:
-            cca = cca_fit(x_boot, _one_hot(y_node[boot]))
+            w = cca_fit(x_boot, y_node[boot])
         except DegenerateDataError:
             try:
-                cca = cca_fit(x_node[:, subset], _one_hot(y_node))
+                w = cca_fit(x_node[:, subset], y_node)
             except DegenerateDataError:
                 nodes.append(_leaf(y_node))
                 continue
-        w = cca.projections[:, 0]
         z = x_node[:, subset] @ w
-        split = _best_split(z, y_node)
-        if split is None:
+        threshold = _best_split(z, y_node)
+        if threshold is None:
             nodes.append(_leaf(y_node))
             continue
-        threshold, _gain = split
         mask = z <= threshold
-        nodes.append(
-            CcTreeNode(
-                feature_subset=subset,
-                projection=w.copy(),
-                threshold=threshold,
-            )
-        )
+        nodes.append(CcTreeNode(feature_subset=subset, projection=w, threshold=threshold))
         stack.append((idx[~mask], my_index, False))  # right, processed second
         stack.append((idx[mask], my_index, True))  # left, processed first
     return CcTree(nodes=nodes)
@@ -500,10 +480,13 @@ def model_from_dict(doc: dict) -> CcfModel:
         if doc.get("version") != MODEL_VERSION:
             raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
         n_features = int(doc["n_features"])
+        feature_names = [str(n) for n in doc["feature_names"]]
+        if len(feature_names) != n_features:
+            raise ModelFormatError(f"model names {len(feature_names)} of its {n_features} features")
         return CcfModel(
             trees=[_tree_from_dict(tree, n_features) for tree in doc["trees"]],
             n_features=n_features,
-            feature_names=[str(n) for n in doc["feature_names"]],
+            feature_names=feature_names,
             training_params=dict(doc["training_params"]),
         )
     except (KeyError, TypeError, IndexError) as exc:

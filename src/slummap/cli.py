@@ -357,10 +357,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if problem:
             raise DimensionMismatchError(f"scene {args.image}: model's {problem}")
     features = extract_features(stack, pipeline.technique, pipeline.glcm_params, jobs=args.jobs)
-    if len(features.feature_names) != pipeline.model.n_features:
+    expected, got = pipeline.model.feature_names, features.feature_names
+    if got != expected:
+        first = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+        detail = "" if first is None else (
+            f": feature {first} is {got[first]!r} where the model has {expected[first]!r}"
+        )
         raise DimensionMismatchError(
             f"model expects {pipeline.model.n_features} features but "
-            f"{pipeline.technique!r} extraction produced {len(features.feature_names)}"
+            f"{pipeline.technique!r} extraction produced {len(got)}{detail}"
         )
     prediction, _ = predict_scene(features, None, pipeline.model, pipeline.scaler)
     out = Path(args.out)

@@ -162,7 +162,10 @@ def _parse_header(header_path: Path) -> dict[str, str]:
         if "=" not in line:
             raise RasterFormatError(f"{header_path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise RasterFormatError(f"{header_path}:{lineno}: duplicate key {key!r}")
+        fields[key] = value.strip()
     missing = [k for k in HEADER_KEYS if k not in fields]
     if missing:
         raise RasterFormatError(f"{header_path}: missing header keys {missing}")

@@ -30,8 +30,8 @@ same seed produces the same bytes on any platform or language:
   stream advances by exactly the raw values consumed. Bounds lie in
   [1, 2^32]. ``bootstrap_indices``, ``sample_without_replacement`` and
   ``shuffle`` therefore return the values, and leave the state, of the
-  scalar loop of ``randbelow`` calls that defines them; the test suite keeps
-  that loop as its oracle.
+  scalar loop of ``pcg32_boundedrand_r`` calls that defines them; the test
+  suite keeps that loop as its oracle.
 
 Stream indices used by the pipeline (first element of the path):
 
@@ -110,17 +110,13 @@ class Pcg32:
         rot = old >> 59
         return ((xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))) & MASK32
 
-    def randbelow(self, bound: int) -> int:
-        """Unbiased integer in [0, bound) by rejection (pcg32_boundedrand_r)."""
-        return int(self.randbelow_array([bound])[0])
-
     def randbelow_array(self, bounds) -> np.ndarray:
-        """One ``randbelow(bounds[i])`` per entry, in order, as an int64 array.
+        """One unbiased integer in [0, bounds[i]) per entry, in order, as int64.
 
         Equal, value for value and in the state left behind, to calling
-        ``randbelow`` on each bound in turn. Raw values come from blocks
-        computed ahead by jump-ahead; a rejected raw value is skipped and the
-        draws after it shift one position along the stream.
+        ``pcg32_boundedrand_r`` on each bound in turn. Raw values come from
+        blocks computed ahead by jump-ahead; a rejected raw value is skipped
+        and the draws after it shift one position along the stream.
         """
         bounds = np.asarray(bounds)
         if bounds.size and (bounds.min() < 1 or bounds.max() > 1 << 32):
@@ -174,11 +170,9 @@ class Pcg32:
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 
-    def bootstrap_indices(self, n: int, size: int | None = None) -> np.ndarray:
-        """size draws from range(n) with replacement (default size = n)."""
-        if size is None:
-            size = n
-        return self.randbelow_array(np.full(size, n, dtype=np.int64))
+    def bootstrap_indices(self, n: int) -> np.ndarray:
+        """n draws from range(n) with replacement."""
+        return self.randbelow_array(np.full(n, n, dtype=np.int64))
 
 
 _BLOCK = 1024

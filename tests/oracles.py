@@ -72,6 +72,39 @@ def confusion_oracle(pred, truth) -> dict[str, int]:
     return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
 
 
+def lda_direction_oracle(rows, labels, ridge: float) -> list[float]:
+    """Fisher LDA direction (S + ridge*I)^-1 (mu1 - mu0) for 0/1 labels.
+
+    S is the total covariance of the rows (divisor n - 1) and mu_c the mean of
+    class c. Up to scale and sign this is the leading canonical direction
+    between the rows and the one-hot labels. The system is solved by
+    Gauss-Jordan elimination with partial pivoting.
+    """
+    n, d = len(rows), len(rows[0])
+    mean = [sum(row[j] for row in rows) / n for j in range(d)]
+    mu = []
+    for c in (0, 1):
+        members = [row for row, y in zip(rows, labels, strict=True) if y == c]
+        mu.append([sum(row[j] for row in members) / len(members) for j in range(d)])
+    a = [
+        [
+            sum((row[i] - mean[i]) * (row[j] - mean[j]) for row in rows) / (n - 1)
+            + (ridge if i == j else 0.0)
+            for j in range(d)
+        ]
+        + [mu[1][i] - mu[0][i]]
+        for i in range(d)
+    ]
+    for col in range(d):
+        pivot = max(range(col, d), key=lambda r: abs(a[r][col]))
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(d):
+            if r != col:
+                f = a[r][col] / a[col][col]
+                a[r] = [v - f * p for v, p in zip(a[r], a[col])]
+    return [a[i][d] / a[i][i] for i in range(d)]
+
+
 def randbelow_oracle(rng, bound: int) -> int:
     """pcg32_boundedrand_r: one raw draw at a time, rejecting below 2^32 % bound."""
     threshold = (1 << 32) % bound
@@ -86,7 +119,7 @@ def bootstrap_oracle(rng, n: int, size: int) -> list[int]:
 
 
 def sample_without_replacement_oracle(rng, n: int, k: int) -> list[int]:
-    """Partial Fisher-Yates over range(n): swap slot i with i + randbelow(n - i)."""
+    """Partial Fisher-Yates over range(n): swap slot i with i + randbelow_oracle(n - i)."""
     pool = list(range(n))
     for i in range(k):
         j = i + randbelow_oracle(rng, n - i)
@@ -95,7 +128,7 @@ def sample_without_replacement_oracle(rng, n: int, k: int) -> list[int]:
 
 
 def shuffle_oracle(rng, items: list) -> None:
-    """Fisher-Yates in place, i from the top down, swapping with randbelow(i + 1)."""
+    """Fisher-Yates in place, i from the top down, swapping with randbelow_oracle(i + 1)."""
     for i in range(len(items) - 1, 0, -1):
         j = randbelow_oracle(rng, i + 1)
         items[i], items[j] = items[j], items[i]

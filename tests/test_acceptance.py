@@ -9,12 +9,12 @@ import time
 
 import numpy as np
 
-from slummap.ccf import _one_hot, cca_fit, model_to_dict, predict, train_forest
+from slummap.ccf import RIDGE, cca_fit, model_to_dict, predict, train_forest
 from slummap.experiment import evaluate, run_experiment
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
 from slummap.texture import MEASURES, GlcmParams, _direction_measures
 
-from .oracles import confusion_oracle, glcm_oracle, haralick_oracle
+from .oracles import confusion_oracle, glcm_oracle, haralick_oracle, lda_direction_oracle
 
 
 def report(criterion: str, elapsed: float, budget: float | None = None) -> None:
@@ -95,7 +95,13 @@ def test_c2_haralick_hand_values():
     report("2 Haralick hand values (three worked images, 1e-12)", time.perf_counter() - t0)
 
 
-def test_c3_cca_range_and_transform_invariance():
+def _one_minus_abs_cos(a, b) -> float:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return 1.0 - abs(float(a @ b)) / math.sqrt(float(a @ a) * float(b @ b))
+
+
+def test_c3_cca_direction_matches_lda_oracle_and_is_affine_invariant():
     t0 = time.perf_counter()
     rng = np.random.default_rng(33)
     for trial in range(500):
@@ -105,19 +111,22 @@ def test_c3_cca_range_and_transform_invariance():
         y = rng.integers(0, 2, size=n).astype(np.uint8)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        result = cca_fit(x, _one_hot(y))
-        assert (result.correlations >= -1e-9).all()
-        assert (result.correlations <= 1.0 + 1e-9).all()
+        w = cca_fit(x, y)
+        oracle = lda_direction_oracle(x.tolist(), y.tolist(), RIDGE)
+        assert _one_minus_abs_cos(w, oracle) <= 1e-9
 
         if d >= 2:
             while True:
                 a = rng.normal(size=(d, d))
                 if np.linalg.cond(a) < 100:
                     break
-            transformed = cca_fit(x @ a, _one_hot(y))
-            assert abs(transformed.correlations[0] - result.correlations[0]) <= 1e-6
+            shifted = x @ a + rng.normal(size=d)
+            # The rows' projections agree up to an affine map.
+            z = x @ w
+            z_shifted = shifted @ cca_fit(shifted, y)
+            assert _one_minus_abs_cos(z - z.mean(), z_shifted - z_shifted.mean()) <= 1e-6
     elapsed = time.perf_counter() - t0
-    report("3 CCA correlations in [0,1] and transform invariance (500 instances)", elapsed)
+    report("3 CCA direction vs LDA oracle and affine invariance (500 instances)", elapsed)
 
 
 def test_c4_ccf_blobs_xor_and_serialized_determinism():

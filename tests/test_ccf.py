@@ -11,8 +11,10 @@ from slummap.ccf import (
     DegenerateDataError,
     ForestParams,
     ModelFormatError,
+    RIDGE,
     _best_split,
-    _one_hot,
+    _node_entropy,
+    _weighted_child_entropy,
     apply_tree,
     cca_fit,
     grow_tree,
@@ -23,6 +25,8 @@ from slummap.ccf import (
 )
 from slummap.experiment import Pipeline, ScalerStats, load_pipeline, save_pipeline
 from slummap.rng import FOREST_STREAM, stream
+
+from .oracles import lda_direction_oracle
 
 
 def pearson(a, b):
@@ -38,19 +42,26 @@ def pearson(a, b):
 # ---------------------------------------------------------------------------
 
 
+def one_minus_abs_cos(a, b):
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    return 1.0 - abs(float(a @ b)) / math.sqrt(float(a @ a) * float(b @ b))
+
+
 def test_cca_two_valued_symmetric_feature_is_perfectly_correlated():
     # x in {-2, +2}, balanced, class = 1 exactly when x > 0: the projection
-    # of x is an affine function of the class indicator, so the canonical
-    # correlation is 1 (cross-checked against the Pearson correlation).
+    # of x is an affine function of the class indicator, so its correlation
+    # with the class is 1.
     rng = np.random.default_rng(5)
     x = np.array([-2.0] * 25 + [2.0] * 25)
     perm = rng.permutation(50)
     x = x[perm].reshape(-1, 1)
     y = (x[:, 0] > 0).astype(np.uint8)
     assert pearson(x[:, 0], y) == pytest.approx(1.0, abs=1e-12)
-    result = cca_fit(x, _one_hot(y))
-    assert result.correlations.shape == (1,)
-    assert result.correlations[0] == pytest.approx(1.0, abs=1e-6)
+    w = cca_fit(x, y)
+    assert w.shape == (1,)
+    assert w[0] > 0
+    assert abs(pearson(x @ w, y)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cca_noise_has_small_leading_correlation():
@@ -58,18 +69,21 @@ def test_cca_noise_has_small_leading_correlation():
     x = rng.uniform(size=(10000, 5))
     y = np.zeros(10000, dtype=np.uint8)
     y[rng.permutation(10000)[:5000]] = 1
-    result = cca_fit(x, _one_hot(y))
-    assert result.correlations[0] < 0.05
+    w = cca_fit(x, y)
+    assert abs(pearson(x @ w, y)) < 0.05
 
 
 def test_cca_duplicated_column_matches_single_column():
     rng = np.random.default_rng(7)
     x1 = rng.normal(size=(200, 1))
     y = (x1[:, 0] + 0.3 * rng.normal(size=200) > 0).astype(np.uint8)
-    single = cca_fit(x1, _one_hot(y))
-    duplicated = cca_fit(np.hstack([x1, x1]), _one_hot(y))
-    assert duplicated.correlations[0] == pytest.approx(
-        single.correlations[0], abs=1e-6
+    single = cca_fit(x1, y)
+    x2 = np.hstack([x1, x1])
+    duplicated = cca_fit(x2, y)
+    # The ridge splits the weight evenly over the two copies.
+    assert duplicated[0] == pytest.approx(duplicated[1], rel=1e-6)
+    assert abs(pearson(x2 @ duplicated, y)) == pytest.approx(
+        abs(pearson(x1 @ single, y)), abs=1e-6
     )
 
 
@@ -77,30 +91,43 @@ def test_cca_degenerate_inputs_raise():
     x = np.ones((10, 3))
     y = np.array([0, 1] * 5, dtype=np.uint8)
     with pytest.raises(DegenerateDataError, match="identical"):
-        cca_fit(x, _one_hot(y))
+        cca_fit(x, y)
     x2 = np.random.default_rng(0).normal(size=(10, 3))
     with pytest.raises(DegenerateDataError, match="one class"):
-        cca_fit(x2, _one_hot(np.zeros(10, dtype=np.uint8)))
+        cca_fit(x2, np.zeros(10, dtype=np.uint8))
     with pytest.raises(DegenerateDataError, match="two rows"):
-        cca_fit(x2[:1], _one_hot(np.array([0], dtype=np.uint8)))
+        cca_fit(x2[:1], np.array([0], dtype=np.uint8))
 
 
-def test_cca_correlations_in_unit_interval_and_sorted():
+def test_cca_rejects_labels_other_than_zero_and_one():
+    x = np.random.default_rng(0).normal(size=(6, 2))
+    for labels in ([0, 1, 2, 0, 1, 0], [0, 1, -1, 0, 1, 0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            cca_fit(x, np.array(labels))
+    with pytest.raises(ValueError, match="matching n"):
+        cca_fit(x, np.array([0, 1]))
+
+
+def test_cca_direction_matches_lda_oracle():
+    # Small n and d up to 5 include rank-deficient covariances (n <= d),
+    # where the ridge alone keeps the system solvable.
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(5, 60))
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
         d = int(rng.integers(1, 6))
         x = rng.normal(size=(n, d))
         y = rng.integers(0, 2, size=n).astype(np.uint8)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        result = cca_fit(x, _one_hot(y))
-        assert (result.correlations >= -1e-9).all()
-        assert (result.correlations <= 1.0 + 1e-9).all()
-        assert (np.diff(result.correlations) <= 1e-12).all()
+        w = cca_fit(x, y)
+        assert w.shape == (d,)
+        oracle = lda_direction_oracle(x.tolist(), y.tolist(), RIDGE)
+        assert one_minus_abs_cos(w, oracle) <= 1e-9
 
 
 def test_cca_invariant_under_invertible_transform():
+    # For x' = x A + b the direction is A^-1 w up to scale, so both project
+    # the rows onto proportional values.
     rng = np.random.default_rng(42)
     for _ in range(30):
         n = int(rng.integers(30, 100))
@@ -113,20 +140,21 @@ def test_cca_invariant_under_invertible_transform():
             a = rng.normal(size=(d, d))
             if np.linalg.cond(a) < 50:
                 break
-        base = cca_fit(x, _one_hot(y))
-        transformed = cca_fit(x @ a, _one_hot(y))
-        assert transformed.correlations[0] == pytest.approx(
-            base.correlations[0], abs=1e-6
-        )
+        shifted = x @ a + rng.normal(size=d)
+        base = cca_fit(x, y)
+        transformed = cca_fit(shifted, y)
+        assert one_minus_abs_cos(a @ transformed, base) <= 1e-6
+        assert abs(pearson(x @ base, shifted @ transformed)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cca_sign_canonicalization():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(100, 4))
     y = (x[:, 1] > 0).astype(np.uint8)
-    result = cca_fit(x, _one_hot(y))
-    w = result.projections[:, 0]
+    w = cca_fit(x, y)
     assert w[np.nonzero(w)[0][0]] > 0
+    # Negating x negates the direction, which the sign rule turns back.
+    np.testing.assert_allclose(cca_fit(-x, y), w, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +200,31 @@ def test_xor_layout_needs_depth_two_and_fits_training_data():
 def test_best_split_prefers_clean_boundary():
     z = np.array([0.0, 1.0, 2.0, 3.0])
     labels = np.array([0, 0, 1, 1], dtype=np.uint8)
-    threshold, gain = _best_split(z, labels)
-    assert threshold == pytest.approx(1.5)
-    assert gain == pytest.approx(math.log(2), abs=1e-12)
+    assert _best_split(z, labels) == pytest.approx(1.5)
+    # That split separates the classes: the gain is the whole node entropy.
+    one, zero = np.array([2.0]), np.array([0.0])
+    gain = _node_entropy(2, 2) - _weighted_child_entropy(one, zero, zero, one, 4)
+    assert gain[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_best_split_returns_none_without_gain():
     assert _best_split(np.zeros(4), np.array([0, 1, 0, 1], dtype=np.uint8)) is None
+
+
+def test_weighted_child_entropy_matches_definition():
+    rng = np.random.default_rng(13)
+    counts = rng.integers(0, 6, size=(200, 4)).astype(np.float64)
+    counts[counts.sum(axis=1) == 0, 0] = 1.0
+    n0l, n1l, n0r, n1r = counts.T
+    n = counts.sum(axis=1)
+    got = _weighted_child_entropy(n0l, n1l, n0r, n1r, n)
+
+    def entropy(a, b):
+        return -sum(c / (a + b) * math.log(c / (a + b)) for c in (a, b) if c > 0)
+
+    for i, (a, b, c, e) in enumerate(counts.tolist()):
+        expected = (a + b) / n[i] * entropy(a, b) + (c + e) / n[i] * entropy(c, e)
+        assert got[i] == pytest.approx(expected, abs=1e-12)
 
 
 def test_split_partition_matches_threshold_evaluation():
@@ -188,7 +234,7 @@ def test_split_partition_matches_threshold_evaluation():
     b = np.nextafter(a, 2.0)
     z = np.array([a, a, b, b])
     labels = np.array([0, 0, 1, 1], dtype=np.uint8)
-    threshold, _ = _best_split(z, labels)
+    threshold = _best_split(z, labels)
     assert ((z <= threshold) == np.array([True, True, False, False])).all()
 
 

@@ -209,25 +209,26 @@ def test_predict_reproduces_experiment_map(demo, experiment_out, tmp_path):
     ).read_bytes()
 
 
-def test_predict_wrong_technique_exits_five(demo, tmp_path):
-    """A spectral model trained on the 10-band scene cannot map 4 of its bands."""
-    train = run_cli(
-        "train",
-        "--config",
-        str(demo["config"]),
-        "--technique",
-        "spectral",
-        "--out",
-        str(tmp_path / "m"),
+@pytest.fixture(scope="module")
+def spectral_model(demo):
+    """A spectral model trained on the 10-band demo scene."""
+    out = demo["root"] / "spectral"
+    proc = run_cli(
+        "train", "--config", str(demo["config"]), "--technique", "spectral", "--out", str(out)
     )
-    assert train.returncode == 0, train.stderr
+    assert proc.returncode == 0, proc.stderr
+    return out / "two-texture_spectral_model.json"
+
+
+def test_predict_wrong_technique_exits_five(demo, spectral_model, tmp_path):
+    """A spectral model trained on the 10-band scene cannot map 4 of its bands."""
     stack = load_band_stack(demo["root"] / "scene.hdr")
     four = BandStack(band_names=list(stack.band_names[:4]), samples=stack.samples[:4])
     save_band_stack(four, tmp_path / "s.hdr")
     proc = run_cli(
         "predict",
         "--model",
-        str(tmp_path / "m" / "two-texture_spectral_model.json"),
+        str(spectral_model),
         "--image",
         str(tmp_path / "s.hdr"),
         "--out",
@@ -235,6 +236,28 @@ def test_predict_wrong_technique_exits_five(demo, tmp_path):
     )
     assert proc.returncode == 5, proc.stderr
     assert "expects 10 features" in proc.stderr and "produced 4" in proc.stderr
+
+
+def test_predict_reordered_bands_exits_five(demo, spectral_model, tmp_path):
+    """The same 10 bands in reverse order would feed each band to another's splits."""
+    stack = load_band_stack(demo["root"] / "scene.hdr")
+    reverse = BandStack(band_names=stack.band_names[::-1], samples=stack.samples[::-1])
+    save_band_stack(reverse, tmp_path / "s.hdr")
+    proc = run_cli(
+        "predict",
+        "--model",
+        str(spectral_model),
+        "--image",
+        str(tmp_path / "s.hdr"),
+        "--out",
+        str(tmp_path / "o"),
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("dimension mismatch:")
+    assert proc.stderr.count("\n") == 1
+    assert "expects 10 features" in proc.stderr and "produced 10" in proc.stderr
+    assert "feature 0 is 'B12' where the model has 'B2'" in proc.stderr
+    assert not (tmp_path / "o" / "map.pgm").exists()
 
 
 def test_evaluate_matches_full_image_report(demo, experiment_out, tmp_path):
@@ -437,6 +460,8 @@ def _craft_model(case: str, doc: dict) -> bytes:
         nodes[split]["projection"] = [nodes[split]["projection"]]
     elif case == "too-many-levels":
         doc["glcm_params"]["levels"] = 2**16 + 1
+    elif case == "short-feature-names":
+        doc["model"]["feature_names"].pop()
     return json.dumps(doc).encode()
 
 
@@ -454,6 +479,7 @@ def _craft_model(case: str, doc: dict) -> bytes:
         "empty-tree",
         "nested-subset",
         "too-many-levels",
+        "short-feature-names",
     ],
 )
 def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):

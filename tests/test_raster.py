@@ -108,6 +108,15 @@ def test_duplicate_band_names_in_header_are_a_format_error(tmp_path):
         load_band_stack(header)
 
 
+def test_repeated_header_key_is_a_format_error(tmp_path):
+    # A stale width before the real one used to be overwritten silently.
+    save_band_stack(BandStack(["B2"], np.zeros((1, 2, 3), dtype=np.uint16)), tmp_path / "s.hdr")
+    header = tmp_path / "s.hdr"
+    header.write_text("width = 999\n" + header.read_text())
+    with pytest.raises(RasterFormatError, match=r"s\.hdr:2: duplicate key 'width'"):
+        load_band_stack(header)
+
+
 def test_label_mask_all_zero_and_fraction(tmp_path):
     mask = LabelMask(labels=np.zeros((10, 10), dtype=np.uint8))
     save_label_mask(mask, tmp_path / "m.hdr")

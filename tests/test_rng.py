@@ -65,13 +65,13 @@ def test_streams_are_deterministic_and_distinct():
 
 def test_randbelow_range_and_rough_uniformity():
     rng = Pcg32.from_key(derive_key(7))
-    draws = [rng.randbelow(10) for _ in range(20000)]
-    assert min(draws) == 0 and max(draws) == 9
+    draws = rng.randbelow_array(np.full(20000, 10))
+    assert draws.min() == 0 and draws.max() == 9
     counts = np.bincount(draws, minlength=10)
     assert counts.min() > 1700  # expectation 2000 per bucket
 
     with pytest.raises(ValueError):
-        rng.randbelow(0)
+        rng.randbelow_array([0])
 
 
 def test_shuffle_is_a_permutation():
@@ -104,11 +104,9 @@ def test_bound_above_2_32_is_rejected_without_drawing():
     for bad in ([0], [1 << 32 | 1], [5, 1 << 33], [1 << 70]):
         with pytest.raises(ValueError):
             rng.randbelow_array(bad)
-    with pytest.raises(ValueError):
-        rng.randbelow((1 << 32) + 1)
     assert rng._state == state
     oracle = Pcg32.from_key(KEYS[1])
-    assert rng.randbelow(1 << 32) == randbelow_oracle(oracle, 1 << 32)
+    assert rng.randbelow_array([1 << 32]).tolist() == [randbelow_oracle(oracle, 1 << 32)]
     assert rng._state == oracle._state
 
 
@@ -117,8 +115,9 @@ def test_bound_above_2_32_is_rejected_without_drawing():
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("key", KEYS)
 def test_bootstrap_indices_equal_scalar_oracle(key, size, bound):
+    # A bootstrap is a run of draws under one constant bound.
     rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
-    got = rng.bootstrap_indices(bound, size)
+    got = rng.randbelow_array(np.full(size, bound, dtype=np.int64))
     assert got.dtype == np.int64
     assert got.tolist() == bootstrap_oracle(oracle, bound, size)
     assert rng._state == oracle._state
@@ -167,7 +166,7 @@ def test_successive_calls_and_scalar_steps_equal_scalar_oracle():
     # scalar next_u32 step moves the stream past it.
     rng, oracle = Pcg32.from_key(KEYS[2]), Pcg32.from_key(KEYS[2])
     for size in (5, 1, _BLOCK - 7, 3, 2 * _BLOCK + 1, 0, 4):
-        assert rng.bootstrap_indices(9, size).tolist() == bootstrap_oracle(oracle, 9, size)
+        assert rng.randbelow_array(np.full(size, 9)).tolist() == bootstrap_oracle(oracle, 9, size)
         assert rng.sample_without_replacement(size + 2, 2).tolist() == (
             sample_without_replacement_oracle(oracle, size + 2, 2)
         )
@@ -201,5 +200,6 @@ def test_raw_value_equal_to_its_threshold_is_accepted():
 )
 def test_block_draws_equal_scalar_oracle_property(key, bound, size):
     rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
-    assert rng.bootstrap_indices(bound, size).tolist() == bootstrap_oracle(oracle, bound, size)
+    got = rng.randbelow_array(np.full(size, bound, dtype=np.int64))
+    assert got.tolist() == bootstrap_oracle(oracle, bound, size)
     assert rng._state == oracle._state
