@@ -9,10 +9,8 @@ renders full-scene prediction maps.
 
 from .ccf import CcfModel, ForestParams, cca_fit, predict, train_forest
 from .experiment import (
-    FeatureTable,
     MetricsReport,
     Pipeline,
-    assemble_table,
     evaluate,
     fit_scaler,
     load_pipeline,
@@ -38,14 +36,12 @@ __all__ = [
     "BandStack",
     "CcfModel",
     "FeatureRaster",
-    "FeatureTable",
     "ForestParams",
     "GlcmParams",
     "LabelMask",
     "MetricsReport",
     "Pipeline",
     "SENTINEL2_BANDS",
-    "assemble_table",
     "cca_fit",
     "evaluate",
     "extract_spectral",

@@ -80,8 +80,8 @@ class RunConfig:
     def __post_init__(self):
         if self.technique not in TECHNIQUES:
             raise ValueError(f"technique must be 'spectral' or 'glcm', got {self.technique!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -353,7 +353,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pipeline = load_pipeline(args.model)
     stack = load_band_stack(args.image)
     if pipeline.technique == "glcm":
-        problem = _glcm_scene_problem(pipeline.glcm_params or GlcmParams(), stack)
+        problem = _glcm_scene_problem(pipeline.glcm_params, stack)
         if problem:
             raise DimensionMismatchError(f"scene {args.image}: model's {problem}")
     features = extract_features(stack, pipeline.technique, pipeline.glcm_params, jobs=args.jobs)

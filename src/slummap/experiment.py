@@ -46,40 +46,6 @@ CSV_HEADER = "location,technique,acc_slum,acc_non,iou_slum,iou_non,miou,seconds"
 
 
 @dataclass
-class FeatureTable:
-    """N pixel samples with D features and labels."""
-
-    features: np.ndarray  # (N, D) float64
-    labels: np.ndarray  # (N,) uint8
-    feature_names: list[str]
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.uint8).ravel()
-        if self.labels.shape[0] != self.features.shape[0]:
-            raise ValueError("features and labels lengths disagree")
-        if len(self.feature_names) != self.features.shape[1]:
-            raise ValueError("feature_names length must match feature count")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features must be finite")
-
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
-
-    def take(self, indices: np.ndarray) -> "FeatureTable":
-        return FeatureTable(
-            features=self.features[indices],
-            labels=self.labels[indices],
-            feature_names=self.feature_names,
-        )
-
-    def class_counts(self) -> tuple[int, int]:
-        ones = int(self.labels.sum())
-        return self.n_rows - ones, ones
-
-
-@dataclass
 class ScalerStats:
     """Per-column mean and sample standard deviation (divisor N-1)."""
 
@@ -141,69 +107,48 @@ def format_percent(fraction: float | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def assemble_table(features: FeatureRaster, mask: LabelMask) -> FeatureTable:
-    """One row per pixel valid in both inputs, in row-major order."""
-    if (features.height, features.width) != (mask.height, mask.width):
-        raise ValueError(
-            f"feature raster is {features.width}x{features.height} but mask is "
-            f"{mask.width}x{mask.height}"
-        )
-    usable = features.valid & mask.valid
-    if not usable.any():
-        raise ValueError("no usable pixels: every pixel is invalid in one input")
-    rows, cols = np.nonzero(usable)
-    return FeatureTable(
-        features=features.values[:, rows, cols].T,
-        labels=mask.labels[rows, cols],
-        feature_names=list(features.feature_names),
-    )
-
-
-def undersample_balance(table: FeatureTable, seed: int = 0) -> FeatureTable:
-    """Trim the majority class to the minority count by seeded sampling.
+def undersample_balance(labels: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Ascending row indices that trim the majority class to the minority count.
 
     The minority class is kept whole; majority rows are drawn without
-    replacement from the BALANCE_STREAM of ``seed``. Kept rows stay in their
-    original relative order.
+    replacement from the BALANCE_STREAM of ``seed``.
     """
-    n0, n1 = table.class_counts()
+    n1 = int(labels.sum())
+    n0 = labels.shape[0] - n1
     if n0 == 0 or n1 == 0:
         raise DegenerateDataError("both classes must be present to balance")
     if n0 == n1:
-        return table
+        return np.arange(labels.shape[0])
     majority = 0 if n0 > n1 else 1
-    minority_count = min(n0, n1)
-    majority_positions = np.nonzero(table.labels == majority)[0]
+    majority_positions = np.nonzero(labels == majority)[0]
     rng = stream(seed, BALANCE_STREAM)
-    chosen = rng.sample_without_replacement(majority_positions.shape[0], minority_count)
-    keep = np.zeros(table.n_rows, dtype=bool)
-    keep[table.labels != majority] = True
-    keep[majority_positions[np.sort(chosen)]] = True
-    return table.take(np.nonzero(keep)[0])
+    chosen = rng.sample_without_replacement(majority_positions.shape[0], min(n0, n1))
+    keep = labels != majority
+    keep[majority_positions[chosen]] = True
+    return np.nonzero(keep)[0]
 
 
-def split_train_test(table: FeatureTable, seed: int = 0) -> tuple[FeatureTable, FeatureTable]:
-    """Disjoint, exhaustive random partition with round(N * TRAIN_FRACTION) train rows."""
-    n = table.n_rows
+def split_train_test(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint, exhaustive random partition of range(n) into ascending train and
+    test positions, with round(n * TRAIN_FRACTION) train positions."""
     if n < 2:
         raise ValueError("need at least two rows to split")
     n_train = int(n * TRAIN_FRACTION + 0.5)
     n_train = max(1, min(n_train, n - 1))  # both parts stay non-empty
     perm = np.arange(n)
     stream(seed, SPLIT_STREAM).shuffle(perm)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-    return table.take(train_idx), table.take(test_idx)
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def fit_scaler(train: FeatureTable) -> ScalerStats:
-    if train.n_rows < 1:
-        raise ValueError("cannot fit a scaler on an empty table")
-    means = train.features.mean(axis=0)
-    if train.n_rows == 1:
+def fit_scaler(x: np.ndarray) -> ScalerStats:
+    """Column means and sample standard deviations of an (N, D) matrix."""
+    if x.shape[0] < 1:
+        raise ValueError("cannot fit a scaler on an empty matrix")
+    means = x.mean(axis=0)
+    if x.shape[0] == 1:
         stds = np.zeros_like(means)
     else:
-        stds = train.features.std(axis=0, ddof=1)
+        stds = x.std(axis=0, ddof=1)
     return ScalerStats(means=means, stds=stds)
 
 
@@ -313,38 +258,47 @@ def run_experiment(
         features = extract_features(stack, technique, glcm_params, pool=pool)
         timings["extract"] = time.perf_counter() - t0
 
+        # One (N, D) matrix of the pixels usable in both inputs, in row-major
+        # order; balancing and splitting only pick rows of it.
         t0 = time.perf_counter()
-        table = assemble_table(features, mask)
+        usable = features.valid & mask.valid
+        if not usable.any():
+            raise ValueError("no usable pixels: every pixel is invalid in one input")
+        rows, cols = np.nonzero(usable)
+        x = features.values[:, rows, cols].T.astype(np.float64)
+        labels = mask.labels[rows, cols]
         timings["assemble"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        balanced = undersample_balance(table, seed=master_seed)
+        kept = undersample_balance(labels, seed=master_seed)
         timings["balance"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        train, test = split_train_test(balanced, seed=master_seed)
+        train_pos, test_pos = split_train_test(kept.shape[0], seed=master_seed)
+        train_rows, test_rows = kept[train_pos], kept[test_pos]
         timings["split"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        scaler = fit_scaler(train)
-        train_x = scale_matrix(scaler, train.features)
-        test_x = scale_matrix(scaler, test.features)
+        train_x = x[train_rows]
+        scaler = fit_scaler(train_x)
+        train_x = scale_matrix(scaler, train_x)
+        test_x = scale_matrix(scaler, x[test_rows])
         timings["scale"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         model = train_forest(
             train_x,
-            train.labels,
+            labels[train_rows],
             forest,
             master_seed=master_seed,
-            feature_names=train.feature_names,
+            feature_names=list(features.feature_names),
             pool=pool,
         )
         timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     test_labels, _ = predict(model, test_x)
-    report = evaluate(test_labels, test.labels)
+    report = evaluate(test_labels, labels[test_rows])
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -362,8 +316,8 @@ def run_experiment(
         model=model,
         scaler=scaler,
         timings=timings,
-        train_size=train.n_rows,
-        test_size=test.n_rows,
+        train_size=train_rows.shape[0],
+        test_size=test_rows.shape[0],
     )
 
 
@@ -461,9 +415,15 @@ class Pipeline:
     """Everything needed to reproduce predictions on a fresh scene."""
 
     technique: str
-    glcm_params: GlcmParams | None
+    glcm_params: GlcmParams | None  # given exactly when technique is "glcm"
     scaler: ScalerStats
     model: CcfModel
+
+    def __post_init__(self):
+        if self.technique not in TECHNIQUES:
+            raise ValueError(f"unknown technique {self.technique!r}")
+        if (self.technique == "glcm") != (self.glcm_params is not None):
+            raise ValueError("glcm_params must be given for glcm and only for glcm")
 
 
 def save_pipeline(pipeline: Pipeline, path: str | Path) -> None:
@@ -494,10 +454,7 @@ def load_pipeline(path: str | Path) -> Pipeline:
     if doc.get("version") != PIPELINE_VERSION:
         raise ModelFormatError(f"{path}: unsupported version {doc.get('version')!r}")
     try:
-        technique = str(doc["technique"])
-        if technique not in TECHNIQUES:
-            raise ModelFormatError(f"unknown technique {technique!r}")
-        glcm_doc = doc.get("glcm_params")
+        glcm_doc = doc["glcm_params"]
         model = model_from_dict(doc["model"])
         scaler = ScalerStats(
             means=np.array(doc["scaler"]["means"], dtype=np.float64),
@@ -506,8 +463,8 @@ def load_pipeline(path: str | Path) -> Pipeline:
         if scaler.means.shape != (model.n_features,) or scaler.stds.shape != (model.n_features,):
             raise ModelFormatError(f"scaler must hold {model.n_features} means and stds")
         return Pipeline(
-            technique=technique,
-            glcm_params=GlcmParams.from_dict(glcm_doc) if glcm_doc else None,
+            technique=str(doc["technique"]),
+            glcm_params=None if glcm_doc is None else GlcmParams.from_dict(glcm_doc),
             scaler=scaler,
             model=model,
         )

@@ -239,7 +239,8 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 def load_band_stack(header_path: str | Path) -> BandStack:
     names, planes = _load_planes(header_path, "u16")
-    stack = BandStack(band_names=names, samples=planes.copy())
+    # the payload view is read-only already; a copy would double the scene's memory
+    stack = BandStack(band_names=names, samples=planes)
     _freeze(stack.samples)
     return stack
 
@@ -260,7 +261,7 @@ def load_label_mask(header_path: str | Path) -> LabelMask:
             f"{header_path}: label value {value} outside {{0,1}} "
             "(null or unknown class codes are rejected)"
         )
-    mask = LabelMask(labels=labels.copy())
+    mask = LabelMask(labels=labels)
     _freeze(mask.labels, mask.valid)
     return mask
 

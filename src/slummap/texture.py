@@ -83,12 +83,19 @@ class GlcmParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GlcmParams":
+        """Inverse of to_dict; a value of the wrong JSON type raises TypeError."""
+
+        def typed(key: str, kind: type, value):
+            if type(value) is not kind:  # also rejects 32.7 for an int and True
+                raise TypeError(f"glcm_params {key}: {value!r} is not {kind.__name__}")
+            return value
+
         return cls(
-            levels=int(doc["levels"]),
-            window=int(doc["window"]),
-            directions=tuple(int(d) for d in doc["directions"]),
-            bands=tuple(str(b) for b in doc["bands"]),
-            measures=tuple(str(m) for m in doc["measures"]),
+            levels=typed("levels", int, doc["levels"]),
+            window=typed("window", int, doc["window"]),
+            directions=tuple(typed("directions", int, d) for d in doc["directions"]),
+            bands=tuple(typed("bands", str, b) for b in doc["bands"]),
+            measures=tuple(typed("measures", str, m) for m in doc["measures"]),
         )
 
 

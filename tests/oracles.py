@@ -132,3 +132,29 @@ def shuffle_oracle(rng, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = randbelow_oracle(rng, i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+def balance_oracle(rng, labels: list[int]) -> list[int]:
+    """Undersampling by definition: every minority row, plus the majority rows at the
+    positions a partial Fisher-Yates draws; the kept row indices in ascending order."""
+    n1 = sum(labels)
+    n0 = len(labels) - n1
+    if n0 == n1:
+        return list(range(len(labels)))
+    majority = 0 if n0 > n1 else 1
+    majority_rows = [i for i, label in enumerate(labels) if label == majority]
+    drawn = sample_without_replacement_oracle(rng, len(majority_rows), min(n0, n1))
+    kept = {i for i, label in enumerate(labels) if label != majority}
+    kept.update(majority_rows[j] for j in drawn)
+    return sorted(kept)
+
+
+def split_oracle(rng, n: int) -> tuple[list[int], list[int]]:
+    """Shuffle range(n); the first round(0.8 n) positions (clamped to [1, n - 1]) train.
+
+    0.8 n is never within 0.1 of a half, so (8n + 5) // 10 rounds it exactly.
+    """
+    order = list(range(n))
+    shuffle_oracle(rng, order)
+    n_train = max(1, min((8 * n + 5) // 10, n - 1))
+    return sorted(order[:n_train]), sorted(order[n_train:])

@@ -78,6 +78,16 @@ def test_jobs_below_one_exits_two(command, jobs, demo, experiment_out, tmp_path)
     assert proc.stderr == "config error: jobs must be >= 1\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exits_two(seed, demo, tmp_path):
+    # derive_key keeps the seed modulo 2**64, so 2**64 would silently rerun seed 0.
+    proc = run_cli(
+        "extract", "--config", str(demo["config"]), "--out", str(tmp_path / "o"), "--seed", seed
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"config error: seed must lie in [0, 2**64 - 1], got {seed}\n"
+
+
 def test_extract_glcm_counts_and_files(demo):
     out = demo["root"] / "feats"
     proc = run_cli("extract", "--config", str(demo["config"]), "--out", str(out))
@@ -462,6 +472,10 @@ def _craft_model(case: str, doc: dict) -> bytes:
         doc["glcm_params"]["levels"] = 2**16 + 1
     elif case == "short-feature-names":
         doc["model"]["feature_names"].pop()
+    elif case == "null-glcm-params":
+        doc["glcm_params"] = None
+    elif case == "fractional-levels":
+        doc["glcm_params"]["levels"] = 32.7
     return json.dumps(doc).encode()
 
 
@@ -480,6 +494,8 @@ def _craft_model(case: str, doc: dict) -> bytes:
         "nested-subset",
         "too-many-levels",
         "short-feature-names",
+        "null-glcm-params",
+        "fractional-levels",
     ],
 )
 def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
@@ -558,7 +574,7 @@ def _sections(draw, root):
     """A valid config as (section, {key: value}) pairs, every value non-default."""
     run = {
         "technique": "spectral",
-        "seed": draw(st.integers(1, 2**64)),
+        "seed": draw(st.integers(1, 2**64 - 1)),
         "out": root / draw(_NAME),
         "jobs": draw(st.integers(2, 64)),
     }
@@ -622,7 +638,7 @@ def test_every_config_key_round_trips_through_the_echo(config_dir, data):
 # Every key that has bad values. Any text is a valid [run] out or [scene] location.
 _BAD_VALUES = {
     ("run", "technique"): ["lidar", ""],
-    ("run", "seed"): ["-1", "1.5", "x"],
+    ("run", "seed"): ["-1", "1.5", "x", "18446744073709551616"],
     ("run", "jobs"): ["0", "-2", "two"],
     ("glcm", "levels"): ["1", "65537", "x"],
     ("glcm", "window"): ["4", "1", "x"],

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slummap.ccf import DegenerateDataError
+from slummap.ccf import DegenerateDataError, ForestParams
 from slummap.experiment import (
     CSV_HEADER,
-    FeatureTable,
-    assemble_table,
     evaluate,
     fit_scaler,
     format_percent,
@@ -16,69 +16,21 @@ from slummap.experiment import (
     undersample_balance,
 )
 from slummap.fixtures import make_two_texture_scene
-from slummap.raster import FeatureRaster, LabelMask
+from slummap.raster import BandStack, LabelMask
+from slummap.rng import BALANCE_STREAM, SPLIT_STREAM, stream
 from slummap.texture import GlcmParams
 
-from .oracles import confusion_oracle
+from .oracles import balance_oracle, confusion_oracle, split_oracle
 
 
-def make_table(n0: int, n1: int, d: int = 3, seed: int = 0) -> FeatureTable:
-    rng = np.random.default_rng(seed)
-    n = n0 + n1
+def make_labels(n0: int, n1: int, seed: int = 0) -> np.ndarray:
     labels = np.concatenate([np.zeros(n0, dtype=np.uint8), np.ones(n1, dtype=np.uint8)])
-    labels = labels[rng.permutation(n)]
-    return FeatureTable(
-        features=rng.normal(size=(n, d)),
-        labels=labels,
-        feature_names=[f"f{i}" for i in range(d)],
-    )
+    return labels[np.random.default_rng(seed).permutation(n0 + n1)]
 
 
-def row_ids(table: FeatureTable) -> list[tuple[float, ...]]:
-    """Rows of make_table's tables are unique, so a row identifies its sample."""
-    return [tuple(row) for row in table.features.tolist()]
-
-
-# ---------------------------------------------------------------------------
-# assemble_table
-# ---------------------------------------------------------------------------
-
-
-def test_assemble_all_valid_row_major():
-    values = np.arange(4, dtype=np.float32).reshape(1, 2, 2)
-    fr = FeatureRaster(feature_names=["a"], values=values, valid=np.ones((2, 2), bool))
-    mask = LabelMask(labels=np.array([[0, 1], [1, 0]], dtype=np.uint8))
-    table = assemble_table(fr, mask)
-    assert table.n_rows == 4
-    assert table.features[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert table.labels.tolist() == [0, 1, 1, 0]
-
-
-def test_assemble_respects_window_borders():
-    h = w = 20
-    valid = np.zeros((h, w), bool)
-    valid[9:11, 9:11] = True  # the 2x2 centre a 19-window leaves on a 20x20 scene
-    values = np.zeros((1, h, w), dtype=np.float32)
-    values[:, ~valid] = np.nan
-    fr = FeatureRaster(feature_names=["a"], values=values, valid=valid)
-    mask = LabelMask(labels=np.zeros((h, w), dtype=np.uint8))
-    assert assemble_table(fr, mask).n_rows == 4
-
-
-def test_assemble_rejects_empty_and_mismatched():
-    values = np.full((1, 2, 2), np.nan, dtype=np.float32)
-    fr = FeatureRaster(feature_names=["a"], values=values, valid=np.zeros((2, 2), bool))
-    mask = LabelMask(labels=np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(ValueError, match="no usable pixels"):
-        assemble_table(fr, mask)
-    small = LabelMask(labels=np.zeros((2, 3), dtype=np.uint8))
-    good = FeatureRaster(
-        feature_names=["a"],
-        values=np.zeros((1, 2, 2), np.float32),
-        valid=np.ones((2, 2), bool),
-    )
-    with pytest.raises(ValueError, match="mask"):
-        assemble_table(good, small)
+def class_counts(labels: np.ndarray) -> tuple[int, int]:
+    ones = int(labels.sum())
+    return labels.shape[0] - ones, ones
 
 
 # ---------------------------------------------------------------------------
@@ -87,44 +39,55 @@ def test_assemble_rejects_empty_and_mismatched():
 
 
 def test_balance_reduces_majority_to_minority():
-    table = make_table(100, 50)
-    balanced = undersample_balance(table, seed=0)
-    assert balanced.class_counts() == (50, 50)
+    labels = make_labels(100, 50)
+    assert class_counts(labels[undersample_balance(labels, seed=0)]) == (50, 50)
 
 
 def test_balance_noop_when_already_balanced():
-    table = make_table(40, 40)
-    assert undersample_balance(table, seed=0) is table
+    kept = undersample_balance(make_labels(40, 40), seed=0)
+    assert kept.tolist() == list(range(80))
 
 
 def test_balance_typical_scene_imbalance():
-    table = make_table(780, 220)
-    balanced = undersample_balance(table, seed=0)
-    assert balanced.class_counts() == (220, 220)
+    labels = make_labels(780, 220)
+    assert class_counts(labels[undersample_balance(labels, seed=0)]) == (220, 220)
 
 
 def test_balance_preserves_row_order_and_is_subset():
-    table = make_table(30, 10, seed=4)
-    balanced = undersample_balance(table, seed=0)
-    original = row_ids(table)
-    kept = row_ids(balanced)
-    positions = [original.index(r) for r in kept]
-    assert positions == sorted(positions)
-    assert set(kept) <= set(original)
+    labels = make_labels(30, 10, seed=4)
+    kept = undersample_balance(labels, seed=0)
+    assert np.all(np.diff(kept) > 0)
+    assert 0 <= kept[0] and kept[-1] < labels.shape[0]
+    assert set(np.nonzero(labels == 1)[0]) <= set(kept.tolist())
 
 
 def test_balance_requires_both_classes():
     with pytest.raises(DegenerateDataError):
-        undersample_balance(make_table(10, 0), seed=0)
+        undersample_balance(make_labels(10, 0), seed=0)
 
 
 def test_balance_seed_changes_selection():
-    table = make_table(60, 20, seed=1)
-    a = undersample_balance(table, seed=0)
-    b = undersample_balance(table, seed=1)
-    same = undersample_balance(table, seed=0)
-    assert row_ids(a) == row_ids(same)
-    assert row_ids(a) != row_ids(b)
+    labels = make_labels(60, 20, seed=1)
+    a = undersample_balance(labels, seed=0)
+    assert np.array_equal(a, undersample_balance(labels, seed=0))
+    assert not np.array_equal(a, undersample_balance(labels, seed=1))
+
+
+# Unequal classes, so the majority-sampling branch runs.
+_UNEQUAL_LABELS = st.lists(st.sampled_from([0, 1]), min_size=3, max_size=120).filter(
+    lambda labels: 0 < sum(labels) < len(labels) and 2 * sum(labels) != len(labels)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=_UNEQUAL_LABELS, seed=st.integers(0, 2**64 - 1))
+def test_balance_and_split_equal_plain_python_oracles(labels, seed):
+    kept = undersample_balance(np.array(labels, dtype=np.uint8), seed=seed)
+    assert kept.tolist() == balance_oracle(stream(seed, BALANCE_STREAM), labels)
+    train_pos, test_pos = split_train_test(kept.shape[0], seed=seed)
+    expected_train, expected_test = split_oracle(stream(seed, SPLIT_STREAM), kept.shape[0])
+    assert train_pos.tolist() == expected_train
+    assert test_pos.tolist() == expected_test
 
 
 # ---------------------------------------------------------------------------
@@ -133,31 +96,29 @@ def test_balance_seed_changes_selection():
 
 
 def test_split_sizes_100():
-    train, test = split_train_test(make_table(60, 40), seed=0)
-    assert (train.n_rows, test.n_rows) == (80, 20)
+    train, test = split_train_test(100, seed=0)
+    assert (train.shape[0], test.shape[0]) == (80, 20)
 
 
 def test_split_sizes_5():
-    train, test = split_train_test(make_table(3, 2), seed=0)
-    assert (train.n_rows, test.n_rows) == (4, 1)
-    assert len(set(row_ids(train)) | set(row_ids(test))) == 5
+    train, test = split_train_test(5, seed=0)
+    assert (train.shape[0], test.shape[0]) == (4, 1)
+    assert sorted(train.tolist() + test.tolist()) == list(range(5))
 
 
 def test_split_is_deterministic_and_disjoint():
-    table = make_table(50, 50, seed=2)
-    a_train, a_test = split_train_test(table, seed=0)
-    b_train, b_test = split_train_test(table, seed=0)
-    assert row_ids(a_train) == row_ids(b_train)
-    assert row_ids(a_test) == row_ids(b_test)
-    train_set = set(row_ids(a_train))
-    test_set = set(row_ids(a_test))
-    assert not train_set & test_set
-    assert len(train_set | test_set) == table.n_rows
+    a_train, a_test = split_train_test(100, seed=0)
+    b_train, b_test = split_train_test(100, seed=0)
+    assert np.array_equal(a_train, b_train)
+    assert np.array_equal(a_test, b_test)
+    assert np.all(np.diff(a_train) > 0) and np.all(np.diff(a_test) > 0)
+    assert not set(a_train.tolist()) & set(a_test.tolist())
+    assert len(set(a_train.tolist()) | set(a_test.tolist())) == 100
 
 
 def test_split_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        split_train_test(make_table(1, 0), seed=0)
+        split_train_test(1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,45 +127,33 @@ def test_split_rejects_bad_inputs():
 
 
 def test_scaler_on_one_two_three():
-    table = FeatureTable(
-        features=np.array([[1.0], [2.0], [3.0]]),
-        labels=np.array([0, 1, 0], dtype=np.uint8),
-        feature_names=["f0"],
-    )
-    stats = fit_scaler(table)
+    x = np.array([[1.0], [2.0], [3.0]])
+    stats = fit_scaler(x)
     assert stats.means[0] == pytest.approx(2.0)
     assert stats.stds[0] == pytest.approx(1.0)
-    scaled = scale_matrix(stats, table.features)
-    assert scaled[:, 0].tolist() == [-1.0, 0.0, 1.0]
+    assert scale_matrix(stats, x)[:, 0].tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_scaled_train_has_zero_mean_unit_std():
-    table = make_table(200, 100, d=5, seed=3)
-    stats = fit_scaler(table)
-    scaled = scale_matrix(stats, table.features)
+    x = np.random.default_rng(3).normal(size=(300, 5))
+    scaled = scale_matrix(fit_scaler(x), x)
     assert np.abs(scaled.mean(axis=0)).max() < 1e-9
     assert np.abs(scaled.std(axis=0, ddof=1) - 1).max() < 1e-9
 
 
 def test_constant_columns_scale_to_zero():
-    features = np.column_stack([np.full(10, 7.0), np.arange(10, dtype=float)])
-    table = FeatureTable(
-        features=features,
-        labels=np.zeros(10, dtype=np.uint8),
-        feature_names=["const", "ramp"],
-    )
-    stats = fit_scaler(table)
+    x = np.column_stack([np.full(10, 7.0), np.arange(10, dtype=float)])
+    stats = fit_scaler(x)
     assert stats.constant_columns.tolist() == [True, False]
-    scaled = scale_matrix(stats, table.features)
-    assert (scaled[:, 0] == 0).all()
+    assert (scale_matrix(stats, x)[:, 0] == 0).all()
 
 
 def test_test_set_outliers_never_touch_scaler():
-    table = make_table(50, 50, seed=6)
-    train, test = split_train_test(table, seed=0)
-    stats = fit_scaler(train)
-    test.features[0] = 1e9  # extreme outlier in the test block
-    stats_after = fit_scaler(train)
+    x = np.random.default_rng(6).normal(size=(100, 3))
+    train, test = split_train_test(100, seed=0)
+    stats = fit_scaler(x[train])
+    x[test[0]] = 1e9  # extreme outlier in a test row
+    stats_after = fit_scaler(x[train])
     assert np.array_equal(stats.means, stats_after.means)
     assert np.array_equal(stats.stds, stats_after.stds)
 
@@ -333,6 +282,46 @@ def test_run_experiment_is_deterministic(small_scene):
     from slummap.ccf import model_to_dict
 
     assert model_to_dict(a.model) == model_to_dict(b.model)
+
+
+def test_assemble_all_valid_row_major():
+    # Balancing and splitting pick rows of the pixel matrix in row-major order,
+    # so the scaler equals one fitted on the same picks from a plain gather.
+    rng = np.random.default_rng(5)
+    samples = rng.integers(0, 65536, size=(2, 6, 7), dtype=np.uint16)
+    labels = (rng.random((6, 7)) < 0.3).astype(np.uint8)
+    stack = BandStack(band_names=["B2", "B3"], samples=samples)
+    result = run_experiment(
+        stack, LabelMask(labels=labels), "spectral", forest=ForestParams(n_trees=1)
+    )
+    pixels = [(r, c) for r in range(6) for c in range(7)]
+    x = np.array([[float(samples[b, r, c]) for b in range(2)] for r, c in pixels])
+    y = np.array([labels[r, c] for r, c in pixels], dtype=np.uint8)
+    assert class_counts(y)[0] != class_counts(y)[1]
+    kept = undersample_balance(y, seed=0)
+    train, test = split_train_test(kept.shape[0], seed=0)
+    expected = fit_scaler(x[kept[train]])
+    assert (result.train_size, result.test_size) == (train.shape[0], test.shape[0])
+    assert np.array_equal(result.scaler.means, expected.means)
+    assert np.array_equal(result.scaler.stds, expected.stds)
+
+
+def test_assemble_respects_window_borders():
+    # A 19-window leaves the 2x2 centre of a 20x20 scene: columns 9 and 10,
+    # one on each side of the class boundary.
+    stack, mask = make_two_texture_scene(size=20)
+    result = run_experiment(stack, mask, "glcm", glcm_params=GlcmParams(window=19))
+    assert (result.train_size, result.test_size) == (3, 1)
+    assert result.prediction.valid.sum() == 4
+
+
+def test_assemble_rejects_empty_and_mismatched(small_scene):
+    stack, mask = small_scene
+    unlabelled = LabelMask(labels=mask.labels, valid=np.zeros_like(mask.valid))
+    with pytest.raises(ValueError, match="no usable pixels"):
+        run_experiment(stack, unlabelled, "spectral")
+    with pytest.raises(ValueError, match="pre-aligned"):
+        run_experiment(stack, LabelMask(labels=mask.labels[:, :-2]), "spectral")
 
 
 def test_run_experiment_rejects_misaligned_scene(small_scene):
