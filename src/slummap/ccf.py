@@ -10,6 +10,9 @@ and bootstraps, drawn from per-tree PCG32 streams keyed by
 ``(master_seed, FOREST_STREAM, tree_index)``. RNG is consumed in depth-first
 node order (left subtree first), subset before bootstrap, which makes
 training a pure function of (data, seed).
+
+This module holds the classifier alone; :mod:`slummap.experiment` writes and
+reads the model file.
 """
 
 from __future__ import annotations
@@ -22,18 +25,11 @@ import numpy as np
 from .pool import TaskPool
 from .rng import FOREST_STREAM, Pcg32, stream
 
-MODEL_FORMAT = "ccf-model"
-MODEL_VERSION = 1
-
 RIDGE = 1e-9
 
 
 class DegenerateDataError(ValueError):
     """Data cannot support the requested fit (single class, identical rows)."""
-
-
-class ModelFormatError(ValueError):
-    """Persisted model document is malformed or has an unsupported version."""
 
 
 @dataclass
@@ -48,11 +44,16 @@ class CcTreeNode:
     right: int = -1
     # leaves
     class_counts: tuple[int, int] | None = None
-    distribution: tuple[float, float] | None = None
 
     @property
     def is_leaf(self) -> bool:
         return self.class_counts is not None
+
+    @property
+    def distribution(self) -> tuple[float, float]:
+        """Class frequencies of a leaf's training rows."""
+        n0, n1 = self.class_counts
+        return n0 / (n0 + n1), n1 / (n0 + n1)
 
 
 @dataclass
@@ -221,9 +222,7 @@ def _best_split(z: np.ndarray, labels: np.ndarray) -> float | None:
 
 def _leaf(y_node: np.ndarray) -> CcTreeNode:
     n1 = int(y_node.sum())
-    n0 = y_node.shape[0] - n1
-    n = n0 + n1
-    return CcTreeNode(class_counts=(n0, n1), distribution=(n0 / n, n1 / n))
+    return CcTreeNode(class_counts=(y_node.shape[0] - n1, n1))
 
 
 def grow_tree(
@@ -399,96 +398,3 @@ def predict(model: CcfModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     probs /= len(model.trees)
     labels = (probs[:, 1] > probs[:, 0]).astype(np.uint8)
     return labels, probs
-
-
-# ---------------------------------------------------------------------------
-# serialization: the "model" member of a pipeline document (experiment.py)
-# ---------------------------------------------------------------------------
-
-
-def _node_to_dict(node: CcTreeNode) -> dict:
-    if node.is_leaf:
-        return {
-            "class_counts": [int(c) for c in node.class_counts],
-            "distribution": [float(p) for p in node.distribution],
-        }
-    return {
-        "feature_subset": [int(i) for i in node.feature_subset],
-        "projection": [float(v) for v in node.projection],
-        "threshold": float(node.threshold),
-        "left": int(node.left),
-        "right": int(node.right),
-    }
-
-
-def _node_from_dict(doc: dict) -> CcTreeNode:
-    if "class_counts" in doc:
-        counts = doc["class_counts"]
-        dist = doc["distribution"]
-        if len(counts) != 2 or len(dist) != 2:
-            raise ModelFormatError("leaf must carry two class counts and probabilities")
-        return CcTreeNode(
-            class_counts=(int(counts[0]), int(counts[1])),
-            distribution=(float(dist[0]), float(dist[1])),
-        )
-    subset = np.array(doc["feature_subset"], dtype=np.int64)
-    projection = np.array(doc["projection"], dtype=np.float64)
-    if subset.ndim != 1 or subset.shape != projection.shape:
-        raise ModelFormatError("projection length must match its feature subset")
-    return CcTreeNode(
-        feature_subset=subset,
-        projection=projection,
-        threshold=float(doc["threshold"]),
-        left=int(doc["left"]),
-        right=int(doc["right"]),
-    )
-
-
-def model_to_dict(model: CcfModel) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "n_features": model.n_features,
-        "feature_names": list(model.feature_names),
-        "training_params": model.training_params,
-        "trees": [{"nodes": [_node_to_dict(n) for n in tree.nodes]} for tree in model.trees],
-    }
-
-
-def _tree_from_dict(doc: dict, n_features: int) -> CcTree:
-    """Rebuild a tree, enforcing the preorder layout grow_tree writes (every
-    child index lies after its parent's and inside the node list, so routing
-    terminates) and feature indices inside [0, n_features)."""
-    nodes = [_node_from_dict(n) for n in doc["nodes"]]
-    if not nodes:
-        raise ModelFormatError("a tree needs at least one node")
-    for i, node in enumerate(nodes):
-        if node.is_leaf:
-            continue
-        if not (i < node.left < len(nodes) and i < node.right < len(nodes)):
-            raise ModelFormatError(f"node {i}: child index outside ({i}, {len(nodes)})")
-        if ((node.feature_subset < 0) | (node.feature_subset >= n_features)).any():
-            raise ModelFormatError(f"node {i}: feature index outside [0, {n_features})")
-    return CcTree(nodes=nodes)
-
-
-def model_from_dict(doc: dict) -> CcfModel:
-    """Inverse of model_to_dict; raises ModelFormatError on a malformed document."""
-    try:
-        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-            raise ModelFormatError(f"not a {MODEL_FORMAT} document")
-        if doc.get("version") != MODEL_VERSION:
-            raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
-        n_features = int(doc["n_features"])
-        feature_names = [str(n) for n in doc["feature_names"]]
-        if len(feature_names) != n_features:
-            raise ModelFormatError(f"model names {len(feature_names)} of its {n_features} features")
-        return CcfModel(
-            trees=[_tree_from_dict(tree, n_features) for tree in doc["trees"]],
-            n_features=n_features,
-            feature_names=feature_names,
-            training_params=dict(doc["training_params"]),
-        )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ModelFormatError(f"malformed model document: {exc}") from exc
-

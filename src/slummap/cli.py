@@ -18,10 +18,11 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .ccf import DegenerateDataError, ForestParams, ModelFormatError
+from .ccf import DegenerateDataError, ForestParams
 from .experiment import (
     CSV_HEADER,
     TECHNIQUES,
+    ModelFormatError,
     Pipeline,
     evaluate,
     extract_features,

@@ -11,13 +11,17 @@ full-image metrics over every scorable pixel are reported separately.
 All randomness derives from the master seed through the documented
 sub-streams (see :mod:`slummap.rng`): balancing uses BALANCE_STREAM, the
 partition SPLIT_STREAM and tree induction FOREST_STREAM.
+
+The model file is this module's alone: save_pipeline writes a Pipeline as
+one canonical JSON document, and load_pipeline accepts only what it writes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -25,11 +29,10 @@ import numpy as np
 
 from .ccf import (
     CcfModel,
+    CcTree,
+    CcTreeNode,
     DegenerateDataError,
     ForestParams,
-    ModelFormatError,
-    model_from_dict,
-    model_to_dict,
     predict,
     train_forest,
 )
@@ -403,11 +406,33 @@ def result_to_dict(result: ExperimentResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pipeline persistence (model + scaler + feature recipe)
+# the model file: save_pipeline writes it, load_pipeline reads it back
 # ---------------------------------------------------------------------------
 
 PIPELINE_FORMAT = "slummap-pipeline"
 PIPELINE_VERSION = 1
+# The tag of the forest member, kept so the version 1 bytes stay as they are.
+MODEL_FORMAT = "ccf-model"
+MODEL_VERSION = 1
+
+# The JSON type save_pipeline writes for each value, in _typed's terms. A node
+# is a leaf or a split, told apart by its keys.
+_LEAF = dict(class_counts=[int], distribution=[float])
+_SPLIT = dict(feature_subset=[int], projection=[float], threshold=float, left=int, right=int)
+_GLCM = dict(levels=int, window=int, directions=[int], bands=[str], measures=[str])
+_TRAINING = dict(n_trees=int, n_candidate_features=int, min_node_size=int, master_seed=int)
+_MODEL = dict(
+    format=str, version=int, n_features=int, feature_names=[str], training_params=_TRAINING,
+    trees=[{"nodes": [dict]}],
+)
+_PIPELINE = dict(
+    format=str, version=int, technique=str, glcm_params=object,  # None or _GLCM
+    scaler={"means": [float], "stds": [float]}, model=_MODEL,
+)
+
+
+class ModelFormatError(ValueError):
+    """Persisted model document is malformed or has an unsupported version."""
 
 
 @dataclass
@@ -426,12 +451,38 @@ class Pipeline:
             raise ValueError("glcm_params must be given for glcm and only for glcm")
 
 
+def _node_to_dict(node: CcTreeNode) -> dict:
+    if node.is_leaf:
+        return {
+            "class_counts": [int(c) for c in node.class_counts],
+            "distribution": [float(p) for p in node.distribution],
+        }
+    return {
+        "feature_subset": [int(i) for i in node.feature_subset],
+        "projection": [float(v) for v in node.projection],
+        "threshold": float(node.threshold),
+        "left": int(node.left),
+        "right": int(node.right),
+    }
+
+
+def model_to_dict(model: CcfModel) -> dict:
+    return {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "n_features": model.n_features,
+        "feature_names": list(model.feature_names),
+        "training_params": model.training_params,
+        "trees": [{"nodes": [_node_to_dict(n) for n in tree.nodes]} for tree in model.trees],
+    }
+
+
 def save_pipeline(pipeline: Pipeline, path: str | Path) -> None:
     doc = {
         "format": PIPELINE_FORMAT,
         "version": PIPELINE_VERSION,
         "technique": pipeline.technique,
-        "glcm_params": pipeline.glcm_params.to_dict() if pipeline.glcm_params else None,
+        "glcm_params": asdict(pipeline.glcm_params) if pipeline.glcm_params else None,
         "scaler": {
             "means": [float(v) for v in pipeline.scaler.means],
             "stds": [float(v) for v in pipeline.scaler.stds],
@@ -443,31 +494,85 @@ def save_pipeline(pipeline: Pipeline, path: str | Path) -> None:
     )
 
 
+def _typed(value, kind, what: str):
+    """value, if it has the JSON type kind; ModelFormatError if not. kind is int
+    or str, matched by ``type(value) is kind`` (True is no int), float for a
+    finite float, [kind] for a list, {key: kind} for an object with exactly
+    those keys, or object for any value."""
+    if type(kind) is list:
+        for item in _typed(value, list, what):
+            _typed(item, kind[0], what)
+    elif type(kind) is dict:
+        if _typed(value, dict, what).keys() != kind.keys():
+            raise ModelFormatError(f"{what} must hold exactly the keys {sorted(kind)}")
+        for key, item_kind in kind.items():
+            _typed(value[key], item_kind, key)
+    elif kind is not object and (
+        type(value) is not kind or (kind is float and not math.isfinite(value))
+    ):
+        expected = "a finite float" if kind is float else f"of type {kind.__name__}"
+        raise ModelFormatError(f"{what} must be {expected}, not {value!r:.40}")
+    return value
+
+
 def load_pipeline(path: str | Path) -> Pipeline:
-    """Read a save_pipeline file; any malformed content raises ModelFormatError."""
+    """Read a file save_pipeline wrote, which saves back to the same bytes.
+
+    Anything else raises ModelFormatError. Child indices lie after their
+    parent's and inside the node list (so routing terminates), feature indices
+    in [0, n_features); a leaf holds counts >= 0, not all 0, and their exact
+    frequencies; glcm_params is in the canonical form GlcmParams gives it.
+    """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid UTF-8 or invalid JSON
-        raise ModelFormatError(f"{path}: not a valid pipeline document: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != PIPELINE_FORMAT:
-        raise ModelFormatError(f"{path}: not a {PIPELINE_FORMAT} document")
-    if doc.get("version") != PIPELINE_VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {doc.get('version')!r}")
-    try:
-        glcm_doc = doc["glcm_params"]
-        model = model_from_dict(doc["model"])
-        scaler = ScalerStats(
-            means=np.array(doc["scaler"]["means"], dtype=np.float64),
-            stds=np.array(doc["scaler"]["stds"], dtype=np.float64),
-        )
-        if scaler.means.shape != (model.n_features,) or scaler.stds.shape != (model.n_features,):
-            raise ModelFormatError(f"scaler must hold {model.n_features} means and stds")
-        return Pipeline(
-            technique=str(doc["technique"]),
-            glcm_params=None if glcm_doc is None else GlcmParams.from_dict(glcm_doc),
-            scaler=scaler,
-            model=model,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        # Also catches model_from_dict's ModelFormatError (a ValueError) to add the path.
+        doc = _typed(json.loads(Path(path).read_text(encoding="utf-8")), _PIPELINE, "document")
+        model_doc = doc["model"]
+        n_features, names = model_doc["n_features"], model_doc["feature_names"]
+        tags = ((doc, PIPELINE_FORMAT, PIPELINE_VERSION), (model_doc, MODEL_FORMAT, MODEL_VERSION))
+        for part, fmt, version in tags:
+            if (part["format"], part["version"]) != (fmt, version):
+                raise ModelFormatError(f"not a {fmt} version {version} document")
+        if len(names) != n_features:
+            raise ModelFormatError(f"model must name its {n_features} features")
+        trees = []
+        for tree_doc in model_doc["trees"]:
+            nodes, n = [], len(tree_doc["nodes"])
+            for i, raw in enumerate(tree_doc["nodes"]):
+                if raw.keys() == _LEAF.keys():
+                    counts = _typed(raw, _LEAF, "leaf")["class_counts"]
+                    if len(counts) != 2 or min(counts) < 0 or sum(counts) == 0:
+                        raise ModelFormatError(f"node {i}: a leaf needs two counts >= 0, not 0, 0")
+                    leaf = CcTreeNode(class_counts=tuple(counts))
+                    if raw["distribution"] != list(leaf.distribution):
+                        raise ModelFormatError(f"node {i}: distribution is not counts / their sum")
+                    nodes.append(leaf)
+                    continue
+                _typed(raw, _SPLIT, "node")
+                subset, projection = raw["feature_subset"], raw["projection"]
+                left, right = raw["left"], raw["right"]
+                if len(subset) != len(projection):
+                    raise ModelFormatError(f"node {i}: projection and feature subset differ")
+                if not all(0 <= f < n_features for f in subset):
+                    raise ModelFormatError(f"node {i}: feature index outside [0, {n_features})")
+                if not (i < left < n and i < right < n):
+                    raise ModelFormatError(f"node {i}: child index outside ({i}, {n})")
+                subset, projection = np.array(subset, dtype=np.int64), np.array(projection)
+                nodes.append(CcTreeNode(subset, projection, raw["threshold"], left, right))
+            if not nodes:
+                raise ModelFormatError("a tree needs at least one node")
+            trees.append(CcTree(nodes))
+        model = CcfModel(trees, n_features, names, model_doc["training_params"])
+        means, stds = np.array(doc["scaler"]["means"]), np.array(doc["scaler"]["stds"])
+        if means.shape != (n_features,) or stds.shape != (n_features,):
+            raise ModelFormatError(f"scaler must hold {n_features} means and stds")
+        glcm_params = None
+        if doc["glcm_params"] is not None:
+            glcm_doc = _typed(doc["glcm_params"], _GLCM, "glcm_params")
+            written = {k: tuple(v) if type(v) is list else v for k, v in glcm_doc.items()}
+            glcm_params = GlcmParams(**written)
+            if asdict(glcm_params) != written:
+                raise ModelFormatError("glcm_params must list directions and measures canonically")
+        return Pipeline(doc["technique"], glcm_params, ScalerStats(means, stds), model)
+    except (RecursionError, ValueError) as exc:
+        # Also invalid UTF-8, JSON or nesting too deep to parse; and the
+        # ModelFormatErrors above, to add the path.
         raise ModelFormatError(f"{path}: malformed pipeline document: {exc}") from exc

@@ -12,6 +12,8 @@ same seed produces the same bytes on any platform or language:
 * ``derive_key(master, *path)`` absorbs a tuple of non-negative stream
   indices into the master seed, one ``mix64`` application per index:
   ``key <- mix64(key + (index + 1) * 0x9E3779B97F4A7C15 mod 2^64)``.
+  The master seed lies in [0, 2^64 - 1]; any other raises ValueError, since
+  reducing it mod 2^64 would silently rerun a seed inside that range.
 * ``Pcg32`` is the 64-bit-state / 32-bit-output PCG XSH-RR generator from
   O'Neill's ``pcg_basic.c``, seeded with ``(key, mix64(key))``.
 * ``Pcg32.randbelow_array`` draws many bounded values at once by jump-ahead.
@@ -68,7 +70,9 @@ def mix64(z: int) -> int:
 
 def derive_key(master_seed: int, *path: int) -> int:
     """Map (master seed, stream index path) to a 64-bit sub-stream key."""
-    key = master_seed & MASK64
+    if not 0 <= master_seed <= MASK64:
+        raise ValueError(f"master seed must lie in [0, 2**64 - 1], got {master_seed}")
+    key = master_seed
     for index in path:
         if index < 0:
             raise ValueError("stream indices must be non-negative")

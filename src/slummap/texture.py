@@ -13,7 +13,7 @@ marked invalid and excluded from sampling and scoring downstream.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -77,26 +77,6 @@ class GlcmParams:
 
     def feature_names(self) -> list[str]:
         return [f"{band}_{measure}" for band in self.bands for measure in self.measures]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GlcmParams":
-        """Inverse of to_dict; a value of the wrong JSON type raises TypeError."""
-
-        def typed(key: str, kind: type, value):
-            if type(value) is not kind:  # also rejects 32.7 for an int and True
-                raise TypeError(f"glcm_params {key}: {value!r} is not {kind.__name__}")
-            return value
-
-        return cls(
-            levels=typed("levels", int, doc["levels"]),
-            window=typed("window", int, doc["window"]),
-            directions=tuple(typed("directions", int, d) for d in doc["directions"]),
-            bands=tuple(typed("bands", str, b) for b in doc["bands"]),
-            measures=tuple(typed("measures", str, m) for m in doc["measures"]),
-        )
 
 
 def _check_levels(levels: int) -> None:

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from slummap.ccf import RIDGE, cca_fit, model_to_dict, predict, train_forest
-from slummap.experiment import evaluate, run_experiment
+from slummap.ccf import RIDGE, cca_fit, predict, train_forest
+from slummap.experiment import evaluate, model_to_dict, run_experiment
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
 from slummap.texture import MEASURES, GlcmParams, _direction_measures
 

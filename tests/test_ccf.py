@@ -10,7 +10,6 @@ from slummap.ccf import (
     CcTreeNode,
     DegenerateDataError,
     ForestParams,
-    ModelFormatError,
     RIDGE,
     _best_split,
     _node_entropy,
@@ -18,12 +17,18 @@ from slummap.ccf import (
     apply_tree,
     cca_fit,
     grow_tree,
-    model_to_dict,
     predict,
     train_forest,
     tree_depth,
 )
-from slummap.experiment import Pipeline, ScalerStats, load_pipeline, save_pipeline
+from slummap.experiment import (
+    ModelFormatError,
+    Pipeline,
+    ScalerStats,
+    load_pipeline,
+    model_to_dict,
+    save_pipeline,
+)
 from slummap.rng import FOREST_STREAM, stream
 
 from .oracles import lda_direction_oracle
@@ -333,7 +338,7 @@ def test_predict_dimension_mismatch():
 
 
 def test_tie_breaks_toward_class_zero():
-    half_half = CcTreeNode(class_counts=(1, 1), distribution=(0.5, 0.5))
+    half_half = CcTreeNode(class_counts=(1, 1))
     model = CcfModel(
         trees=[CcTree(nodes=[half_half])],
         n_features=1,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -447,10 +448,13 @@ def _craft_model(case: str, doc: dict) -> bytes:
     """The experiment's model file, damaged in one way."""
     nodes = doc["model"]["trees"][0]["nodes"]
     split = next(i for i, node in enumerate(nodes) if "left" in node)
+    leaf = next(i for i, node in enumerate(nodes) if "class_counts" in node)
     if case == "json-array":
         return b"[]"
     if case == "not-utf8":
         return b"\xff\xfe" + json.dumps(doc).encode()
+    if case == "deeply-nested":
+        return b"[" * 100_000 + b"]" * 100_000
     if case == "even-window":
         doc["glcm_params"]["window"] = 4
     elif case == "short-scaler":
@@ -476,6 +480,22 @@ def _craft_model(case: str, doc: dict) -> bytes:
         doc["glcm_params"] = None
     elif case == "fractional-levels":
         doc["glcm_params"]["levels"] = 32.7
+    elif case == "negative-count":
+        nodes[leaf]["class_counts"] = [-5, 3]
+    elif case == "nan-distribution":
+        nodes[leaf]["distribution"] = [math.nan, math.nan]
+    elif case == "unnormalized-distribution":
+        nodes[leaf]["distribution"] = [7, 9]
+    elif case == "fractional-child":
+        nodes[split]["left"] = 1.5
+    elif case == "nan-threshold":
+        nodes[split]["threshold"] = math.nan
+    elif case == "string-threshold":
+        nodes[split]["threshold"] = "1e0"
+    elif case == "nan-scaler-std":
+        doc["scaler"]["stds"][0] = math.nan
+    elif case == "infinite-projection":
+        nodes[split]["projection"][0] = math.inf
     return json.dumps(doc).encode()
 
 
@@ -496,6 +516,15 @@ def _craft_model(case: str, doc: dict) -> bytes:
         "short-feature-names",
         "null-glcm-params",
         "fractional-levels",
+        "negative-count",
+        "nan-distribution",
+        "unnormalized-distribution",
+        "fractional-child",
+        "nan-threshold",
+        "string-threshold",
+        "nan-scaler-std",
+        "infinite-projection",
+        "deeply-nested",
     ],
 )
 def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):

@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,18 +9,23 @@ from hypothesis import strategies as st
 from slummap.ccf import DegenerateDataError, ForestParams
 from slummap.experiment import (
     CSV_HEADER,
+    ModelFormatError,
+    Pipeline,
     evaluate,
     fit_scaler,
     format_percent,
+    load_pipeline,
+    model_to_dict,
     report_csv_row,
     run_experiment,
+    save_pipeline,
     scale_matrix,
     split_train_test,
     undersample_balance,
 )
 from slummap.fixtures import make_two_texture_scene
 from slummap.raster import BandStack, LabelMask
-from slummap.rng import BALANCE_STREAM, SPLIT_STREAM, stream
+from slummap.rng import BALANCE_STREAM, FOREST_STREAM, SPLIT_STREAM, derive_key, stream
 from slummap.texture import GlcmParams
 
 from .oracles import balance_oracle, confusion_oracle, split_oracle
@@ -279,8 +287,6 @@ def test_run_experiment_is_deterministic(small_scene):
     b = run_experiment(stack, mask, "glcm", glcm_params=params, master_seed=0)
     assert np.array_equal(a.prediction.labels, b.prediction.labels)
     assert a.report.counts() == b.report.counts()
-    from slummap.ccf import model_to_dict
-
     assert model_to_dict(a.model) == model_to_dict(b.model)
 
 
@@ -335,3 +341,68 @@ def test_run_experiment_unknown_technique(small_scene):
     stack, mask = small_scene
     with pytest.raises(ValueError, match="technique"):
         run_experiment(stack, mask, "wavelet")
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_seeds_outside_64_bits_raise(small_scene, seed):
+    # Reduced mod 2^64 they would rerun seed 0 or 2^64 - 1 under another name.
+    with pytest.raises(ValueError, match="master seed"):
+        derive_key(seed, FOREST_STREAM, 0)
+    stack, mask = small_scene
+    with pytest.raises(ValueError, match="master seed"):
+        run_experiment(stack, mask, "spectral", forest=ForestParams(n_trees=1), master_seed=seed)
+    assert derive_key(2**64 - 1, FOREST_STREAM, 0) != derive_key(0, FOREST_STREAM, 0)
+
+
+# ---------------------------------------------------------------------------
+# the model file
+# ---------------------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**65), 2**65) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.fixture(scope="module")
+def glcm_model_doc(small_scene, tmp_path_factory):
+    stack, mask = small_scene
+    params = GlcmParams(window=5)
+    result = run_experiment(stack, mask, "glcm", params, ForestParams(n_trees=2))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_pipeline(Pipeline("glcm", params, result.scaler, result.model), path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), value=_JSON_VALUES)
+def test_model_file_loads_only_what_saves_back_to_the_same_bytes(
+    glcm_model_doc, tmp_path_factory, data, value
+):
+    # One value at any depth of a saved document becomes any JSON value.
+    doc = copy.deepcopy(glcm_model_doc)
+    holder, key, target = None, None, doc
+    for _ in range(data.draw(st.integers(0, 8), label="depth")):
+        if type(target) not in (dict, list) or not target:
+            break
+        keys = sorted(target) if type(target) is dict else range(len(target))
+        holder, key = target, data.draw(st.sampled_from(keys), label="key")
+        target = holder[key]
+    if holder is None:
+        doc = value
+    else:
+        holder[key] = value
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(_dump(doc), encoding="utf-8")
+    try:
+        pipeline = load_pipeline(path)
+    except ModelFormatError:
+        return
+    save_pipeline(pipeline, path)
+    assert path.read_text(encoding="utf-8") == _dump(doc)

@@ -12,8 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from slummap.ccf import DegenerateDataError, ForestParams, model_to_dict
-from slummap.experiment import result_to_dict, run_experiment
+from slummap.ccf import DegenerateDataError, ForestParams
+from slummap.experiment import model_to_dict, result_to_dict, run_experiment
 from slummap.fixtures import make_two_texture_scene
 from slummap.pool import TaskPool
 from slummap.raster import BandStack, LabelMask, save_prediction_map
