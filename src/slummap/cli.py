@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: extract, train, predict, evaluate, experiment. Scene-driven
-commands read a plain-text config: ``key = value`` lines grouped by
-``[section]`` headers, with the sections and keys of ``CONFIG_KEYS``.
-``[scene]`` may repeat; the experiment report gets one row per scene. Flags
-override ``[run]`` values, and ``echo_config`` writes the effective config
-back in the same format. Exit codes: 0 success, 2 configuration errors,
+commands read a config in the raster headers' ``key = value`` syntax
+(``raster.read_key_values``), with every key under a ``[section]`` line and
+the sections and keys of ``CONFIG_KEYS``. ``[scene]`` may repeat; the
+experiment report gets one row per scene. Flags override ``[run]`` values,
+and ``echo_config`` writes the effective config back through
+``raster.format_key_values``. Exit codes: 0 success, 2 configuration errors,
 3 I/O errors, 4 degenerate data (single class), 5 feature-dimension mismatch.
 """
 
@@ -26,6 +27,7 @@ from .experiment import (
     Pipeline,
     evaluate,
     extract_features,
+    format_percent,
     load_pipeline,
     predict_scene,
     report_csv_row,
@@ -38,9 +40,11 @@ from .raster import (
     BandStack,
     RasterFormatError,
     ensure_aligned,
+    format_key_values,
     load_band_stack,
     load_label_mask,
     load_prediction_map,
+    read_key_values,
     save_feature_raster,
     save_prediction_map,
 )
@@ -119,41 +123,15 @@ CONFIG_KEYS = {
 }
 
 
-def _parse_sections(text: str, source: str) -> list[tuple[str, dict[str, str]]]:
-    sections: list[tuple[str, dict[str, str]]] = []
-    current: dict[str, str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            current = {}
-            sections.append((name, current))
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value' or '[section]'")
-        if current is None:
-            raise ConfigError(f"{source}:{lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in current:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in [{name}]")
-        current[key] = value.strip()
-    return sections
-
-
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     config = RunConfig()
     seen: set[str] = set()
-    for name, fields in _parse_sections(text, str(path)):
+    for name, fields in read_key_values(path, ConfigError):
+        if name is None:
+            raise ConfigError(f"{path}: key {next(iter(fields))!r} outside any [section]")
         parsers = CONFIG_KEYS.get(name)
         if parsers is None:
             raise ConfigError(f"{path}: unknown section [{name}]")
@@ -221,10 +199,11 @@ def echo_config(config: RunConfig) -> str:
     """The effective config in the file format; loading it gives the same config."""
     sections = [("run", config), ("glcm", config.glcm), ("forest", config.forest)]
     sections += [("scene", scene) for scene in config.scenes]
-    return "\n".join(
-        f"[{name}]\n"
-        + "".join(f"{key} = {_echo_value(getattr(params, key))}\n" for key in CONFIG_KEYS[name])
-        for name, params in sections
+    return format_key_values(
+        [
+            (name, {key: _echo_value(getattr(params, key)) for key in CONFIG_KEYS[name]})
+            for name, params in sections
+        ]
     )
 
 
@@ -338,9 +317,9 @@ def cmd_experiment(config: RunConfig) -> int:
             {stage: round(seconds, 6) for stage, seconds in result.timings.items()},
         )
         csv_rows.append(report_csv_row(scene.location, config.technique, result.report))
-        miou = result_to_dict(result)["test_split"]["percent"]["miou"]
         print(
-            f"{scene.location} ({config.technique}): mean IoU {miou}%, "
+            f"{scene.location} ({config.technique}): "
+            f"mean IoU {format_percent(result.report.mean_iou)}%, "
             f"{result.report.seconds:.1f}s"
         )
     (out / "report.csv").write_text("\n".join(csv_rows) + "\n", encoding="utf-8")
@@ -398,7 +377,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         encoding="utf-8",
     )
     _write_json(out / "report.json", report_to_dict(report))
-    print(f"mean IoU {report_to_dict(report)['percent']['miou']}% -> {out / 'report.csv'}")
+    print(f"mean IoU {format_percent(report.mean_iou)}% -> {out / 'report.csv'}")
     return EXIT_OK
 
 

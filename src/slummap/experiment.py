@@ -353,17 +353,8 @@ def predict_scene(
 
 def report_csv_row(location: str, technique: str, report: MetricsReport) -> str:
     """One row of the comparison table (columns as in CSV_HEADER)."""
-    cells = [
-        location,
-        technique,
-        format_percent(report.slum_accuracy),
-        format_percent(report.non_slum_accuracy),
-        format_percent(report.slum_iou),
-        format_percent(report.non_slum_iou),
-        format_percent(report.mean_iou),
-        f"{report.seconds:.1f}",
-    ]
-    return ",".join(cells)
+    percent = report_to_dict(report)["percent"].values()
+    return ",".join([location, technique, *percent, f"{report.seconds:.1f}"])
 
 
 def report_to_dict(report: MetricsReport) -> dict:
@@ -379,6 +370,7 @@ def report_to_dict(report: MetricsReport) -> dict:
             "iou": report.non_slum_iou,
         },
         "mean_iou": report.mean_iou,
+        # the CSV_HEADER columns between technique and seconds, in order
         "percent": {
             "acc_slum": format_percent(report.slum_accuracy),
             "acc_non": format_percent(report.non_slum_accuracy),

@@ -5,7 +5,9 @@ non-slum half is a one-pixel checkerboard and the slum half is built from
 one-pixel horizontal stripes, both using the same two intensity values in an
 exact 50/50 mix. Per-pixel intensity histograms are therefore identical
 across classes (raw spectral features carry no information), while windowed
-co-occurrence statistics separate the halves cleanly.
+co-occurrence statistics separate the halves cleanly. ``write_demo_scene``
+writes the scene and mask as raster pairs and the run config through
+``raster.format_key_values``, the writer of ``config.used``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import SENTINEL2_BANDS, BandStack, LabelMask, save_band_stack, save_label_mask
+from .raster import (
+    SENTINEL2_BANDS, BandStack, LabelMask, format_key_values, save_band_stack, save_label_mask
+)
 
 TEXTURED_BANDS = ("B2", "B3", "B4", "B8")
 LOW, HIGH, FLAT = 10000, 50000, 30000
@@ -45,29 +49,14 @@ def write_demo_scene(directory: str | Path, size: int = 128, window: int = 5) ->
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stack, mask = make_two_texture_scene(size)
-    save_band_stack(stack, directory / "scene.hdr")
-    save_label_mask(mask, directory / "mask.hdr")
+    image, labels = directory / "scene.hdr", directory / "mask.hdr"
+    save_band_stack(stack, image)
+    save_label_mask(mask, labels)
     config = directory / "demo.cfg"
-    config.write_text(
-        "\n".join(
-            [
-                "[run]",
-                "technique = glcm",
-                "seed = 0",
-                f"out = {directory / 'out'}",
-                "",
-                "[glcm]",
-                f"window = {window}",
-                "",
-                "[scene]",
-                "location = two-texture",
-                f"image = {directory / 'scene.hdr'}",
-                f"mask = {directory / 'mask.hdr'}",
-                "",
-            ]
-        ),
-        encoding="utf-8",
-    )
+    run = {"technique": "glcm", "seed": 0, "out": directory / "out"}
+    scene = {"location": "two-texture", "image": image, "mask": labels}
+    sections = [("run", run), ("glcm", {"window": window}), ("scene", scene)]
+    config.write_text(format_key_values(sections), encoding="utf-8")
     return config
 
 

@@ -1,8 +1,9 @@
 """Raster data model and the on-disk interchange format.
 
-Scenes travel as a two-file pair: a plain-text header (``key = value`` lines)
-and a raw binary payload with the same basename and a ``.bin`` extension.
-The payload is little-endian, band-sequential, row-major. Header keys:
+Scenes travel as a two-file pair: a plain-text header and a raw binary
+payload with the same basename and a ``.bin`` extension. The payload is
+little-endian, band-sequential, row-major. The header is ``key = value``
+lines with no ``[section]`` line. Its keys:
 
     width      = 4
     height     = 4
@@ -10,6 +11,9 @@ The payload is little-endian, band-sequential, row-major. Header keys:
     dtype      = u16          (u16 imagery, u8 masks, f32 feature rasters)
     byte_order = little
     layout     = band-sequential row-major
+
+The ``key = value`` syntax, which run configs share, has one reader,
+:func:`read_key_values`, and one writer, :func:`format_key_values`.
 
 Loading never rescales or corrects sample values; prediction maps are written
 as binary greymaps (P5, maxval 255) with slum = 255, non-slum = 0 and
@@ -32,6 +36,9 @@ LAYOUT = "band-sequential row-major"
 BYTE_ORDER = "little"
 
 _DTYPES = {"u16": np.dtype("<u2"), "u8": np.dtype("<u1"), "f32": np.dtype("<f4")}
+
+# (section, {key: value}) pairs; the section of keys before any [name] line is None.
+KeyValues = list[tuple[str | None, dict[str, str]]]
 
 MAP_SLUM = 255
 MAP_NON_SLUM = 0
@@ -147,25 +154,55 @@ def _payload_path(header_path: Path) -> Path:
     return header_path.with_suffix(".bin")
 
 
-def _parse_header(header_path: Path) -> dict[str, str]:
+def read_key_values(path: str | Path, error: type[Exception]) -> KeyValues:
+    """The ``(section, {key: value})`` pairs of a UTF-8 text file, in order.
+
+    Blank and ``#`` lines are skipped, keys and values are stripped, and keys
+    before the first ``[name]`` line form a section named None. Non-UTF-8
+    text, a malformed line or a key repeated in its section raises ``error``.
+    """
     try:
-        text = header_path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise RasterFormatError(
-            f"{header_path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
-    fields: dict[str, str] = {}
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    sections: KeyValues = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if line.startswith("[") and line.endswith("]"):
+            sections.append((line[1:-1].strip(), {}))
+            continue
         if "=" not in line:
-            raise RasterFormatError(f"{header_path}:{lineno}: expected 'key = value'")
+            raise error(f"{path}:{lineno}: expected 'key = value' or '[section]'")
+        if not sections:
+            sections.append((None, {}))
+        name, fields = sections[-1]
         key, _, value = line.partition("=")
         key = key.strip()
         if key in fields:
-            raise RasterFormatError(f"{header_path}:{lineno}: duplicate key {key!r}")
+            where = "" if name is None else f" in [{name}]"
+            raise error(f"{path}:{lineno}: duplicate key {key!r}{where}")
         fields[key] = value.strip()
+    return sections
+
+
+def format_key_values(sections: list[tuple[str | None, dict[str, object]]]) -> str:
+    """The text :func:`read_key_values` reads back as ``sections``, values as
+    ``str(value)``; only the first section may be named None (no ``[name]`` line)."""
+    return "\n".join(
+        ("" if name is None else f"[{name}]\n")
+        + "".join(f"{key} = {value}\n" for key, value in fields.items())
+        for name, fields in sections
+    )
+
+
+def _parse_header(header_path: Path) -> dict[str, str]:
+    sections = read_key_values(header_path, RasterFormatError)
+    named = [name for name, _ in sections if name is not None]
+    if named:
+        raise RasterFormatError(f"{header_path}: section [{named[0]}] in a raster header")
+    fields = sections[0][1] if sections else {}
     missing = [k for k in HEADER_KEYS if k not in fields]
     if missing:
         raise RasterFormatError(f"{header_path}: missing header keys {missing}")
@@ -217,15 +254,15 @@ def _load_planes(header_path: str | Path, expect_dtype: str) -> tuple[list[str],
 
 def _write_planes(header_path: str | Path, names: list[str], planes: np.ndarray, dtype: str) -> None:
     header_path = Path(header_path)
-    lines = [
-        f"width = {planes.shape[2]}",
-        f"height = {planes.shape[1]}",
-        f"bands = {','.join(names)}",
-        f"dtype = {dtype}",
-        f"byte_order = {BYTE_ORDER}",
-        f"layout = {LAYOUT}",
-    ]
-    header_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = {
+        "width": planes.shape[2],
+        "height": planes.shape[1],
+        "bands": ",".join(names),
+        "dtype": dtype,
+        "byte_order": BYTE_ORDER,
+        "layout": LAYOUT,
+    }
+    header_path.write_text(format_key_values([(None, header)]), encoding="utf-8")
     _payload_path(header_path).write_bytes(
         np.ascontiguousarray(planes, dtype=_DTYPES[dtype]).tobytes()
     )

@@ -16,14 +16,20 @@ from slummap.cli import (
     ConfigError,
     RunConfig,
     SceneConfig,
-    _parse_sections,
     echo_config,
     load_config,
     main,
     validate_config,
 )
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
-from slummap.raster import BandStack, LabelMask, load_band_stack, save_band_stack, save_label_mask
+from slummap.raster import (
+    BandStack,
+    LabelMask,
+    load_band_stack,
+    read_key_values,
+    save_band_stack,
+    save_label_mask,
+)
 from slummap.texture import MEASURES, GlcmParams
 
 
@@ -444,6 +450,27 @@ def test_non_utf8_config_and_header_exit_cleanly(demo, tmp_path):
     assert proc.stderr.startswith("i/o error:") and proc.stderr.count("\n") == 1
 
 
+def test_key_outside_sections_exits_two_and_header_section_exits_three(demo, tmp_path):
+    text = demo["config"].read_text(encoding="utf-8").replace(
+        str(demo["root"] / "scene.hdr"), str(tmp_path / "scene.hdr")
+    )
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 1\n" + text, encoding="utf-8")
+    proc = run_cli("experiment", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    assert "'seed' outside any [section]" in proc.stderr
+
+    config.write_text(text, encoding="utf-8")
+    header = (demo["root"] / "scene.hdr").read_text(encoding="utf-8")
+    (tmp_path / "scene.hdr").write_text(header + "[extra]\n", encoding="utf-8")
+    (tmp_path / "scene.bin").write_bytes((demo["root"] / "scene.bin").read_bytes())
+    proc = run_cli("experiment", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("i/o error:") and proc.stderr.count("\n") == 1
+    assert "section [extra]" in proc.stderr
+
+
 def _craft_model(case: str, doc: dict) -> bytes:
     """The experiment's model file, damaged in one way."""
     nodes = doc["model"]["trees"][0]["nodes"]
@@ -546,13 +573,15 @@ def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.text())
-def test_parse_sections_fuzz_parses_or_raises_config_error(text):
+def test_parse_sections_fuzz_parses_or_raises_config_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_sections.cfg"
+    path.write_bytes(text.encode())
     try:
-        sections = _parse_sections(text, "fuzz.cfg")
+        sections = read_key_values(path, ConfigError)
     except ConfigError:
         return
-    for name, fields in sections:
-        assert isinstance(name, str)
+    for i, (name, fields) in enumerate(sections):
+        assert isinstance(name, str) or (name is None and i == 0 and fields)
         assert all(isinstance(k, str) and isinstance(v, str) for k, v in fields.items())
 
 

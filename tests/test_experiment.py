@@ -17,6 +17,7 @@ from slummap.experiment import (
     load_pipeline,
     model_to_dict,
     report_csv_row,
+    report_to_dict,
     run_experiment,
     save_pipeline,
     scale_matrix,
@@ -211,6 +212,8 @@ def test_evaluate_report_shaped_like_the_medellin_glcm_row():
     row = report_csv_row("medellin", "glcm", report)
     assert row.startswith("medellin,glcm,95.2,97.9,")
     assert CSV_HEADER.split(",")[2:7] == ["acc_slum", "acc_non", "iou_slum", "iou_non", "miou"]
+    assert list(report_to_dict(report)["percent"]) == CSV_HEADER.split(",")[2:7]
+    assert row == "medellin,glcm,95.2,97.9,93.2,93.4,93.3,0.0"
 
 
 def test_evaluate_absent_class_reports_none():

@@ -13,10 +13,12 @@ from slummap.raster import (
     LabelMask,
     RasterFormatError,
     ensure_aligned,
+    format_key_values,
     load_band_stack,
     load_feature_raster,
     load_label_mask,
     load_prediction_map,
+    read_key_values,
     save_band_stack,
     save_feature_raster,
     save_label_mask,
@@ -197,8 +199,38 @@ def test_dimension_agreement_enforced():
         ensure_aligned(stack, mask)
 
 
+_VALID_HEADER = (
+    "width = 1\nheight = 1\nbands = A\ndtype = u8\n"
+    "byte_order = little\nlayout = band-sequential row-major\n"
+)
+
+
+def _one_line(exclude: str = ""):
+    """Text the reader gives back as written: no line breaks, no outer whitespace."""
+    chars = st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters=exclude)
+    return st.text(chars, max_size=8).filter(lambda s: s == s.strip())
+
+
+def _is_section_line(line: str) -> bool:
+    line = line.strip()
+    return line.startswith("[") and line.endswith("]")
+
+
+@st.composite
+def _header_with_section(draw) -> bytes:
+    """A valid header with one ``[name]`` line inserted anywhere."""
+    lines = _VALID_HEADER.splitlines()
+    section = "[" + draw(_one_line()) + "]"
+    lines.insert(draw(st.integers(0, len(lines))), section)
+    return "\n".join(lines).encode()
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.one_of(st.binary(max_size=200), st.text().map(str.encode)))
+@given(
+    data=st.one_of(
+        st.binary(max_size=200), st.text().map(str.encode), _header_with_section()
+    )
+)
 def test_parse_header_fuzz_parses_or_raises_format_error(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.hdr"
     path.write_bytes(data)
@@ -207,6 +239,65 @@ def test_parse_header_fuzz_parses_or_raises_format_error(tmp_path_factory, data)
     except RasterFormatError:
         return
     assert set(HEADER_KEYS) <= set(fields)
+    assert not any(map(_is_section_line, data.decode().splitlines()))
+
+
+def test_section_line_in_header_is_a_format_error(tmp_path):
+    save_label_mask(LabelMask(labels=np.zeros((1, 1), dtype=np.uint8)), tmp_path / "m.hdr")
+    header = tmp_path / "m.hdr"
+    assert header.read_text() == _VALID_HEADER.replace("bands = A", "bands = labels")
+    header.write_text(header.read_text() + "[extra]\n")
+    with pytest.raises(RasterFormatError, match=r"section \[extra\]"):
+        load_label_mask(header)
+
+
+# ---------------------------------------------------------------------------
+# the key = value syntax that headers and run configs share
+# ---------------------------------------------------------------------------
+
+
+def test_read_key_values_groups_keys_under_sections(tmp_path):
+    path = tmp_path / "kv.txt"
+    path.write_text("# note\n a = 1 \n\n[one]\nb=2=3\n[ two ]\n[one]\nb =\n")
+    assert read_key_values(path, ValueError) == [
+        (None, {"a": "1"}),
+        ("one", {"b": "2=3"}),
+        ("two", {}),
+        ("one", {"b": ""}),
+    ]
+    path.write_text("[one]\nb = 1\n[two]\nc = 1\nc = 2\n")
+    with pytest.raises(KeyError, match=r"kv\.txt:5: duplicate key 'c' in \[two\]"):
+        read_key_values(path, KeyError)
+    path.write_text("[one]\nb\n")
+    with pytest.raises(KeyError, match=r"kv\.txt:2: expected 'key = value'"):
+        read_key_values(path, KeyError)
+    path.write_bytes(b"a = \xff\n")
+    with pytest.raises(KeyError, match="not UTF-8"):
+        read_key_values(path, KeyError)
+
+
+# A key has no "=" and does not start a comment; a key starting with "[" and a
+# value ending with "]" would make a section line.
+_FIELDS = st.dictionaries(
+    _one_line(exclude="=").filter(lambda key: not key.startswith("#")), _one_line(), max_size=4
+).filter(lambda fields: not any(k.startswith("[") and v.endswith("]") for k, v in fields.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    leading=st.one_of(st.none(), _FIELDS.filter(bool)),
+    named=st.lists(st.tuples(_one_line(), _FIELDS), max_size=4),
+)
+def test_read_key_values_reads_back_what_format_key_values_wrote(
+    tmp_path_factory, leading, named
+):
+    sections = ([] if leading is None else [(None, leading)]) + named
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    path.write_text(format_key_values(sections), encoding="utf-8")
+    read = read_key_values(path, ValueError)
+    assert [(name, list(fields.items())) for name, fields in read] == [
+        (name, list(fields.items())) for name, fields in sections
+    ]
 
 
 _SIZE_VALUES = st.one_of(st.integers(-1, 3).map(str), st.integers(1, 2).map(str), st.text(max_size=4))
@@ -231,7 +322,8 @@ def _raster_files(draw) -> tuple[str, bytes]:
         del header[key]
     lines = [f"{key} = {value}" for key, value in header.items()]
     if draw(st.integers(0, 3)) == 0:
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+        extra = st.one_of(st.text(max_size=12), st.text(max_size=6).map("[{}]".format))
+        lines.insert(draw(st.integers(0, len(lines))), draw(extra))
     try:
         n_bands = len([name for name in header["bands"].split(",") if name.strip()])
         size = int(header["width"]) * int(header["height"]) * n_bands
@@ -249,8 +341,11 @@ def test_load_rasters_fuzz_load_or_raise_format_error(tmp_path_factory, files):
     path = tmp_path_factory.getbasetemp() / "fuzz_raster.hdr"
     path.write_text(files[0], encoding="utf-8")
     path.with_suffix(".bin").write_bytes(files[1])
+    has_section = any(map(_is_section_line, files[0].splitlines()))
     for load in (load_band_stack, load_label_mask, load_feature_raster):
         try:
             load(path)
         except RasterFormatError:
             pass
+        else:
+            assert not has_section
