@@ -166,14 +166,17 @@ def cca_fit(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _entropy_terms(counts: np.ndarray) -> np.ndarray:
-    c = counts.astype(np.float64)
-    return np.where(c > 0, c * np.log(np.maximum(c, 1.0)), 0.0)
+    """c ln c per count; +0.0 at c = 0, where ln(max(c, 1)) is 0."""
+    c = np.asarray(counts, dtype=np.float64)
+    return c * np.log(np.maximum(c, 1.0))
 
 
-def _weighted_child_entropy(n0l, n1l, n0r, n1r, n: int) -> np.ndarray:
-    """Sum over children of (n_child/n) * H(child), in nats, vectorized."""
-    hl = _entropy_terms(n0l + n1l) - (_entropy_terms(n0l) + _entropy_terms(n1l))
-    hr = _entropy_terms(n0r + n1r) - (_entropy_terms(n0r) + _entropy_terms(n1r))
+def _weighted_child_entropy(nl, n0l, n1l, n0r, n1r, n: int) -> np.ndarray:
+    """Sum over children of (n_child/n) * H(child), in nats, vectorized.
+
+    The left child holds nl = n0l + n1l rows, the right one n - nl."""
+    hl = _entropy_terms(nl) - (_entropy_terms(n0l) + _entropy_terms(n1l))
+    hr = _entropy_terms(n - nl) - (_entropy_terms(n0r) + _entropy_terms(n1r))
     return (hl + hr) / n
 
 
@@ -209,7 +212,7 @@ def _best_split(z: np.ndarray, labels: np.ndarray) -> float | None:
     n0l = nl - n1l
     n1r = n1 - n1l
     n0r = (n - nl) - n1r
-    gains = _node_entropy(n0, n1) - _weighted_child_entropy(n0l, n1l, n0r, n1r, n)
+    gains = _node_entropy(n0, n1) - _weighted_child_entropy(nl, n0l, n1l, n0r, n1r, n)
     best = int(np.argmax(gains))
     if gains[best] <= 0.0:
         return None

@@ -8,6 +8,21 @@ features are simply the raw band values.
 
 Windows are never padded: pixels whose window overhangs the image border are
 marked invalid and excluded from sampling and scoring downstream.
+
+Second moment and entropy need each window's runs of equal pair keys, found
+one output row of windows at a time in one of two ways. With K distinct keys
+in a band-direction's key image and n pairs per window:
+
+- K <= 2n: sliding counts. A dense (windows x K) count table moves down the
+  image; each step adds the entering key row and subtracts the leaving one
+  (a running histogram, as in Huang, Yang & Tang's 1979 median filter).
+- K > 2n: every window's keys are copied and sorted.
+
+Both list the runs in the same order, so the per-window sums and every output
+bit are the same whichever runs; only the time differs. Measured on noisy 64²
+scenes on a 2-core Xeon, sliding counts took 0.3-0.86x the sorting time at
+K <= 2n, 0.92x at K = 2.6n and 1.08-1.2x at K = 3.7-3.9n; at K = 20n and
+K = 170n (window 5, 32 and 300 levels) they took 1.5x and 7x.
 """
 
 from __future__ import annotations
@@ -111,6 +126,15 @@ def _pair_images(quantized: np.ndarray, direction: int) -> tuple[np.ndarray, np.
     return first, second
 
 
+def _pair_keys(first: np.ndarray, second: np.ndarray, levels: int) -> np.ndarray:
+    """|a-b|*levels + min(a,b) per pair: one key per unordered pair, below
+    ``levels`` exactly on the diagonal. At least 16 bits, because numpy
+    sorts uint8 rows far slower than uint16 rows."""
+    return (np.abs(first - second) * levels + np.minimum(first, second)).astype(
+        np.promote_types(np.min_scalar_type(levels * levels - 1), np.uint16)
+    )
+
+
 def extract_spectral(stack: BandStack) -> FeatureRaster:
     """One feature per band per pixel: the raw sample value as a real."""
     values = stack.samples.astype(np.float32)
@@ -136,13 +160,32 @@ def _run_measures(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Second moment and entropy of every height x width window of a pair-key image.
 
-    ``keys`` holds |a-b|*levels + min(a,b) per pair, one key per unordered
-    pair, below ``levels`` exactly on the diagonal. Sorting one row of windows
-    at a time turns each window's keys into runs: an off-diagonal run of
-    length u fills two cells of the symmetric count matrix with u each, a
-    diagonal run one cell with 2u.
+    ``keys`` holds each pair's _pair_keys key. Each window's equal keys form
+    runs: an off-diagonal run of length u fills two cells of the symmetric
+    count matrix with u each, a diagonal run one cell with 2u.
+    With K distinct keys in the image and n pairs per window, the runs come
+    from sliding counts when K <= 2n and from sorting each window otherwise;
+    both list them in the same order, so the sums are bit-identical.
     """
     n = height * width
+    distinct = _distinct(keys)
+    if distinct.size <= 2 * n:
+        runs = _sliding_runs(keys, distinct, height, width, levels)
+    else:
+        runs = _sorted_runs(keys, height, width, levels)
+    out_shape = (keys.shape[0] - height + 1, keys.shape[1] - width + 1)
+    return _measures_of_runs(runs, n, out_shape)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in ascending order. np.unique hashes integers,
+    which took several times longer than this sort."""
+    flat = np.sort(keys, axis=None)
+    return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+
+
+def _measures_of_runs(runs, n: int, out_shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Second moment and entropy of every window from a run finder's rows."""
     total = 2 * n
     u = np.arange(n + 1, dtype=np.float64)
     # Per run, indexed by diagonal * (n+1) + u: the sum over the cells it
@@ -153,14 +196,31 @@ def _run_measures(
             np.stack([4 * u * u, (2 * u / total) * np.log(np.maximum(2 * u, 1) / total)], axis=1),
         ]
     )
+    second_moment = np.empty(out_shape)
+    entropy = np.empty(out_shape)
+    for r, (index, window_starts) in enumerate(runs):
+        terms = np.take(per_run, index, axis=0)
+        sums = np.add.reduceat(terms, window_starts)
+        second_moment[r] = sums[:, 0] / (total * total)
+        entropy[r] = -sums[:, 1]
+    return second_moment, entropy
+
+
+def _sorted_runs(keys: np.ndarray, height: int, width: int, levels: int):
+    """Per output row, the runs of every window found by sorting its keys.
+
+    Yields (index, window_starts): each run's row of the per-run table,
+    window-major in ascending key order, and the position in that list of
+    every window's first run.
+    """
+    n = height * width
     out_h, out_w = keys.shape[0] - height + 1, keys.shape[1] - width + 1
-    second_moment = np.empty((out_h, out_w))
-    entropy = np.empty((out_h, out_w))
     windows = sliding_window_view(keys, (height, width))
     window_starts = np.arange(out_w) * n
+    row = np.empty((out_w, n), dtype=keys.dtype)
     starts = np.ones((out_w, n), dtype=bool)
     for r in range(out_h):
-        row = np.array(windows[r]).reshape(out_w, n)
+        np.copyto(row.reshape(out_w, height, width), windows[r])
         row.sort(axis=1)
         np.not_equal(row[:, 1:], row[:, :-1], out=starts[:, 1:])
         first = np.flatnonzero(starts)
@@ -168,11 +228,44 @@ def _run_measures(
         np.subtract(first[1:], first[:-1], out=length[:-1])
         length[-1] = starts.size - first[-1]
         diagonal = np.take(row, first) < levels
-        terms = np.take(per_run, length + diagonal * (n + 1), axis=0)
-        sums = np.add.reduceat(terms, first.searchsorted(window_starts))
-        second_moment[r] = sums[:, 0] / (total * total)
-        entropy[r] = -sums[:, 1]
-    return second_moment, entropy
+        yield length + diagonal * (n + 1), first.searchsorted(window_starts)
+
+
+def _sliding_runs(
+    keys: np.ndarray, distinct: np.ndarray, height: int, width: int, levels: int
+):
+    """Per output row, the runs of every window found from sliding counts.
+
+    Yields what _sorted_runs yields. ``distinct`` holds the image's K distinct
+    keys in ascending order. One (out_w, K) table over them holds, per window
+    and key, count + (n+1)*diagonal: the key's per-run table row once the
+    key occurs. Moving down one output row adds the entering key row's
+    out_w*width cells and subtracts the leaving row's, so the occupied
+    cells, read window-major, are the sorted runs.
+    """
+    n = height * width
+    k = distinct.size
+    out_w = keys.shape[1] - width + 1
+    empty = np.tile((distinct < levels) * (n + 1), out_w).astype(np.intp)
+    cells = empty.copy()
+    # Window c holds columns c..c+width-1 of every key row it spans.
+    columns = (np.arange(out_w)[:, np.newaxis] + np.arange(width)).ravel()
+    window_offsets = np.repeat(np.arange(out_w) * k, width)
+    window_starts = np.arange(out_w) * k
+    # Key row i's cells sit in slot i % height until row i + height evicts them.
+    inside = np.empty((height, out_w * width), dtype=np.intp)
+    occupied = np.empty(cells.shape, dtype=bool)
+    for i in range(keys.shape[0]):
+        index = inside[i % height]
+        if i >= height:
+            np.subtract.at(cells, index, 1)
+        np.take(distinct.searchsorted(keys[i]), columns, out=index)
+        index += window_offsets
+        np.add.at(cells, index, 1)
+        if i >= height - 1:
+            np.not_equal(cells, empty, out=occupied)
+            nonzero = np.flatnonzero(occupied)
+            yield np.take(cells, nonzero), nonzero.searchsorted(window_starts)
 
 
 def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParams) -> np.ndarray:
@@ -201,12 +294,9 @@ def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParam
     cross = _box_sums(a * b, height, width) / n - mean * mean
     correlation = np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0)
 
-    levels = params.levels
-    # At least 16 bits: numpy sorts uint8 rows far slower than uint16 rows.
-    keys = (np.abs(a - b) * levels + np.minimum(a, b)).astype(
-        np.promote_types(np.min_scalar_type(levels * levels - 1), np.uint16)
+    second_moment, entropy = _run_measures(
+        _pair_keys(a, b, params.levels), height, width, params.levels
     )
-    second_moment, entropy = _run_measures(keys, height, width, levels)
     return np.stack(
         [second_moment, contrast, correlation, homogeneity, entropy, mean, variance]
     )

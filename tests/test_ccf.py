@@ -208,7 +208,7 @@ def test_best_split_prefers_clean_boundary():
     assert _best_split(z, labels) == pytest.approx(1.5)
     # That split separates the classes: the gain is the whole node entropy.
     one, zero = np.array([2.0]), np.array([0.0])
-    gain = _node_entropy(2, 2) - _weighted_child_entropy(one, zero, zero, one, 4)
+    gain = _node_entropy(2, 2) - _weighted_child_entropy(2.0, one, zero, zero, one, 4)
     assert gain[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -222,7 +222,7 @@ def test_weighted_child_entropy_matches_definition():
     counts[counts.sum(axis=1) == 0, 0] = 1.0
     n0l, n1l, n0r, n1r = counts.T
     n = counts.sum(axis=1)
-    got = _weighted_child_entropy(n0l, n1l, n0r, n1r, n)
+    got = _weighted_child_entropy(n0l + n1l, n0l, n1l, n0r, n1r, n)
 
     def entropy(a, b):
         return -sum(c / (a + b) * math.log(c / (a + b)) for c in (a, b) if c > 0)
