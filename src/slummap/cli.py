@@ -4,10 +4,11 @@ Subcommands: extract, train, predict, evaluate, experiment. Scene-driven
 commands read a config in the raster headers' ``key = value`` syntax
 (``raster.read_key_values``), with every key under a ``[section]`` line and
 the sections and keys of ``CONFIG_KEYS``. ``[scene]`` may repeat; the
-experiment report gets one row per scene. Flags override ``[run]`` values,
-and ``echo_config`` writes the effective config back through
-``raster.format_key_values``. Exit codes: 0 success, 2 configuration errors,
-3 I/O errors, 4 degenerate data (single class), 5 feature-dimension mismatch.
+experiment report gets one row per scene. Flags override ``[run]`` values.
+``main`` creates the output directory before a config command runs and then
+writes the effective config (``echo_config``) to ``config.used``. Exit codes:
+0 success, 2 configuration errors, 3 I/O errors, 4 degenerate data (single
+class), 5 feature-dimension mismatch.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .experiment import (
 )
 from .raster import (
     BandStack,
+    LabelMask,
     RasterFormatError,
     ensure_aligned,
     format_key_values,
@@ -105,12 +107,21 @@ def _int_or_auto(text: str) -> int | None:
     return None if text == "auto" else int(text)
 
 
+def _no_nul(parse):
+    def parse_text(text: str):
+        if "\0" in text:
+            raise ValueError("the value holds a NUL character")
+        return parse(text)
+
+    return parse_text
+
+
 # The config file format. Each section is one dataclass: [run] RunConfig,
 # [glcm] GlcmParams, [forest] ForestParams and [scene] SceneConfig. Each key is
 # one of its fields, with the parser of the value text. load_config reads and
 # echo_config writes by this table, in this order.
 CONFIG_KEYS = {
-    "run": {"technique": str, "seed": int, "out": Path, "jobs": int},
+    "run": {"technique": str, "seed": int, "out": _no_nul(Path), "jobs": int},
     "glcm": {
         "levels": int,
         "window": int,
@@ -119,7 +130,7 @@ CONFIG_KEYS = {
         "measures": _list_of(str),
     },
     "forest": {"n_trees": int, "min_node_size": int, "n_candidate_features": _int_or_auto},
-    "scene": {"location": str, "image": Path, "mask": Path},
+    "scene": {"location": _no_nul(str), "image": Path, "mask": Path},
 }
 
 
@@ -165,12 +176,12 @@ def load_config(path: str | Path) -> RunConfig:
 
 def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     """The config with the [run] values given as flags replaced."""
-    flags = {
-        key: parse(getattr(args, key))
-        for key, parse in CONFIG_KEYS["run"].items()
-        if getattr(args, key, None) is not None
-    }
     try:
+        flags = {
+            key: parse(getattr(args, key))
+            for key, parse in CONFIG_KEYS["run"].items()
+            if getattr(args, key, None) is not None
+        }
         return replace(config, **flags)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -180,6 +191,8 @@ def validate_config(config: RunConfig) -> None:
     if not config.scenes:
         raise ConfigError("config declares no [scene] section")
     for scene in config.scenes:
+        if [other.location for other in config.scenes].count(scene.location) > 1:
+            raise ConfigError(f"[scene] location {scene.location!r} names more than one scene")
         for key, value in vars(scene).items():
             if isinstance(value, Path) and not value.exists():
                 raise ConfigError(f"[scene] {scene.location!r}: {key} not found: {value}")
@@ -231,11 +244,15 @@ def _glcm_scene_problem(params: GlcmParams, stack: BandStack) -> str | None:
     return None
 
 
-def _check_glcm_scene(config: RunConfig, scene: SceneConfig, stack: BandStack) -> None:
-    """Reject [glcm] settings the loaded scene cannot serve, before extraction."""
+def _load_scene(config: RunConfig, scene: SceneConfig) -> tuple[BandStack, LabelMask]:
+    """The scene's imagery and mask, rejecting [glcm] settings it cannot serve."""
+    stack = load_band_stack(scene.image)
     problem = _glcm_scene_problem(config.glcm, stack) if config.technique == "glcm" else None
     if problem:
         raise ConfigError(f"scene {scene.location!r}: {problem}")
+    mask = load_label_mask(scene.mask)
+    ensure_aligned(stack, mask)
+    return stack, mask
 
 
 # ---------------------------------------------------------------------------
@@ -243,34 +260,24 @@ def _check_glcm_scene(config: RunConfig, scene: SceneConfig, stack: BandStack) -
 # ---------------------------------------------------------------------------
 
 
-def cmd_extract(config: RunConfig) -> int:
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_extract(config: RunConfig) -> None:
     for scene in config.scenes:
-        stack = load_band_stack(scene.image)
-        _check_glcm_scene(config, scene, stack)
-        mask = load_label_mask(scene.mask)
-        ensure_aligned(stack, mask)
+        stack, _ = _load_scene(config, scene)
         t0 = time.perf_counter()
         features = extract_features(stack, config.technique, config.glcm, jobs=config.jobs)
         elapsed = time.perf_counter() - t0
-        target = out / f"{_prefix(scene, config.technique)}_features.hdr"
+        target = config.out / f"{_prefix(scene, config.technique)}_features.hdr"
         save_feature_raster(features, target)
         print(
             f"{scene.location}: wrote {len(features.feature_names)} features "
             f"({int(features.valid.sum())} valid pixels) to {target} in {elapsed:.2f}s"
         )
-    (out / "config.used").write_text(echo_config(config), encoding="utf-8")
-    return EXIT_OK
 
 
 def _train_pipeline(config: RunConfig, scene: SceneConfig):
     """The shared extract->...->train path used by both train and experiment."""
-    stack = load_band_stack(scene.image)
-    _check_glcm_scene(config, scene, stack)
     result = run_experiment(
-        stack,
-        load_label_mask(scene.mask),
+        *_load_scene(config, scene),
         technique=config.technique,
         glcm_params=config.glcm,
         forest=config.forest,
@@ -287,24 +294,19 @@ def _train_pipeline(config: RunConfig, scene: SceneConfig):
     return result, pipeline
 
 
-def cmd_train(config: RunConfig) -> int:
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_train(config: RunConfig) -> None:
     for scene in config.scenes:
         result, pipeline = _train_pipeline(config, scene)
-        target = out / f"{_prefix(scene, config.technique)}_model.json"
+        target = config.out / f"{_prefix(scene, config.technique)}_model.json"
         save_pipeline(pipeline, target)
         print(
             f"{scene.location}: trained {len(result.model.trees)} trees on "
             f"{result.train_size} rows -> {target}"
         )
-    (out / "config.used").write_text(echo_config(config), encoding="utf-8")
-    return EXIT_OK
 
 
-def cmd_experiment(config: RunConfig) -> int:
+def cmd_experiment(config: RunConfig) -> None:
     out = config.out
-    out.mkdir(parents=True, exist_ok=True)
     csv_rows = [CSV_HEADER]
     for scene in config.scenes:
         result, pipeline = _train_pipeline(config, scene)
@@ -323,8 +325,9 @@ def cmd_experiment(config: RunConfig) -> int:
             f"{result.report.seconds:.1f}s"
         )
     (out / "report.csv").write_text("\n".join(csv_rows) + "\n", encoding="utf-8")
-    (out / "config.used").write_text(echo_config(config), encoding="utf-8")
-    return EXIT_OK
+
+
+_CONFIG_COMMANDS = {"extract": cmd_extract, "train": cmd_train, "experiment": cmd_experiment}
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -434,15 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("extract", "train", "experiment"):
+        if args.command in _CONFIG_COMMANDS:
             config = apply_overrides(load_config(args.config), args)
             validate_config(config)
-            handler = {
-                "extract": cmd_extract,
-                "train": cmd_train,
-                "experiment": cmd_experiment,
-            }[args.command]
-            return handler(config)
+            config.out.mkdir(parents=True, exist_ok=True)
+            _CONFIG_COMMANDS[args.command](config)
+            (config.out / "config.used").write_text(echo_config(config), encoding="utf-8")
+            return EXIT_OK
         if args.command == "predict":
             return cmd_predict(args)
         return cmd_evaluate(args)

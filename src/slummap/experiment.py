@@ -172,15 +172,10 @@ def evaluate(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
     if pred.size == 0:
         raise ValueError("nothing to evaluate")
     for arr, name in ((pred, "prediction"), (truth, "truth")):
-        values = np.unique(arr)
-        if not np.isin(values, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError(f"{name} labels must be binary")
-    pred = pred.astype(np.int64)
-    truth = truth.astype(np.int64)
-    tp = int(((pred == 1) & (truth == 1)).sum())
-    fp = int(((pred == 1) & (truth == 0)).sum())
-    fn = int(((pred == 0) & (truth == 1)).sum())
-    tn = int(((pred == 0) & (truth == 0)).sum())
+    # bin 2*pred + truth: 0 true negative, 1 false negative, 2 false positive, 3 true positive
+    tn, fn, fp, tp = map(int, np.bincount((2 * pred + truth).astype(np.intp), minlength=4))
 
     slum_present = tp + fn > 0
     non_present = tn + fp > 0

@@ -81,6 +81,8 @@ class GlcmParams:
                 )
         if not self.bands:
             raise ValueError("bands must not be empty")
+        if len(set(self.bands)) < len(self.bands):
+            raise ValueError(f"bands must be distinct, got {self.bands}")
         if not self.measures:
             raise ValueError("measures must not be empty")
         for m in self.measures:

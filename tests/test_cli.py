@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +96,12 @@ def test_seed_outside_64_bits_exits_two(seed, demo, tmp_path):
     assert proc.stderr == f"config error: seed must lie in [0, 2**64 - 1], got {seed}\n"
 
 
+def test_nul_in_out_flag_exits_two(demo, tmp_path, capsys):
+    # A shell cannot pass NUL in argv, but main(argv) can.
+    assert main(["extract", "--config", str(demo["config"]), "--out", f"{tmp_path}/o\0ut"]) == 2
+    assert capsys.readouterr().err == "config error: the value holds a NUL character\n"
+
+
 def test_extract_glcm_counts_and_files(demo):
     out = demo["root"] / "feats"
     proc = run_cli("extract", "--config", str(demo["config"]), "--out", str(out))
@@ -170,17 +177,21 @@ def test_experiment_rerun_is_deterministic(demo, experiment_out):
     assert [r.rsplit(",", 1)[0] for r in rows_a] == [r.rsplit(",", 1)[0] for r in rows_b]
 
 
-def test_experiment_rerun_from_config_echo(demo, experiment_out):
-    echo = experiment_out / "config.used"
-    out3 = demo["root"] / "exp3"
-    proc = run_cli("experiment", "--config", str(echo), "--out", str(out3))
+@pytest.mark.parametrize("command", ["extract", "train", "experiment"])
+def test_experiment_rerun_from_config_echo(command, demo, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    proc = run_cli(command, "--config", str(demo["config"]), "--out", str(first))
     assert proc.returncode == 0, proc.stderr
-    assert (out3 / "two-texture_glcm_report.json").read_bytes() == (
-        experiment_out / "two-texture_glcm_report.json"
-    ).read_bytes()
-    assert (out3 / "two-texture_glcm_map.pgm").read_bytes() == (
-        experiment_out / "two-texture_glcm_map.pgm"
-    ).read_bytes()
+    echo = first / "config.used"
+    assert load_config(echo) == replace(load_config(demo["config"]), out=first)
+    proc = run_cli(command, "--config", str(echo), "--out", str(second))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in second.iterdir())
+    # config.used names its own out; report.csv and the timings hold wall-clock seconds
+    unequal = ("config.used", "report.csv", "two-texture_glcm_timings.json")
+    for path in first.iterdir():
+        if path.name not in unequal:
+            assert (second / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_two_city_batch_writes_two_rows(demo, tmp_path):
@@ -208,6 +219,17 @@ def test_two_city_batch_writes_two_rows(demo, tmp_path):
     assert len(rows) == 3
     assert rows[1].startswith("city-a,spectral,")
     assert rows[2].startswith("city-b,spectral,")
+
+
+def test_repeated_location_exits_two_before_any_output(demo, tmp_path):
+    config = tmp_path / "twice.cfg"
+    text = demo["config"].read_text(encoding="utf-8")
+    config.write_text(text + "\n" + text[text.index("[scene]") :], encoding="utf-8")
+    proc = run_cli("experiment", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    assert "[scene] location 'two-texture'" in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_predict_reproduces_experiment_map(demo, experiment_out, tmp_path):
@@ -650,7 +672,7 @@ def _sections(draw, root):
     }
     scenes = [
         ("scene", {"location": location, "image": root / "scene.hdr", "mask": root / "mask.hdr"})
-        for location in draw(st.lists(_NAME, min_size=1, max_size=3))
+        for location in draw(st.lists(_NAME, min_size=1, max_size=3, unique=True))
     ]
     return [("run", run), ("glcm", glcm), ("forest", forest), *scenes]
 
@@ -693,19 +715,21 @@ def test_every_config_key_round_trips_through_the_echo(config_dir, data):
     assert echo_config(load_config(path)) == echo
 
 
-# Every key that has bad values. Any text is a valid [run] out or [scene] location.
+# Every key's bad values. [run] out and [scene] location take any text without NUL.
 _BAD_VALUES = {
     ("run", "technique"): ["lidar", ""],
     ("run", "seed"): ["-1", "1.5", "x", "18446744073709551616"],
+    ("run", "out"): ["out\0put"],
     ("run", "jobs"): ["0", "-2", "two"],
     ("glcm", "levels"): ["1", "65537", "x"],
     ("glcm", "window"): ["4", "1", "x"],
     ("glcm", "directions"): ["30", "", "0,,45", "0;45"],
-    ("glcm", "bands"): ["", "B2,,B3", "B2,"],
+    ("glcm", "bands"): ["", "B2,,B3", "B2,", "B2,B2"],
     ("glcm", "measures"): ["energy", "", "mean,"],
     ("forest", "n_trees"): ["0", "-1", "x"],
     ("forest", "min_node_size"): ["0", "-7"],
     ("forest", "n_candidate_features"): ["0", "-3", "Auto"],
+    ("scene", "location"): ["city\0a"],
     ("scene", "image"): ["/nonexistent/scene.hdr"],
     ("scene", "mask"): ["/nonexistent/mask.hdr"],
 }
@@ -713,7 +737,7 @@ _BAD_VALUES = {
 
 def test_bad_values_cover_every_key_that_has_one():
     keys = {(name, key) for name, keys in CONFIG_KEYS.items() for key in keys}
-    assert keys - set(_BAD_VALUES) == {("run", "out"), ("scene", "location")}
+    assert keys == set(_BAD_VALUES)
 
 
 @settings(max_examples=150, deadline=None)
