@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -116,6 +117,14 @@ def _no_nul(parse):
     return parse_text
 
 
+def _location(text: str) -> str:
+    """A scene's files are named after its location, so it is one path component."""
+    for sep in {"/", os.sep, os.altsep} - {None}:
+        if sep in text:
+            raise ValueError(f"the location holds the path separator {sep!r}")
+    return _no_nul(str)(text)
+
+
 # The config file format. Each section is one dataclass: [run] RunConfig,
 # [glcm] GlcmParams, [forest] ForestParams and [scene] SceneConfig. Each key is
 # one of its fields, with the parser of the value text. load_config reads and
@@ -130,7 +139,7 @@ CONFIG_KEYS = {
         "measures": _list_of(str),
     },
     "forest": {"n_trees": int, "min_node_size": int, "n_candidate_features": _int_or_auto},
-    "scene": {"location": _no_nul(str), "image": Path, "mask": Path},
+    "scene": {"location": _location, "image": Path, "mask": Path},
 }
 
 

@@ -307,16 +307,6 @@ def save_label_mask(mask: LabelMask, header_path: str | Path) -> None:
     _write_planes(header_path, ["labels"], mask.labels[np.newaxis], "u8")
 
 
-def load_feature_raster(header_path: str | Path) -> FeatureRaster:
-    names, planes = _load_planes(header_path, "f32")
-    values = planes.copy()
-    valid = np.isfinite(values).all(axis=0)
-    values[:, ~valid] = np.nan
-    raster = FeatureRaster(feature_names=names, values=values, valid=valid)
-    _freeze(raster.values, raster.valid)
-    return raster
-
-
 def save_feature_raster(raster: FeatureRaster, header_path: str | Path) -> None:
     values = raster.values.copy()
     values[:, ~raster.valid] = np.float32(np.nan)

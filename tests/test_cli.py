@@ -102,6 +102,22 @@ def test_nul_in_out_flag_exits_two(demo, tmp_path, capsys):
     assert capsys.readouterr().err == "config error: the value holds a NUL character\n"
 
 
+@pytest.mark.parametrize("location", ["city/north", "../x"])
+def test_location_with_a_path_separator_exits_two_before_any_output(
+    location, demo, tmp_path, capsys
+):
+    # Files are named after the location: "city/north" would need a missing
+    # directory after training, "../x" would write beside --out.
+    config = tmp_path / "run.cfg"
+    text = demo["config"].read_text().replace("location = two-texture", f"location = {location}")
+    config.write_text(text)
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o" / "out")]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith("config error:") and message.count("\n") == 1
+    assert "[scene] location" in message
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_extract_glcm_counts_and_files(demo):
     out = demo["root"] / "feats"
     proc = run_cli("extract", "--config", str(demo["config"]), "--out", str(out))
@@ -715,7 +731,8 @@ def test_every_config_key_round_trips_through_the_echo(config_dir, data):
     assert echo_config(load_config(path)) == echo
 
 
-# Every key's bad values. [run] out and [scene] location take any text without NUL.
+# Every key's bad values. [run] out takes any text without NUL, [scene] location
+# any text without NUL or a path separator.
 _BAD_VALUES = {
     ("run", "technique"): ["lidar", ""],
     ("run", "seed"): ["-1", "1.5", "x", "18446744073709551616"],
@@ -729,7 +746,7 @@ _BAD_VALUES = {
     ("forest", "n_trees"): ["0", "-1", "x"],
     ("forest", "min_node_size"): ["0", "-7"],
     ("forest", "n_candidate_features"): ["0", "-3", "Auto"],
-    ("scene", "location"): ["city\0a"],
+    ("scene", "location"): ["city\0a", "city/north", "../x"],
     ("scene", "image"): ["/nonexistent/scene.hdr"],
     ("scene", "mask"): ["/nonexistent/mask.hdr"],
 }

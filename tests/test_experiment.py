@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slummap.ccf import DegenerateDataError, ForestParams
+from slummap import experiment
+from slummap.ccf import DegenerateDataError, ForestParams, predict
 from slummap.experiment import (
     CSV_HEADER,
     ModelFormatError,
@@ -293,8 +294,45 @@ def test_run_experiment_is_deterministic(small_scene):
     assert model_to_dict(a.model) == model_to_dict(b.model)
 
 
+def _crop_of_the_two_texture_scene():
+    # Columns 0-39 of the 64-pixel scene: a run where two predictions of the
+    # same test pixels, batched differently, once disagreed.
+    stack, mask = make_two_texture_scene(size=64)
+    crop = BandStack(band_names=stack.band_names, samples=stack.samples[:, :, :40])
+    return crop, LabelMask(labels=mask.labels[:, :40])
+
+
+@pytest.mark.parametrize("technique", ["spectral", "glcm"])
+def test_test_split_report_scores_the_map(technique):
+    stack, mask = _crop_of_the_two_texture_scene()
+    result = run_experiment(stack, mask, technique, GlcmParams(window=5), master_seed=3)
+    rows, cols = np.nonzero(result.prediction.valid & mask.valid)
+    labels = mask.labels[rows, cols]
+    kept = undersample_balance(labels, seed=3)
+    test = kept[split_train_test(kept.shape[0], seed=3)[1]]
+    from_map = evaluate(result.prediction.labels[rows[test], cols[test]], labels[test])
+    assert result.report.counts() == from_map.counts()
+
+
+@pytest.mark.parametrize("technique, predicted", [("spectral", 48 * 48), ("glcm", 44 * 44)])
+def test_run_experiment_predicts_each_valid_pixel_once(
+    small_scene, monkeypatch, technique, predicted
+):
+    calls = []
+
+    def counting_predict(model, x):
+        calls.append(x.shape[0])
+        return predict(model, x)
+
+    monkeypatch.setattr(experiment, "predict", counting_predict)
+    stack, mask = small_scene
+    result = run_experiment(stack, mask, technique, glcm_params=GlcmParams(window=5))
+    assert calls == [predicted]
+    assert result.prediction.valid.sum() == predicted
+
+
 def test_assemble_all_valid_row_major():
-    # Balancing and splitting pick rows of the pixel matrix in row-major order,
+    # Balancing and splitting pick rows of the usable pixels in row-major order,
     # so the scaler equals one fitted on the same picks from a plain gather.
     rng = np.random.default_rng(5)
     samples = rng.integers(0, 65536, size=(2, 6, 7), dtype=np.uint16)

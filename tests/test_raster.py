@@ -15,7 +15,6 @@ from slummap.raster import (
     ensure_aligned,
     format_key_values,
     load_band_stack,
-    load_feature_raster,
     load_label_mask,
     load_prediction_map,
     read_key_values,
@@ -24,7 +23,7 @@ from slummap.raster import (
     save_label_mask,
     save_prediction_map,
 )
-from slummap.raster import _parse_header
+from slummap.raster import _load_planes, _parse_header
 
 
 def test_round_trip_identity_small_stack(tmp_path):
@@ -172,11 +171,11 @@ def test_feature_raster_round_trip_with_invalid_pixels(tmp_path):
     valid = np.array([[True, False], [True, True]])
     fr = FeatureRaster(feature_names=["a", "b"], values=values, valid=valid)
     save_feature_raster(fr, tmp_path / "f.hdr")
-    loaded = load_feature_raster(tmp_path / "f.hdr")
-    assert loaded.feature_names == ["a", "b"]
-    assert np.array_equal(loaded.valid, valid)
-    assert np.array_equal(loaded.values[:, valid], values[:, valid])
-    assert np.isnan(loaded.values[:, ~valid]).all()
+    # No reader of feature rasters ships; check the payload as written.
+    names, planes = _load_planes(tmp_path / "f.hdr", "f32")
+    assert names == ["a", "b"]
+    assert np.array_equal(planes[:, valid], values[:, valid])
+    assert np.isnan(planes[:, ~valid]).all()
 
 
 def test_loaded_rasters_are_read_only(tmp_path):
@@ -342,7 +341,7 @@ def test_load_rasters_fuzz_load_or_raise_format_error(tmp_path_factory, files):
     path.write_text(files[0], encoding="utf-8")
     path.with_suffix(".bin").write_bytes(files[1])
     has_section = any(map(_is_section_line, files[0].splitlines()))
-    for load in (load_band_stack, load_label_mask, load_feature_raster):
+    for load in (load_band_stack, load_label_mask):
         try:
             load(path)
         except RasterFormatError:
