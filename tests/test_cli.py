@@ -428,6 +428,17 @@ def test_glcm_scene_mismatch_exits_two(command, old, new, message, demo, tmp_pat
     assert message in proc.stderr
 
 
+def test_window_past_the_fixed_point_limit_exits_two(demo, tmp_path):
+    # 2897 * 2896 pairs reach 2**23, where a fixed-point homogeneity sum could overflow.
+    config = tmp_path / "wide.cfg"
+    config.write_text(demo["config"].read_text().replace("window = 5", "window = 2897"))
+    proc = run_cli("extract", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    assert "[glcm]" in proc.stderr and "2895" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_predict_scene_missing_band_exits_five(demo, experiment_out, tmp_path):
     stack = load_band_stack(demo["root"] / "scene.hdr")
     keep = [name != "B8" for name in stack.band_names]
@@ -739,7 +750,7 @@ _BAD_VALUES = {
     ("run", "out"): ["out\0put"],
     ("run", "jobs"): ["0", "-2", "two"],
     ("glcm", "levels"): ["1", "65537", "x"],
-    ("glcm", "window"): ["4", "1", "x"],
+    ("glcm", "window"): ["4", "1", "x", "2897"],
     ("glcm", "directions"): ["30", "", "0,,45", "0;45"],
     ("glcm", "bands"): ["", "B2,,B3", "B2,", "B2,B2"],
     ("glcm", "measures"): ["energy", "", "mean,"],

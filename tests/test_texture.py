@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,13 +14,13 @@ from slummap.texture import (
     DIRECTION_OFFSETS,
     MEASURES,
     GlcmParams,
+    MAX_WINDOW,
     _band_measures,
     _direction_measures,
-    _measures_of_runs,
+    _key_sums,
+    _key_terms,
     _pair_images,
     _pair_keys,
-    _sliding_runs,
-    _sorted_runs,
     extract_spectral,
     extract_texture,
     quantize,
@@ -336,24 +336,7 @@ def _assert_kernel_matches_oracle(
     return fr
 
 
-@pytest.fixture
-def run_finder_calls(monkeypatch):
-    """How many band-directions each run finder served, in this process."""
-    calls = {"sliding": 0, "sorted": 0}
-
-    def counting(name, finder):
-        def wrapped(*args):
-            calls[name] += 1
-            return finder(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(texture, "_sliding_runs", counting("sliding", _sliding_runs))
-    monkeypatch.setattr(texture, "_sorted_runs", counting("sorted", _sorted_runs))
-    return calls
-
-
-def test_extract_texture_matches_oracle_at_default_parameters(run_finder_calls):
+def test_extract_texture_matches_oracle_at_default_parameters():
     rng = np.random.default_rng(11)
     stripes = np.where(np.arange(23)[:, np.newaxis] % 2 == 0, 10000, 50000)
     noise = rng.integers(-15000, 15000, size=(2, 23, 21))
@@ -361,34 +344,34 @@ def test_extract_texture_matches_oracle_at_default_parameters(run_finder_calls):
     params = GlcmParams(bands=("B2", "B3"))
     assert (params.levels, params.window, params.directions) == (32, 19, (0, 45, 90, 135))
     serial = _assert_kernel_matches_oracle(samples, params)
-    # 32 levels give at most 528 distinct keys, under 2n >= 648 pairs: sliding
-    # counts, for 2 bands x 4 directions, once by extract_texture, once above.
-    assert run_finder_calls == {"sliding": 16, "sorted": 0}
     stack = BandStack(band_names=["B2", "B3"], samples=samples)
     parallel = extract_texture(stack, params, jobs=2)
     assert parallel.values.tobytes() == serial.values.tobytes()
 
 
-def test_extract_texture_pair_keys_do_not_overflow_at_300_levels(run_finder_calls):
+def test_extract_texture_pair_keys_do_not_overflow_at_300_levels():
     # 300^2 pair keys exceed 16 bits, so a 16-bit key would merge distinct pairs.
     samples = np.random.default_rng(5).integers(0, 65536, size=(1, 12, 11), dtype=np.uint16)
     params = GlcmParams(levels=300, window=5, bands=("B2",))
     _assert_kernel_matches_oracle(samples, params)
-    # About 100 distinct keys against 2n <= 40 pairs: sorted windows.
-    assert run_finder_calls == {"sliding": 0, "sorted": 8}
 
 
 def test_extract_texture_values_are_pinned_on_the_noisy_benchmark_scene():
     # The perfbench scene: any change to a single bit of any feature fails here.
-    stack, _ = make_two_texture_scene(64)
-    noise = np.random.default_rng(1).integers(-15000, 15000, size=stack.samples.shape)
-    samples = np.clip(stack.samples.astype(np.int64) + noise, 0, 65535).astype(np.uint16)
-    fr = extract_texture(BandStack(band_names=stack.band_names, samples=samples), GlcmParams())
+    fr = extract_texture(_noisy_scene(64, 1), GlcmParams())
     assert fr.values.dtype == np.float32 and fr.values.shape == (28, 64, 64)
     assert (
         hashlib.sha256(fr.values.tobytes()).hexdigest()
         == "3cd40511140b730541e2bcf95339a7030368d2988d72b08523ef80bca867733b"
     )
+
+
+def _noisy_scene(side: int, seed: int) -> BandStack:
+    """The perfbench scene: the two-texture fixture plus seeded noise."""
+    stack, _ = make_two_texture_scene(side)
+    noise = np.random.default_rng(seed).integers(-15000, 15000, size=stack.samples.shape)
+    samples = np.clip(stack.samples.astype(np.int64) + noise, 0, 65535).astype(np.uint16)
+    return BandStack(band_names=stack.band_names, samples=samples)
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,24 +381,51 @@ def test_extract_texture_values_are_pinned_on_the_noisy_benchmark_scene():
     direction=st.sampled_from(sorted(DIRECTION_OFFSETS)),
     window=st.sampled_from([3, 5, 7]),
 )
-def test_sliding_and_sorted_run_finders_agree_bit_for_bit(data, levels, direction, window):
+def test_key_sums_equal_bruteforce_counts(data, levels, direction, window):
+    """Every window's int64 sums against np.unique counts of its keys, exactly."""
     shape = data.draw(st.tuples(st.integers(window, 14), st.integers(window, 14)))
-    # Seeded noise keeps K > n common; hypothesis arrays repeat values.
+    # Seeded noise gives many distinct keys; 2 levels repeat keys in every row.
     seed = data.draw(st.integers(0, 2**32 - 1))
     image = np.random.default_rng(seed).integers(0, levels, size=shape, dtype=np.int32)
-    a, b = _pair_images(image, direction)
-    keys = _pair_keys(a, b, levels)
-    assert keys.dtype == (np.uint32 if levels == 300 else np.uint16)
+    keys = _pair_keys(*_pair_images(image, direction), levels)
     dr, dc = DIRECTION_OFFSETS[direction]
     height, width = window - abs(dr), window - abs(dc)
-    n = height * width
-    out_shape = (keys.shape[0] - height + 1, keys.shape[1] - width + 1)
-    distinct = np.unique(keys)
-    # Both finders work for any K; the dispatcher only picks the faster one.
-    sliding = _measures_of_runs(_sliding_runs(keys, distinct, height, width, levels), n, out_shape)
-    by_sort = _measures_of_runs(_sorted_runs(keys, height, width, levels), n, out_shape)
-    assert all(np.array_equal(x, y) for x, y in zip(sliding, by_sort))
-    event(f"K {'<' if distinct.size < n else '>='} n")
+    terms = _key_terms(height * width)
+    sums = _key_sums(keys, height, width, levels)
+    assert sums.dtype == np.int64
+    expected = np.empty_like(sums)
+    for r in range(sums.shape[1]):
+        for c in range(sums.shape[2]):
+            key, count = np.unique(keys[r : r + height, c : c + width], return_counts=True)
+            expected[:, r, c] = terms[:, (key < levels).astype(int), count].sum(axis=1)
+    assert np.array_equal(sums, expected)
+
+
+@pytest.mark.parametrize(("levels", "window"), [(32, 19), (300, 5)])
+def test_small_count_table_and_blocks_keep_features_byte_identical(monkeypatch, levels, window):
+    stack = _noisy_scene(40, 2)
+    params = GlcmParams(levels=levels, window=window, bands=("B2", "B8"))
+    whole = extract_texture(stack, params)
+    # Slabs of one or two window columns, and one key row per block.
+    monkeypatch.setattr(texture, "_TABLE_CELLS", 600)
+    monkeypatch.setattr(texture, "_BLOCK_CELLS", 1)
+    sliced = extract_texture(stack, params)
+    assert sliced.values.tobytes() == whole.values.tobytes()
+
+
+@pytest.mark.parametrize(("levels", "window"), [(32, 19), (300, 5)])
+def test_strip_features_equal_whole_scene_rows(levels, window):
+    """Each pixel's float64 measures depend on its own window only, not on
+    the strip of rows it is computed with."""
+    params = GlcmParams(levels=levels, window=window)
+    quantized = quantize(_noisy_scene(48, 3).band("B3"), levels)
+    whole = _band_measures(quantized, params)
+    out_h = whole.shape[1]
+    assert out_h % 7 != 0
+    for strip in (1, 7, out_h):
+        for r0 in range(0, out_h, strip):
+            rows = quantized[r0 : r0 + strip + window - 1]
+            assert np.array_equal(_band_measures(rows, params), whole[:, r0 : r0 + strip])
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,6 +469,10 @@ def test_glcm_params_validation():
     assert GlcmParams(levels=2**16).levels == 2**16
     with pytest.raises(ValueError):
         GlcmParams(window=4)
+    # Past MAX_WINDOW a window's fixed-point homogeneity sum could overflow int64.
+    assert MAX_WINDOW == 2895 and GlcmParams(window=MAX_WINDOW).window == MAX_WINDOW
+    with pytest.raises(ValueError, match="window"):
+        GlcmParams(window=MAX_WINDOW + 2)
     with pytest.raises(ValueError):
         GlcmParams(directions=())
     with pytest.raises(ValueError):
