@@ -82,6 +82,10 @@ class ForestParams:
     n_candidate_features: int | None = None  # None = ceil(sqrt(d))
 
     def __post_init__(self):
+        for name in ("n_trees", "min_node_size", "n_candidate_features"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "n_candidate_features" and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.min_node_size < 1:

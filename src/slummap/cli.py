@@ -8,7 +8,9 @@ experiment report gets one row per scene. Flags override ``[run]`` values.
 ``main`` creates the output directory before a config command runs and then
 writes the effective config (``echo_config``) to ``config.used``. Exit codes:
 0 success, 2 configuration errors, 3 I/O errors, 4 degenerate data (single
-class), 5 feature-dimension mismatch.
+class), 5 feature-dimension mismatch. The library decides whether a scene
+fits its settings or model, raising ``DimensionMismatchError``; a config
+command reports that as a configuration error naming the scene's location.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -39,8 +42,7 @@ from .experiment import (
     save_pipeline,
 )
 from .raster import (
-    BandStack,
-    LabelMask,
+    DimensionMismatchError,
     RasterFormatError,
     ensure_aligned,
     format_key_values,
@@ -61,10 +63,6 @@ EXIT_DIMENSION = 5
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class DimensionMismatchError(ValueError):
     pass
 
 
@@ -118,10 +116,11 @@ def _no_nul(parse):
 
 
 def _location(text: str) -> str:
-    """A scene's files are named after its location, so it is one path component."""
-    for sep in {"/", os.sep, os.altsep} - {None}:
-        if sep in text:
-            raise ValueError(f"the location holds the path separator {sep!r}")
+    """A scene's files are named after its location, so it is one path
+    component, and it fills one report.csv cell, so it holds no comma."""
+    for char in {",", "/", os.sep, os.altsep} - {None}:
+        if char in text:
+            raise ValueError(f"the location holds {char!r}")
     return _no_nul(str)(text)
 
 
@@ -237,31 +236,17 @@ def _prefix(scene: SceneConfig, technique: str) -> str:
     return f"{scene.location}_{technique}"
 
 
-def _glcm_scene_problem(params: GlcmParams, stack: BandStack) -> str | None:
-    """Why the scene cannot serve these [glcm] settings, or None if it can."""
-    missing = next((band for band in params.bands if band not in stack.band_names), None)
-    if missing:
-        return (
-            f"[glcm] band {missing!r} is not in the scene "
-            f"(it holds {','.join(stack.band_names)})"
-        )
-    if params.window > min(stack.height, stack.width):
-        return (
-            f"[glcm] window {params.window} is larger than the "
-            f"{stack.width}x{stack.height} scene"
-        )
-    return None
-
-
-def _load_scene(config: RunConfig, scene: SceneConfig) -> tuple[BandStack, LabelMask]:
-    """The scene's imagery and mask, rejecting [glcm] settings it cannot serve."""
+@contextmanager
+def _load_scene(scene: SceneConfig):
+    """The scene's imagery and mask, for a ``with`` body; a DimensionMismatchError
+    raised there, a scene the run's settings do not fit, is a config error."""
     stack = load_band_stack(scene.image)
-    problem = _glcm_scene_problem(config.glcm, stack) if config.technique == "glcm" else None
-    if problem:
-        raise ConfigError(f"scene {scene.location!r}: {problem}")
     mask = load_label_mask(scene.mask)
     ensure_aligned(stack, mask)
-    return stack, mask
+    try:
+        yield stack, mask
+    except DimensionMismatchError as exc:
+        raise ConfigError(f"scene {scene.location!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +256,10 @@ def _load_scene(config: RunConfig, scene: SceneConfig) -> tuple[BandStack, Label
 
 def cmd_extract(config: RunConfig) -> None:
     for scene in config.scenes:
-        stack, _ = _load_scene(config, scene)
-        t0 = time.perf_counter()
-        features = extract_features(stack, config.technique, config.glcm, jobs=config.jobs)
-        elapsed = time.perf_counter() - t0
+        with _load_scene(scene) as (stack, _):
+            t0 = time.perf_counter()
+            features = extract_features(stack, config.technique, config.glcm, jobs=config.jobs)
+            elapsed = time.perf_counter() - t0
         target = config.out / f"{_prefix(scene, config.technique)}_features.hdr"
         save_feature_raster(features, target)
         print(
@@ -285,15 +270,17 @@ def cmd_extract(config: RunConfig) -> None:
 
 def _train_pipeline(config: RunConfig, scene: SceneConfig):
     """The shared extract->...->train path used by both train and experiment."""
-    result = run_experiment(
-        *_load_scene(config, scene),
-        technique=config.technique,
-        glcm_params=config.glcm,
-        forest=config.forest,
-        master_seed=config.seed,
-        jobs=config.jobs,
-        location=scene.location,
-    )
+    with _load_scene(scene) as (stack, mask):
+        result = run_experiment(
+            stack,
+            mask,
+            technique=config.technique,
+            glcm_params=config.glcm,
+            forest=config.forest,
+            master_seed=config.seed,
+            jobs=config.jobs,
+            location=scene.location,
+        )
     pipeline = Pipeline(
         technique=config.technique,
         glcm_params=config.glcm if config.technique == "glcm" else None,
@@ -344,21 +331,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ConfigError("jobs must be >= 1")
     pipeline = load_pipeline(args.model)
     stack = load_band_stack(args.image)
-    if pipeline.technique == "glcm":
-        problem = _glcm_scene_problem(pipeline.glcm_params, stack)
-        if problem:
-            raise DimensionMismatchError(f"scene {args.image}: model's {problem}")
     features = extract_features(stack, pipeline.technique, pipeline.glcm_params, jobs=args.jobs)
-    expected, got = pipeline.model.feature_names, features.feature_names
-    if got != expected:
-        first = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
-        detail = "" if first is None else (
-            f": feature {first} is {got[first]!r} where the model has {expected[first]!r}"
-        )
-        raise DimensionMismatchError(
-            f"model expects {pipeline.model.n_features} features but "
-            f"{pipeline.technique!r} extraction produced {len(got)}{detail}"
-        )
     prediction, _ = predict_scene(features, None, pipeline.model, pipeline.scaler)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -439,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", required=True, help="prediction map (P5 greymap)")
     p_eval.add_argument("--truth", required=True, help="ground-truth mask header")
     p_eval.add_argument("--out", required=True, help="output directory")
-    p_eval.add_argument("--location", default="scene", help="label for the report row")
+    p_eval.add_argument(
+        "--location", default="scene", type=_location, help="label for the report row"
+    )
     return parser
 
 

@@ -37,7 +37,7 @@ from .ccf import (
     train_forest,
 )
 from .pool import TaskPool
-from .raster import BandStack, FeatureRaster, LabelMask, ensure_aligned
+from .raster import BandStack, DimensionMismatchError, FeatureRaster, LabelMask, ensure_aligned
 from .rng import BALANCE_STREAM, SPLIT_STREAM, stream
 from .texture import GlcmParams, extract_spectral, extract_texture
 
@@ -323,13 +323,22 @@ def predict_scene(
     model: CcfModel,
     scaler: ScalerStats,
 ) -> tuple[LabelMask, MetricsReport | None]:
-    """Predict every feature-valid pixel; score against the mask if given."""
+    """Predict every feature-valid pixel; score against the mask if given. A raster
+    without the model's features, by name and in order, raises DimensionMismatchError."""
+    expected, got = model.feature_names, features.feature_names
+    if got != expected:
+        first = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+        detail = "" if first is None else (
+            f": feature {first} is {got[first]!r} where the model has {expected[first]!r}"
+        )
+        raise DimensionMismatchError(
+            f"model expects {model.n_features} features but extraction produced {len(got)}{detail}"
+        )
     rows, cols = np.nonzero(features.valid)
     labels_grid = np.zeros((features.height, features.width), dtype=np.uint8)
-    if rows.size:
-        matrix = scale_matrix(scaler, features.values[:, rows, cols].T.astype(np.float64))
-        labels, _ = predict(model, matrix)
-        labels_grid[rows, cols] = labels
+    matrix = scale_matrix(scaler, features.values[:, rows, cols].T.astype(np.float64))
+    labels, _ = predict(model, matrix)
+    labels_grid[rows, cols] = labels
     prediction = LabelMask(labels=labels_grid, valid=features.valid.copy())
     full_report = None
     if mask is not None:

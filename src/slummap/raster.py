@@ -49,6 +49,10 @@ class RasterFormatError(ValueError):
     """Malformed header, corrupt payload, or unsupported encoding."""
 
 
+class DimensionMismatchError(ValueError):
+    """A raster lacks a band, a size or a feature that its consumer needs."""
+
+
 @dataclass
 class BandStack:
     """Multi-band image: ``samples[b, r, c]`` are u16 sensor digital numbers."""
@@ -76,10 +80,7 @@ class BandStack:
         return self.samples.shape[2]
 
     def band(self, name: str) -> np.ndarray:
-        try:
-            return self.samples[self.band_names.index(name)]
-        except ValueError:
-            raise KeyError(f"unknown band {name!r}") from None
+        return self.samples[self.band_names.index(name)]
 
 
 @dataclass
@@ -129,7 +130,8 @@ class FeatureRaster:
         self.valid = np.ascontiguousarray(self.valid, dtype=bool)
         if self.valid.shape != self.values.shape[1:]:
             raise ValueError("valid grid must match value grid dimensions")
-        if not np.isfinite(self.values[:, self.valid]).all():
+        # Plane by plane: one plane's valid values, not every feature's, are copied.
+        if not all(np.isfinite(plane[self.valid]).all() for plane in self.values):
             raise ValueError("values must be finite wherever valid")
 
     @property

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .pool import TaskPool
-from .raster import BandStack, FeatureRaster
+from .raster import BandStack, DimensionMismatchError, FeatureRaster
 
 # (row, col) offset of the second pixel of a pair, per direction in degrees.
 DIRECTION_OFFSETS = {0: (0, 1), 45: (-1, 1), 90: (-1, 0), 135: (-1, -1)}
@@ -80,13 +80,17 @@ class GlcmParams:
 
     def __post_init__(self):
         self.bands = tuple(self.bands)
+        # ints, as the model file holds them: a float window would fail in slicing
+        for name in ("levels", "window"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         _check_levels(self.levels)
         if not 3 <= self.window <= MAX_WINDOW or self.window % 2 == 0:
             raise ValueError(f"window must be odd and lie in [3, {MAX_WINDOW}], got {self.window}")
         if not self.directions:
             raise ValueError("directions must not be empty")
         for d in self.directions:
-            if d not in DIRECTION_OFFSETS:
+            if type(d) is not int or d not in DIRECTION_OFFSETS:
                 raise ValueError(
                     f"directions: unknown angle {d}; choose from {sorted(DIRECTION_OFFSETS)}"
                 )
@@ -323,23 +327,27 @@ def extract_texture(
     inside the image one co-occurrence matrix is counted per direction and
     the selected measures are averaged over directions. Emits
     len(bands) * len(measures) planes named "<band>_<measure>"; border pixels
-    (within window//2 of any edge) are invalid. Whole bands are split between
-    the processes of ``pool``, or of a pool of ``jobs`` processes made for
-    this call, so results are bit-identical for any ``jobs``.
+    (within window//2 of any edge) are invalid. A band the stack lacks, or a
+    window larger than the stack, raises DimensionMismatchError. Whole bands
+    are split between the processes of ``pool``, or of a pool of ``jobs``
+    processes made for this call, so results are bit-identical for any ``jobs``.
     """
     if params is None:
         params = GlcmParams()
-    for band in params.bands:
-        if band not in stack.band_names:
-            raise KeyError(f"unknown band {band!r}; stack holds {stack.band_names}")
-    radius = params.window // 2
     h, w = stack.height, stack.width
+    missing = next((band for band in params.bands if band not in stack.band_names), None)
+    if missing:
+        raise DimensionMismatchError(
+            f"[glcm] band {missing!r} is not in the scene (it holds {','.join(stack.band_names)})"
+        )
+    if params.window > min(h, w):
+        raise DimensionMismatchError(
+            f"[glcm] window {params.window} is larger than the {w}x{h} scene"
+        )
+    radius = params.window // 2
     n_features = len(params.bands) * len(params.measures)
     values = np.full((n_features, h, w), np.nan, dtype=np.float32)
     valid = np.zeros((h, w), dtype=bool)
-    if h < params.window or w < params.window:
-        return FeatureRaster(feature_names=params.feature_names(), values=values, valid=valid)
-
     valid[radius : h - radius, radius : w - radius] = True
     n_measures = len(params.measures)
     tasks = [(quantize(stack.band(band), params.levels), params) for band in params.bands]

@@ -303,6 +303,21 @@ def test_forest_has_ten_trees_by_default():
     assert model.training_params["master_seed"] == 0
 
 
+def test_forest_params_validation():
+    assert ForestParams(n_candidate_features=None).n_candidate_features is None
+    for field, value in [
+        ("n_trees", 0),
+        ("n_trees", 2.5),  # used to be accepted
+        ("n_trees", None),
+        ("min_node_size", 2.0),
+        ("n_candidate_features", 0),
+        ("n_candidate_features", 1.5),
+        ("n_candidate_features", np.int64(3)),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            ForestParams(**{field: value})
+
+
 def test_forest_is_deterministic():
     x, y = _blobs(80, seed=3)
     doc_a = json.dumps(model_to_dict(train_forest(x, y, master_seed=0)), sort_keys=True)

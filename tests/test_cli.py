@@ -118,6 +118,27 @@ def test_location_with_a_path_separator_exits_two_before_any_output(
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("command", ["experiment", "evaluate"])
+def test_location_with_a_comma_exits_two_before_any_output(
+    command, demo, experiment_out, tmp_path
+):
+    # The location fills one report.csv cell: a comma used to write a ninth field.
+    out = tmp_path / "o"
+    if command == "experiment":
+        config = tmp_path / "run.cfg"
+        text = demo["config"].read_text()
+        config.write_text(text.replace("location = two-texture", "location = Rio, Brazil"))
+        args = ["--config", str(config)]
+    else:
+        pred = experiment_out / "two-texture_glcm_map.pgm"
+        truth = demo["root"] / "mask.hdr"
+        args = ["--pred", str(pred), "--truth", str(truth), "--location", "a,b"]
+    proc = run_cli(command, *args, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "location" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_extract_glcm_counts_and_files(demo):
     out = demo["root"] / "feats"
     proc = run_cli("extract", "--config", str(demo["config"]), "--out", str(out))
@@ -743,7 +764,7 @@ def test_every_config_key_round_trips_through_the_echo(config_dir, data):
 
 
 # Every key's bad values. [run] out takes any text without NUL, [scene] location
-# any text without NUL or a path separator.
+# any text without NUL, a path separator or a comma.
 _BAD_VALUES = {
     ("run", "technique"): ["lidar", ""],
     ("run", "seed"): ["-1", "1.5", "x", "18446744073709551616"],
@@ -757,7 +778,7 @@ _BAD_VALUES = {
     ("forest", "n_trees"): ["0", "-1", "x"],
     ("forest", "min_node_size"): ["0", "-7"],
     ("forest", "n_candidate_features"): ["0", "-3", "Auto"],
-    ("scene", "location"): ["city\0a", "city/north", "../x"],
+    ("scene", "location"): ["city\0a", "city/north", "../x", "Rio, Brazil"],
     ("scene", "image"): ["/nonexistent/scene.hdr"],
     ("scene", "mask"): ["/nonexistent/mask.hdr"],
 }

@@ -13,10 +13,12 @@ from slummap.experiment import (
     ModelFormatError,
     Pipeline,
     evaluate,
+    extract_features,
     fit_scaler,
     format_percent,
     load_pipeline,
     model_to_dict,
+    predict_scene,
     report_csv_row,
     report_to_dict,
     run_experiment,
@@ -26,7 +28,7 @@ from slummap.experiment import (
     undersample_balance,
 )
 from slummap.fixtures import make_two_texture_scene
-from slummap.raster import BandStack, LabelMask
+from slummap.raster import BandStack, DimensionMismatchError, LabelMask
 from slummap.rng import BALANCE_STREAM, FOREST_STREAM, SPLIT_STREAM, derive_key, stream
 from slummap.texture import GlcmParams
 
@@ -393,6 +395,34 @@ def test_seeds_outside_64_bits_raise(small_scene, seed):
     with pytest.raises(ValueError, match="master seed"):
         run_experiment(stack, mask, "spectral", forest=ForestParams(n_trees=1), master_seed=seed)
     assert derive_key(2**64 - 1, FOREST_STREAM, 0) != derive_key(0, FOREST_STREAM, 0)
+
+
+@pytest.fixture(scope="module")
+def spectral_result(small_scene):
+    return run_experiment(*small_scene, "spectral", forest=ForestParams(n_trees=1))
+
+
+def test_predict_scene_rejects_features_that_are_not_the_models(small_scene, spectral_result):
+    stack, _ = small_scene
+    model, scaler = spectral_result.model, spectral_result.scaler
+    reverse = BandStack(band_names=stack.band_names[::-1], samples=stack.samples[::-1])
+    features = extract_features(reverse, "spectral")
+    message = "feature 0 is 'B12' where the model has 'B2'"
+    with pytest.raises(DimensionMismatchError, match=message):
+        predict_scene(features, None, model, scaler)
+    four = extract_features(BandStack(stack.band_names[:4], stack.samples[:4]), "spectral")
+    with pytest.raises(DimensionMismatchError, match="expects 10 features but .* produced 4"):
+        predict_scene(four, None, model, scaler)
+
+
+def test_predict_scene_without_a_valid_pixel_maps_nothing(small_scene, spectral_result):
+    stack, mask = small_scene
+    features = extract_features(stack, "spectral")
+    features.valid[:] = False
+    model, scaler = spectral_result.model, spectral_result.scaler
+    prediction, report = predict_scene(features, mask, model, scaler)
+    assert not prediction.valid.any() and not prediction.labels.any()
+    assert report is None
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,15 @@ def noisy_scene():
     return BandStack(band_names=stack.band_names, samples=samples), mask
 
 
+@pytest.fixture(scope="module")
+def unbalanced_scene(noisy_scene):
+    """Columns 0-15 of the noisy scene: 12 non-slum columns to 4 slum ones,
+    so balancing draws from the majority class."""
+    stack, mask = noisy_scene
+    crop = BandStack(band_names=stack.band_names, samples=stack.samples[:, :, :16])
+    return crop, LabelMask(labels=mask.labels[:, :16])
+
+
 def _outputs(result, path):
     save_prediction_map(result.prediction, path)
     model = json.dumps(model_to_dict(result.model), sort_keys=True)
@@ -103,16 +112,18 @@ def _outputs(result, path):
     "technique, forest",
     [("glcm", ForestParams()), ("spectral", ForestParams()), ("glcm", ForestParams(n_trees=1))],
 )
-def test_run_experiment_outputs_do_not_depend_on_jobs(noisy_scene, tmp_path, technique, forest):
-    stack, mask = noisy_scene
+def test_run_experiment_outputs_do_not_depend_on_jobs(
+    noisy_scene, unbalanced_scene, tmp_path, technique, forest
+):
     params = GlcmParams(window=5)
-    outputs = []
-    for jobs in (1, 2, 3):
-        with deadline():
-            result = run_experiment(stack, mask, technique, params, forest, jobs=jobs)
-        outputs.append(_outputs(result, tmp_path / f"map{jobs}.pgm"))
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
+    for stack, mask in (noisy_scene, unbalanced_scene):
+        outputs = []
+        for jobs in (1, 2, 3):
+            with deadline():
+                result = run_experiment(stack, mask, technique, params, forest, jobs=jobs)
+            outputs.append(_outputs(result, tmp_path / f"map{jobs}.pgm"))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 def test_run_experiment_joins_its_workers(noisy_scene):

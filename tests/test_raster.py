@@ -178,6 +178,17 @@ def test_feature_raster_round_trip_with_invalid_pixels(tmp_path):
     assert np.isnan(planes[:, ~valid]).all()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_raster_rejects_a_non_finite_valid_value(bad):
+    values = np.zeros((3, 2, 2), dtype=np.float32)
+    valid = np.array([[True, False], [True, True]])
+    values[:, 0, 1] = bad  # an invalid pixel may hold anything
+    FeatureRaster(feature_names=["a", "b", "c"], values=values, valid=valid)
+    values[2, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        FeatureRaster(feature_names=["a", "b", "c"], values=values, valid=valid)
+
+
 def test_loaded_rasters_are_read_only(tmp_path):
     samples = np.zeros((1, 2, 2), dtype=np.uint16)
     save_band_stack(BandStack(band_names=["B2"], samples=samples), tmp_path / "s.hdr")

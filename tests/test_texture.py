@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from slummap import texture
 from slummap.fixtures import make_two_texture_scene
-from slummap.raster import BandStack, FeatureRaster
+from slummap.raster import BandStack, DimensionMismatchError, FeatureRaster
 from slummap.texture import (
     DIRECTION_OFFSETS,
     MEASURES,
@@ -457,8 +457,16 @@ def test_extract_spectral_identity_and_dimension():
 
 def test_unknown_band_is_rejected():
     stack = _stack_from_grid(np.zeros((5, 5), dtype=np.uint16), bands=("B2",))
-    with pytest.raises(KeyError, match="B11"):
+    with pytest.raises(DimensionMismatchError, match="B11"):
         extract_texture(stack, GlcmParams(window=3, bands=("B11",)))
+
+
+def test_scene_smaller_than_the_window_is_rejected():
+    stack = _stack_from_grid(np.zeros((5, 8), dtype=np.uint16), bands=("B2",))
+    with pytest.raises(DimensionMismatchError, match="window 7 is larger than the 8x5 scene"):
+        extract_texture(stack, GlcmParams(window=7, bands=("B2",)))
+    # A window as large as the scene's short side leaves one row of valid pixels.
+    assert extract_texture(stack, GlcmParams(window=5, bands=("B2",))).valid.sum() == 4
 
 
 def test_glcm_params_validation():
@@ -479,5 +487,13 @@ def test_glcm_params_validation():
         GlcmParams(directions=(30,))
     with pytest.raises(ValueError):
         GlcmParams(measures=("energy",))
+    # Non-integers used to pass: a fractional level count extracted features,
+    # and a float window failed later in slicing.
+    rows = [("levels", 7.5), ("levels", np.int64(8)), ("window", 5.0), ("window", True)]
+    for field, value in rows:
+        with pytest.raises(ValueError, match=field):
+            GlcmParams(**{field: value})
+    with pytest.raises(ValueError, match="directions"):
+        GlcmParams(directions=(45.0,))
     names = GlcmParams(bands=("B4", "B2"), measures=("contrast", "mean")).feature_names()
     assert names == ["B4_contrast", "B4_mean", "B2_contrast", "B2_mean"]
