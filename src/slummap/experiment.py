@@ -244,7 +244,7 @@ def run_experiment(
     """Run the full protocol on one scene and one technique.
 
     One pool of ``jobs`` processes, the caller included, serves both parallel
-    stages: extraction splits whole bands and training whole trees.
+    stages: extraction splits the bands into groups and training whole trees.
     """
     ensure_aligned(stack, mask)
     timings: dict[str, float] = {}

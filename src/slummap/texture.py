@@ -10,20 +10,24 @@ Windows are never padded: pixels whose window overhangs the image border are
 marked invalid and excluded from sampling and scoring downstream.
 
 Every per-window sum is an exact integer, so a pixel's features depend only
-on its own window: not on its strip, the scene's size or the order of
-summation. The five measures linear in the co-occurrence matrix are int64
-box sums, homogeneity's in units of 2**-40. Second moment and entropy come
-from one kernel for any number K of distinct pair keys, _key_sums: a
-(windows x K) count table moves down the image, adding the entering key row
-and subtracting the leaving one (a running histogram, as in Huang, Yang &
-Tang's 1979 median filter), and every pair that enters or leaves steps its
-window's sums of squared cells and of c ln c, the latter in fixed point.
-The table holds at most _TABLE_CELLS cells (2 MB) unless K alone is more;
-the other temporaries are blocks of _BLOCK_CELLS pairs, reused down the
-image. On noisy scenes (2-core Xeon, numpy 2.4.6) four bands took, against
-the sort and run-finding kernels this replaced: 29 ms against 57 ms at 64²
-and the defaults; 25 against 34 ms at 300 levels and window 5; 31 against
-69 ms at window 13; 0.43 against 1.1 s at 256².
+on its own window: not on its strip, the bands it is computed with, the
+scene's size or the order of summation. The five measures linear in the
+co-occurrence matrix are int64 box sums, homogeneity's in units of 2**-40.
+Second moment and entropy come from one kernel for any number K of distinct
+pair keys, _key_sums: a (windows x K) count table moves down the image,
+adding the entering key row and subtracting the leaving one (a running
+histogram, as in Huang, Yang & Tang's 1979 median filter), and every pair
+that enters or leaves steps its window's sums of squared cells and of c ln c,
+the latter in fixed point. One pass at one direction serves a stack of bands
+of at most _GROUP_PIXELS pixels: each band keeps its own K key ids, and each
+key-row step of the table, each block step and each box sum runs once for
+the whole stack. The table holds at most _TABLE_CELLS cells (2 MB) unless one
+band's K alone is more; the other temporaries are blocks of _BLOCK_CELLS
+pairs, reused down the image. On noisy scenes (2-core Xeon, numpy 2.4.6)
+the median four-band extract took, against one pass per band: 40 against
+57 ms at 64² and the defaults; 27 against 44 ms at window 5; 37 against
+43 ms at 300 levels and window 5; 51 against 53 ms at 300 levels and
+window 13; 0.70 against 0.78 s at 256², which goes one band per pass.
 """
 
 from __future__ import annotations
@@ -63,11 +67,16 @@ MAX_LEVELS = 2**16
 # sums below 2**63 while n < 2**23: every window up to 2895 wide.
 _HOMOGENEITY_UNIT = 2.0**40
 MAX_WINDOW = 2895
-# Cells of one count table (2 MB of intp): wider tables take their window
-# columns in slabs.
+# Cells of one count table (2 MB of intp): wider tables take their bands and
+# window columns in slabs.
 _TABLE_CELLS = 2**18
 # Pairs per block of key rows whose steps are summed at once.
 _BLOCK_CELLS = 2**13
+# Pixels of one band group, the stack that one kernel pass serves. The
+# kernel's temporaries grow with it while the saving in numpy calls shrinks
+# with the scene: four bands share a pass up to 64x64, and from 91x91 up
+# bands go one at a time.
+_GROUP_PIXELS = 2**14
 
 
 @dataclass
@@ -131,15 +140,15 @@ def quantize(band: np.ndarray, levels: int) -> np.ndarray:
 
 
 def _pair_images(quantized: np.ndarray, direction: int) -> tuple[np.ndarray, np.ndarray]:
-    """First- and second-pixel images of every pair at a direction, as int64.
-    Entry (r, c) is the pair whose first pixel sits at
-    quantized[r + max(0,-dr), c + max(0,-dc)]."""
+    """First- and second-pixel images of every pair at a direction, as int64,
+    of an image or a (bands, rows, columns) stack. Entry (..., r, c) is the
+    pair whose first pixel sits at quantized[..., r + max(0,-dr), c + max(0,-dc)]."""
     dr, dc = DIRECTION_OFFSETS[direction]
-    h, w = quantized.shape
+    h, w = quantized.shape[-2:]
     r0, r1 = max(0, -dr), h - max(0, dr)
     c0, c1 = max(0, -dc), w - max(0, dc)
-    first = quantized[r0:r1, c0:c1].astype(np.int64)
-    second = quantized[r0 + dr : r1 + dr, c0 + dc : c1 + dc].astype(np.int64)
+    first = quantized[..., r0:r1, c0:c1].astype(np.int64)
+    second = quantized[..., r0 + dr : r1 + dr, c0 + dc : c1 + dc].astype(np.int64)
     return first, second
 
 
@@ -159,31 +168,34 @@ def extract_spectral(stack: BandStack) -> FeatureRaster:
 
 
 def _box_sums(images: list[np.ndarray], height: int, width: int) -> np.ndarray:
-    """Sum of every height x width window of each int64 image, from one
-    stacked integral image. The sums are exact even where the cumulative sums
-    wrap."""
-    h, w = images[0].shape
-    integral = np.zeros((len(images), h + 1, w + 1), dtype=np.int64)
+    """Sum of every height x width window of each (bands, rows, columns) int64
+    image, from one stacked integral image. The sums are exact even where the
+    cumulative sums wrap."""
+    bands, h, w = images[0].shape
+    integral = np.zeros((len(images), bands, h + 1, w + 1), dtype=np.int64)
     for image, plane in zip(images, integral):
-        np.cumsum(image, axis=0, out=plane[1:, 1:])
-    np.cumsum(integral[:, 1:, 1:], axis=2, out=integral[:, 1:, 1:])
+        np.cumsum(image, axis=1, out=plane[:, 1:, 1:])
+    np.cumsum(integral[..., 1:, 1:], axis=3, out=integral[..., 1:, 1:])
     return (
-        integral[:, height:, width:]
-        - integral[:, :-height, width:]
-        - integral[:, height:, :-width]
-        + integral[:, :-height, :-width]
+        integral[..., height:, width:]
+        - integral[..., :-height, width:]
+        - integral[..., height:, :-width]
+        + integral[..., :-height, :-width]
     )
 
 
-def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each key's index among the image's distinct keys, and those keys in
-    ascending order. One argsort; np.unique and searchsorted took 3-4x longer."""
-    order = np.argsort(keys, axis=None, kind="stable")
-    ordered = keys.ravel()[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    ids = np.empty(keys.size, dtype=np.intp)
-    ids[order] = np.cumsum(first) - 1
-    return ids.reshape(keys.shape), ordered[first]
+def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each key's index among its band's distinct keys, and each band's
+    distinct keys in ascending order. One argsort; np.unique and searchsorted
+    took 3-4x longer."""
+    flat = keys.reshape(len(keys), -1)
+    order = np.argsort(flat, axis=1, kind="stable")
+    ordered = np.take_along_axis(flat, order, axis=1)
+    first = np.ones(flat.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    ids = np.empty(flat.shape, dtype=np.intp)
+    np.put_along_axis(ids, order, np.cumsum(first, axis=1) - 1, axis=1)
+    return ids.reshape(keys.shape), [row[new] for row, new in zip(ordered, first)]
 
 
 def _entropy_shift(n: int) -> int:
@@ -205,21 +217,43 @@ def _key_terms(n: int) -> np.ndarray:
 
 
 def _ranks(keys: np.ndarray, width: int) -> np.ndarray:
-    """rank[r, o, c]: how many of keys[r, c : c + o] equal keys[r, c + o], so
-    the equal keys of a window row are numbered 0, 1, ... from the left. A
-    view of a (width, rows, columns) table of running equality counts."""
-    h, w = keys.shape
-    equal = np.zeros((width, h, w), dtype=np.min_scalar_type(width))
+    """rank[r, o, b, c]: how many of keys[b, r, c : c + o] equal
+    keys[b, r, c + o], so the equal keys of a window row are numbered 0, 1,
+    ... from the left. A view of a (width, bands, rows, columns) table of
+    running equality counts."""
+    bands, h, w = keys.shape
+    equal = np.zeros((width, bands, h, w), dtype=np.min_scalar_type(width))
     for d in range(1, width):
-        np.equal(keys[:, d:], keys[:, :-d], out=equal[d, :, d:])
+        np.equal(keys[..., d:], keys[..., :-d], out=equal[d, ..., d:])
         equal[d] += equal[d - 1]
     s = equal.itemsize
-    return as_strided(equal, (h, width, w - width + 1), (w * s, (h * w + 1) * s, s))
+    return as_strided(
+        equal, (h, width, bands, w - width + 1), (w * s, (bands * h * w + 1) * s, h * w * s, s)
+    )
+
+
+def _slabs(sizes: np.ndarray, columns: int):
+    """(b0, b1, c0, c1) per count table: bands b0..b1 and window columns
+    c0..c1. A table holds at most _TABLE_CELLS cells unless one band's K keys
+    alone need more: bands join it while the K cells of each of their window
+    columns fit, and a band too wide for one table alone takes its columns
+    in slabs, one column at the least."""
+    b0 = 0
+    while b0 < len(sizes):
+        b1, per_column = b0 + 1, sizes[b0]
+        while b1 < len(sizes) and (per_column + sizes[b1]) * columns <= _TABLE_CELLS:
+            per_column += sizes[b1]
+            b1 += 1
+        slab = max(1, _TABLE_CELLS // per_column)
+        for c0 in range(0, columns, slab):
+            yield b0, b1, c0, min(columns, c0 + slab)
+        b0 = b1
 
 
 def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndarray:
     """The two _key_terms sums over the keys of every height x width window of
-    a pair-key image, exact: (2, rows - height + 1, columns - width + 1) int64.
+    each band of a (bands, rows, columns) pair-key stack, exact:
+    (2, bands, rows - height + 1, columns - width + 1) int64.
 
     The count table holds a key's count plus n + 1 if it is diagonal, so a
     cell's value indexes ``steps``, each sum's change as a count moves from u
@@ -227,35 +261,47 @@ def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndar
     leaving cells after their subtraction and the entering cells before their
     addition; a pair's step sits at that value plus its rank among the equal
     keys of its window row. Steps are summed per window in blocks of rows,
-    then down the image. Window columns go in slabs of at most _TABLE_CELLS
-    table cells, or of one column where the K keys alone need more.
+    then down the image. Each band keeps its own K_b dense key ids, and one
+    table holds K_b cells per window column of each of its bands, so every
+    step of a key row serves all bands of a slab (see _slabs) at once.
     """
     n = height * width
     key_terms = _key_terms(n)
     change = np.diff(key_terms, axis=-1, append=key_terms[..., -1:]).reshape(2, -1)
-    steps = np.concatenate([change, -change], axis=1)
+    # steps[i, z]: sum z's step at index i, so one take reads both sums.
+    steps = np.concatenate([change, -change], axis=1).T.copy()
     ids, distinct = _dense_ids(keys)
     rank = _ranks(keys, width)
-    hk, out_w = keys.shape[0], rank.shape[2]
-    sums = np.empty((2, hk, out_w), dtype=np.int64)
-    slab = max(1, _TABLE_CELLS // distinct.size)
-    for c0 in range(0, out_w, slab):
-        c1 = min(out_w, c0 + slab)
-        table = np.tile(np.where(distinct < levels, n + 1, 0), c1 - c0)
-        # windows[r, o, c] = ids[r, c0 + c + o], the pairs of the slab's window rows
-        windows = sliding_window_view(ids[:, c0 : c1 + width - 1], c1 - c0, axis=1)
-        window_offsets = np.arange(c1 - c0) * distinct.size
-        rows = max(1, _BLOCK_CELLS // ((c1 - c0) * width))
+    bands, hk = keys.shape[:2]
+    out_w = rank.shape[3]
+    sizes = np.array([d.size for d in distinct])
+    # windows[r, o, b, c] = ids[b, r, c + o], the pairs of every window row
+    windows = sliding_window_view(ids, out_w, axis=2).transpose(1, 2, 0, 3)
+    sums = np.empty((bands, hk, out_w, 2), dtype=np.int64)
+    slabs = list(_slabs(sizes, out_w))
+    # One table buffer serves every slab; each band holds its columns in turn.
+    cells_needed = max(sizes[b0:b1].sum() * (c1 - c0) for b0, b1, c0, c1 in slabs)
+    buffer = np.empty(cells_needed, dtype=np.intp)
+    for b0, b1, c0, c1 in slabs:
+        cols = c1 - c0
+        starts = np.concatenate(([0], np.cumsum(sizes[b0:b1]))) * cols
+        table = buffer[: starts[-1]]
+        for b, s0, s1 in zip(range(b0, b1), starts, starts[1:]):
+            table[s0:s1].reshape(cols, -1)[:] = np.where(distinct[b] < levels, n + 1, 0)
+        # The first cell of each band's window column.
+        offsets = starts[:-1, np.newaxis] + np.arange(cols) * sizes[b0:b1, np.newaxis]
+        rows = max(1, _BLOCK_CELLS // (offsets.size * width))
         # Per step the leaving row's cells, then the entering row's. Steps
         # before row `height` evict nothing and read cell 0 in its place.
-        cells = np.zeros((rows, 2, width, c1 - c0), dtype=np.intp)
+        cells = np.zeros((rows, 2, width, b1 - b0, cols), dtype=np.intp)
         index = np.empty_like(cells)
-        gathered = np.empty(cells.shape, dtype=np.int64)
+        gathered = np.empty(cells.shape + (2,), dtype=np.int64)
+        slab = (..., slice(b0, b1), slice(c0, c1))
         for i0 in range(0, hk, rows):
             i1 = min(hk, i0 + rows)
             e0 = min(i1, max(i0, height))
-            np.add(windows[e0 - height : i1 - height], window_offsets, out=cells[e0 - i0 : i1 - i0, 0])
-            np.add(windows[i0:i1], window_offsets, out=cells[: i1 - i0, 1])
+            np.add(windows[e0 - height : i1 - height][slab], offsets, out=cells[e0 - i0 : i1 - i0, 0])
+            np.add(windows[i0:i1][slab], offsets, out=cells[: i1 - i0, 1])
             for k in range(i1 - i0):
                 if k >= e0 - i0:
                     np.subtract.at(table, cells[k, 0], 1)
@@ -263,56 +309,63 @@ def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndar
                 np.take(table, cells[k], out=index[k], mode="clip")
                 np.add.at(table, cells[k, 1], 1)
             index[: e0 - i0, 0] = n
-            index[e0 - i0 : i1 - i0, 0] += rank[e0 - height : i1 - height, :, c0:c1]
+            index[e0 - i0 : i1 - i0, 0] += rank[e0 - height : i1 - height][slab]
             index[e0 - i0 : i1 - i0, 0] += 2 * (n + 1)
-            index[: i1 - i0, 1] += rank[i0:i1, :, c0:c1]
-            for step, total in zip(steps, sums):
-                np.take(step, index[: i1 - i0], out=gathered[: i1 - i0], mode="clip")
-                np.einsum("isoc->ic", gathered[: i1 - i0], out=total[i0:i1, c0:c1])
+            index[: i1 - i0, 1] += rank[i0:i1][slab]
+            np.take(steps, index[: i1 - i0], axis=0, out=gathered[: i1 - i0], mode="clip")
+            np.einsum("isobcz->bicz", gathered[: i1 - i0], out=sums[b0:b1, i0:i1, c0:c1])
     np.cumsum(sums, axis=1, out=sums)
-    return sums[:, height - 1 :]
+    return np.moveaxis(sums[:, height - 1 :], -1, 0)
 
 
 def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParams) -> np.ndarray:
-    """All seven measures, in MEASURES order, of every window at one direction.
+    """The selected measures, in params.measures order, of every window of
+    each band of a (bands, height, width) stack at one direction.
 
-    Returns (7, height - window + 1, width - window + 1) float64. A window
-    holds n pairs and its symmetric matrix T = 2n counts. Entropy uses the
-    natural logarithm with 0 ln 0 = 0, as ln T - sum(c ln c) / T. Variance
-    and correlation use the expansions sum(i^2 p) - mu^2 and
-    (sum(i j p) - mu^2) / variance; rounding can push an exactly-zero
-    variance microscopically negative, so it is clamped at 0, and the
-    correlation of a zero-variance window is 0 by convention.
+    Returns (bands, n_measures, height - window + 1, width - window + 1)
+    float64. A window holds n pairs and its symmetric matrix T = 2n counts.
+    Entropy uses the natural logarithm with 0 ln 0 = 0, as
+    ln T - sum(c ln c) / T. Variance and correlation use the expansions
+    sum(i^2 p) - mu^2 and (sum(i j p) - mu^2) / variance; rounding can push an
+    exactly-zero variance microscopically negative, so it is clamped at 0, and
+    the correlation of a zero-variance window is 0 by convention. The key
+    kernel runs only if second moment or entropy is selected.
     """
     dr, dc = DIRECTION_OFFSETS[direction]
     height, width = params.window - abs(dr), params.window - abs(dc)
     n = height * width
     total = 2 * n
+    planes = {}
+    # The key kernel first, while the linear measures' temporaries are not yet live.
+    if "second_moment" in params.measures or "entropy" in params.measures:
+        keys = _pair_keys(*_pair_images(quantized, direction), params.levels)
+        squares, entropy_sums = _key_sums(keys, height, width, params.levels)
+        planes["second_moment"] = squares / (total * total)
+        planes["entropy"] = math.log(total) - entropy_sums * 2.0 ** -_entropy_shift(n) / total
     a, b = _pair_images(quantized, direction)
     diff2 = (a - b) ** 2
     closeness = np.rint(_HOMOGENEITY_UNIT / (1.0 + diff2)).astype(np.int64)
     linear = _box_sums([diff2, closeness, a + b, a * a + b * b, a * b], height, width)
-
-    contrast = linear[0] / n
-    homogeneity = linear[1] / (_HOMOGENEITY_UNIT * n)
     mean = linear[2] / total
     variance = np.maximum(linear[3] / total - mean * mean, 0.0)
     cross = linear[4] / n - mean * mean
-    correlation = np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0)
-
-    squares, entropy_sums = _key_sums(_pair_keys(a, b, params.levels), height, width, params.levels)
-    second_moment = squares / (total * total)
-    entropy = math.log(total) - entropy_sums * 2.0 ** -_entropy_shift(n) / total
-    return np.stack([second_moment, contrast, correlation, homogeneity, entropy, mean, variance])
+    planes.update(
+        contrast=linear[0] / n,
+        correlation=np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0),
+        homogeneity=linear[1] / (_HOMOGENEITY_UNIT * n),
+        mean=mean,
+        variance=variance,
+    )
+    return np.stack([planes[m] for m in params.measures], axis=1)
 
 
 def _band_measures(quantized: np.ndarray, params: GlcmParams) -> np.ndarray:
-    """Selected measures of one quantized band averaged over the directions,
-    (n_measures, height - window + 1, width - window + 1) float64."""
+    """Selected measures of each band of a quantized (bands, height, width)
+    stack averaged over the directions,
+    (bands, n_measures, height - window + 1, width - window + 1) float64."""
     # sum() starts from 0, so a zero average is +0.0 even if every term is -0.0.
     summed = sum(_direction_measures(quantized, d, params) for d in params.directions)
-    measure_idx = [MEASURES.index(m) for m in params.measures]
-    return summed[measure_idx] / len(params.directions)
+    return summed / len(params.directions)
 
 
 def extract_texture(
@@ -328,9 +381,13 @@ def extract_texture(
     the selected measures are averaged over directions. Emits
     len(bands) * len(measures) planes named "<band>_<measure>"; border pixels
     (within window//2 of any edge) are invalid. A band the stack lacks, or a
-    window larger than the stack, raises DimensionMismatchError. Whole bands
-    are split between the processes of ``pool``, or of a pool of ``jobs``
-    processes made for this call, so results are bit-identical for any ``jobs``.
+    window larger than the stack, raises DimensionMismatchError. The bands
+    are dealt into groups, band i to group i % k, and each group is one task:
+    one kernel pass per direction serves a whole group. There are as many
+    groups as processes in ``pool`` (or in a pool of ``jobs`` processes made
+    for this call), or more where a group would hold over _GROUP_PIXELS
+    pixels. Every window sum is an exact integer, so a band's features do not
+    depend on its group, and results are bit-identical for any ``jobs``.
     """
     if params is None:
         params = GlcmParams()
@@ -345,13 +402,20 @@ def extract_texture(
             f"[glcm] window {params.window} is larger than the {w}x{h} scene"
         )
     radius = params.window // 2
-    n_features = len(params.bands) * len(params.measures)
-    values = np.full((n_features, h, w), np.nan, dtype=np.float32)
+    n_bands, n_measures = len(params.bands), len(params.measures)
+    values = np.full((n_bands, n_measures, h, w), np.nan, dtype=np.float32)
     valid = np.zeros((h, w), dtype=bool)
     valid[radius : h - radius, radius : w - radius] = True
-    n_measures = len(params.measures)
-    tasks = [(quantize(stack.band(band), params.levels), params) for band in params.bands]
-    with nullcontext(pool) if pool is not None else TaskPool(jobs, len(tasks)) as pool:
-        for b, block in enumerate(pool.map(_band_measures, tasks)):
-            values[b * n_measures : (b + 1) * n_measures, radius : h - radius, radius : w - radius] = block
-    return FeatureRaster(feature_names=params.feature_names(), values=values, valid=valid)
+    quantized = np.stack([quantize(stack.band(band), params.levels) for band in params.bands])
+    with nullcontext(pool) if pool is not None else TaskPool(jobs, n_bands) as pool:
+        per_group = max(1, _GROUP_PIXELS // (h * w))
+        groups = min(n_bands, max(pool.size, -(-n_bands // per_group)))
+        tasks = [(quantized[s::groups], params) for s in range(groups)]
+        for s, block in enumerate(pool.map(_band_measures, tasks)):
+            for b, planes in zip(range(s, n_bands, groups), block):
+                values[b, :, radius : h - radius, radius : w - radius] = planes
+    return FeatureRaster(
+        feature_names=params.feature_names(),
+        values=values.reshape(n_bands * n_measures, h, w),
+        valid=valid,
+    )

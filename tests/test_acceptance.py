@@ -25,9 +25,9 @@ def report(criterion: str, elapsed: float, budget: float | None = None) -> None:
 def _kernel(image, direction: int, levels: int, window: int) -> dict[str, np.ndarray]:
     """The co-occurrence kernel's seven planes for one direction, by measure name."""
     planes = _direction_measures(
-        np.asarray(image), direction, GlcmParams(levels=levels, window=window)
+        np.asarray(image)[np.newaxis], direction, GlcmParams(levels=levels, window=window)
     )
-    return dict(zip(MEASURES, planes))
+    return dict(zip(MEASURES, planes[0]))
 
 
 def test_c1_glcm_matches_bruteforce_oracle_on_1000_windows():

@@ -88,9 +88,9 @@ def test_quantize_surjective_when_band_spans_range():
 def _measures(image, direction: int, levels: int, window: int = 3) -> dict[str, np.ndarray]:
     """The kernel's seven planes for one direction, by measure name."""
     planes = _direction_measures(
-        np.asarray(image), direction, GlcmParams(levels=levels, window=window)
+        np.asarray(image)[np.newaxis], direction, GlcmParams(levels=levels, window=window)
     )
-    return dict(zip(MEASURES, planes))
+    return dict(zip(MEASURES, planes[0]))
 
 
 def _oracle_planes(image: np.ndarray, direction: int, levels: int, window: int):
@@ -227,7 +227,8 @@ def test_haralick_ranges_and_oracle(case):
         assert (f["contrast"] >= 0.0).all()
         assert (np.abs(f["correlation"]) <= 1.0 + 1e-9).all()
         assert (f["variance"] >= 0.0).all()
-    assert np.abs(_band_measures(image, params) - _windowed_oracle(image, params)).max() <= 1e-9
+    kernel = _band_measures(image[np.newaxis], params)[0]
+    assert np.abs(kernel - _windowed_oracle(image, params)).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def _assert_kernel_matches_oracle(
     n_measures = len(params.measures)
     for b, band in enumerate(params.bands):
         quantized = quantize(stack.band(band), params.levels)
-        kernel = _band_measures(quantized, params)
+        kernel = _band_measures(quantized[np.newaxis], params)[0]
         assert np.abs(kernel - _windowed_oracle(quantized, params)).max() <= 1e-9
         planes = fr.values[b * n_measures : (b + 1) * n_measures]
         expected = kernel.reshape(n_measures, -1).astype(np.float32)
@@ -391,7 +392,7 @@ def test_key_sums_equal_bruteforce_counts(data, levels, direction, window):
     dr, dc = DIRECTION_OFFSETS[direction]
     height, width = window - abs(dr), window - abs(dc)
     terms = _key_terms(height * width)
-    sums = _key_sums(keys, height, width, levels)
+    sums = _key_sums(keys[np.newaxis], height, width, levels)[:, 0]
     assert sums.dtype == np.int64
     expected = np.empty_like(sums)
     for r in range(sums.shape[1]):
@@ -401,16 +402,60 @@ def test_key_sums_equal_bruteforce_counts(data, levels, direction, window):
     assert np.array_equal(sums, expected)
 
 
-@pytest.mark.parametrize(("levels", "window"), [(32, 19), (300, 5)])
+@pytest.mark.parametrize(("levels", "window"), [(32, 19), (300, 5), (4, 19)])
 def test_small_count_table_and_blocks_keep_features_byte_identical(monkeypatch, levels, window):
     stack = _noisy_scene(40, 2)
-    params = GlcmParams(levels=levels, window=window, bands=("B2", "B8"))
+    params = GlcmParams(levels=levels, window=window)
     whole = extract_texture(stack, params)
-    # Slabs of one or two window columns, and one key row per block.
+    # One kernel pass serves all four bands. 600 cells make slabs of one to
+    # three window columns of one band at (32, 19) and (300, 5), and tables
+    # of two or four whole bands at (4, 19); one key row per block.
     monkeypatch.setattr(texture, "_TABLE_CELLS", 600)
     monkeypatch.setattr(texture, "_BLOCK_CELLS", 1)
     sliced = extract_texture(stack, params)
     assert sliced.values.tobytes() == whole.values.tobytes()
+
+
+@pytest.mark.parametrize(("levels", "window"), [(32, 7), (300, 5)])
+def test_band_features_do_not_depend_on_their_group(monkeypatch, levels, window):
+    """A band's features are the same bytes whichever bands share its kernel
+    pass: all five, itself alone, the uneven groups of jobs=3, or one band
+    per group under a pixel budget of 1."""
+    bands = ("B1", "B2", "B3", "B4", "B5")
+    rng = np.random.default_rng(9)
+    stripes = np.where(np.arange(41)[:, np.newaxis] % 3 == 0, 12000, 40000)
+    noise = rng.integers(-15000, 15000, size=(len(bands), 41, 37))
+    samples = np.clip(stripes + noise, 0, 65535).astype(np.uint16)
+    stack = BandStack(band_names=list(bands), samples=samples)
+    params = GlcmParams(levels=levels, window=window, bands=bands)
+    together = extract_texture(stack, params).values
+    alone = np.concatenate(
+        [
+            extract_texture(stack, GlcmParams(levels=levels, window=window, bands=(band,))).values
+            for band in bands
+        ]
+    )
+    assert alone.tobytes() == together.tobytes()
+    for jobs in (2, 3):
+        assert extract_texture(stack, params, jobs=jobs).values.tobytes() == together.tobytes()
+    monkeypatch.setattr(texture, "_GROUP_PIXELS", 1)
+    assert extract_texture(stack, params).values.tobytes() == together.tobytes()
+
+
+def test_key_kernel_is_skipped_without_second_moment_or_entropy(monkeypatch):
+    stack = _noisy_scene(32, 4)
+    everything = extract_texture(stack, GlcmParams(window=7))
+
+    def refuse(*args):
+        raise AssertionError("the key kernel ran")
+
+    monkeypatch.setattr(texture, "_key_sums", refuse)
+    params = GlcmParams(window=7, measures=("contrast", "mean"))
+    some = extract_texture(stack, params)
+    planes = [everything.feature_names.index(name) for name in params.feature_names()]
+    assert some.values.tobytes() == everything.values[planes].tobytes()
+    with pytest.raises(AssertionError, match="key kernel"):
+        extract_texture(stack, GlcmParams(window=7, measures=("entropy",)))
 
 
 @pytest.mark.parametrize(("levels", "window"), [(32, 19), (300, 5)])
@@ -419,13 +464,14 @@ def test_strip_features_equal_whole_scene_rows(levels, window):
     the strip of rows it is computed with."""
     params = GlcmParams(levels=levels, window=window)
     quantized = quantize(_noisy_scene(48, 3).band("B3"), levels)
-    whole = _band_measures(quantized, params)
+    whole = _band_measures(quantized[np.newaxis], params)[0]
     out_h = whole.shape[1]
     assert out_h % 7 != 0
     for strip in (1, 7, out_h):
         for r0 in range(0, out_h, strip):
             rows = quantized[r0 : r0 + strip + window - 1]
-            assert np.array_equal(_band_measures(rows, params), whole[:, r0 : r0 + strip])
+            strip_measures = _band_measures(rows[np.newaxis], params)[0]
+            assert np.array_equal(strip_measures, whole[:, r0 : r0 + strip])
 
 
 @settings(max_examples=40, deadline=None)
@@ -435,8 +481,9 @@ def test_direction_average_is_rotation_invariant(case):
     direction averages turn with it."""
     image, window = case
     params = GlcmParams(levels=4, window=window)
-    turned = _band_measures(np.rot90(image), params)
-    assert np.abs(np.rot90(_band_measures(image, params), axes=(1, 2)) - turned).max() <= 1e-9
+    turned = _band_measures(np.rot90(image)[np.newaxis], params)[0]
+    kernel = _band_measures(image[np.newaxis], params)[0]
+    assert np.abs(np.rot90(kernel, axes=(1, 2)) - turned).max() <= 1e-9
 
 
 def test_extract_spectral_identity_and_dimension():
