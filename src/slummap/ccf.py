@@ -11,6 +11,9 @@ and bootstraps, drawn from per-tree PCG32 streams keyed by
 node order (left subtree first), subset before bootstrap, which makes
 training a pure function of (data, seed).
 
+A tree is a set of arrays over its nodes in that preorder (see CcTree); a
+leaf scores the rows routed to it with the class frequencies of its counts.
+
 This module holds the classifier alone; :mod:`slummap.experiment` writes and
 reads the model file.
 """
@@ -18,6 +21,7 @@ reads the model file.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,39 +36,33 @@ class DegenerateDataError(ValueError):
     """Data cannot support the requested fit (single class, identical rows)."""
 
 
-@dataclass
-class CcTreeNode:
-    """One node of a tree stored in preorder; children are node-list indices."""
-
-    # internal nodes
-    feature_subset: np.ndarray | None = None
-    projection: np.ndarray | None = None
-    threshold: float | None = None
-    left: int = -1
-    right: int = -1
-    # leaves
-    class_counts: tuple[int, int] | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.class_counts is not None
-
-    @property
-    def distribution(self) -> tuple[float, float]:
-        """Class frequencies of a leaf's training rows."""
-        n0, n1 = self.class_counts
-        return n0 / (n0 + n1), n1 / (n0 + n1)
+_NodeView = namedtuple("_NodeView", "is_leaf")  # a node, as CcTree.nodes shows it
 
 
 @dataclass
 class CcTree:
-    nodes: list[CcTreeNode]
+    """One tree as arrays over its N nodes in preorder. At a split i, a row x
+    goes to child left[i] if x[feature[i]] @ projection[i] <= threshold[i],
+    else to right[i]; both come after i. A leaf has left = right = -1 and the
+    class counts of its training rows. Split fields are zero at leaves and
+    counts zero at splits, so a tree has exactly one encoding."""
+
+    feature: np.ndarray  # (N, lambda) int64
+    projection: np.ndarray  # (N, lambda) float64
+    threshold: np.ndarray  # (N,) float64
+    left: np.ndarray  # (N,) int64
+    right: np.ndarray  # (N,) int64
+    class_counts: np.ndarray  # (N, 2) int64
+
+    @property
+    def nodes(self) -> list[_NodeView]:
+        # Read only by perfbench's node and leaf counts; ROADMAP item 7 deletes it.
+        return [_NodeView(child < 0) for child in self.left.tolist()]
 
 
 @dataclass
 class CcfModel:
     trees: list[CcTree]
-    n_features: int
     feature_names: list[str]
     training_params: dict
 
@@ -227,11 +225,6 @@ def _best_split(z: np.ndarray, labels: np.ndarray) -> float | None:
     return float(thr)
 
 
-def _leaf(y_node: np.ndarray) -> CcTreeNode:
-    n1 = int(y_node.sum())
-    return CcTreeNode(class_counts=(y_node.shape[0] - n1, n1))
-
-
 def grow_tree(
     x: np.ndarray,
     y: np.ndarray,
@@ -256,23 +249,22 @@ def grow_tree(
     d = x.shape[1]
     lam = params.resolve_lambda(d)
 
-    nodes: list[CcTreeNode] = []
+    # One row per node in preorder, in CcTree's field order.
+    nodes: list[list] = []
+    no_feature, no_projection = np.zeros(lam, dtype=np.int64), np.zeros(lam)
     # (row indices, parent node index, attach as left child?)
     stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(x.shape[0]), -1, False)]
     while stack:
         idx, parent, is_left = stack.pop()
-        my_index = len(nodes)
+        node = len(nodes)
         if parent >= 0:
-            if is_left:
-                nodes[parent].left = my_index
-            else:
-                nodes[parent].right = my_index
+            nodes[parent][3 if is_left else 4] = node  # its left or right child
         x_node = x[idx]
         y_node = y[idx]
         n = idx.shape[0]
-        pure = y_node.min() == y_node.max()
-        if pure or n < params.min_node_size or (x_node == x_node[0]).all():
-            nodes.append(_leaf(y_node))
+        n1 = int(y_node.sum())
+        nodes.append([no_feature, no_projection, 0.0, -1, -1, (n - n1, n1)])  # a leaf
+        if n1 in (0, n) or n < params.min_node_size or (x_node == x_node[0]).all():
             continue
 
         subset = np.sort(rng.sample_without_replacement(d, lam))
@@ -286,56 +278,51 @@ def grow_tree(
             try:
                 w = cca_fit(x_node[:, subset], y_node)
             except DegenerateDataError:
-                nodes.append(_leaf(y_node))
                 continue
         z = x_node[:, subset] @ w
-        threshold = _best_split(z, y_node)
-        if threshold is None:
-            nodes.append(_leaf(y_node))
+        split = _best_split(z, y_node)
+        if split is None:
             continue
-        mask = z <= threshold
-        nodes.append(CcTreeNode(feature_subset=subset, projection=w, threshold=threshold))
-        stack.append((idx[~mask], my_index, False))  # right, processed second
-        stack.append((idx[mask], my_index, True))  # left, processed first
-    return CcTree(nodes=nodes)
+        mask = z <= split
+        nodes[node] = [subset, w, split, -1, -1, (0, 0)]
+        stack.append((idx[~mask], node, False))  # right, processed second
+        stack.append((idx[mask], node, True))  # left, processed first
+    return CcTree(*(np.array(column) for column in zip(*nodes)))
 
 
 def tree_depth(tree: CcTree) -> int:
-    depth = np.zeros(len(tree.nodes), dtype=np.int64)
-    for i, node in enumerate(tree.nodes):
-        if not node.is_leaf:
-            depth[node.left] = depth[i] + 1
-            depth[node.right] = depth[i] + 1
-    return int(depth.max())
+    # Read only by perfbench's depth count; ROADMAP item 7 deletes it.
+    depth = [0] * len(tree.left)
+    for i, (lo, hi) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
+        if lo >= 0:
+            depth[lo] = depth[hi] = depth[i] + 1
+    return max(depth)
 
 
 def apply_tree(tree: CcTree, x: np.ndarray) -> np.ndarray:
     """Leaf node index reached by every row of x."""
     x = np.asarray(x, dtype=np.float64)
+    left, right, threshold = tree.left.tolist(), tree.right.tolist(), tree.threshold.tolist()
     out = np.empty(x.shape[0], dtype=np.int64)
     stack = [(0, np.arange(x.shape[0]))]
     while stack:
-        node_idx, rows = stack.pop()
+        node, rows = stack.pop()
         if rows.size == 0:
             continue
-        node = tree.nodes[node_idx]
-        if node.is_leaf:
-            out[rows] = node_idx
+        if left[node] < 0:
+            out[rows] = node
             continue
-        z = x[rows][:, node.feature_subset] @ node.projection
-        mask = z <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
+        z = x[rows][:, tree.feature[node]] @ tree.projection[node]
+        mask = z <= threshold[node]
+        stack.append((left[node], rows[mask]))
+        stack.append((right[node], rows[~mask]))
     return out
 
 
 def _tree_probabilities(tree: CcTree, x: np.ndarray) -> np.ndarray:
-    leaves = apply_tree(tree, x)
-    dist = np.array(
-        [node.distribution if node.is_leaf else (0.0, 0.0) for node in tree.nodes],
-        dtype=np.float64,
-    )
-    return dist[leaves]
+    """Class frequencies n0 / (n0 + n1) and n1 / (n0 + n1) of the leaf each row reaches."""
+    counts = tree.class_counts  # zero at splits, so their frequencies come out 0
+    return (counts / np.maximum(counts.sum(axis=1, keepdims=True), 1))[apply_tree(tree, x)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +363,6 @@ def train_forest(
         raise ValueError("feature_names length must match feature count")
     return CcfModel(
         trees=trees,
-        n_features=d,
         feature_names=list(feature_names),
         training_params={
             "n_trees": params.n_trees,
@@ -394,10 +380,10 @@ def predict(model: CcfModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (non-slum).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.n_features:
+    if x.ndim != 2 or x.shape[1] != len(model.feature_names):
         got = x.shape[1] if x.ndim == 2 else None
         raise ValueError(
-            f"feature dimension mismatch: model expects {model.n_features}, got {got}"
+            f"feature dimension mismatch: model expects {len(model.feature_names)}, got {got}"
         )
     probs = np.zeros((x.shape[0], 2), dtype=np.float64)
     for tree in model.trees:

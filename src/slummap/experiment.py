@@ -13,7 +13,8 @@ sub-streams (see :mod:`slummap.rng`): balancing uses BALANCE_STREAM, the
 partition SPLIT_STREAM and tree induction FOREST_STREAM.
 
 The model file is this module's alone: save_pipeline writes a Pipeline as
-one canonical JSON document, and load_pipeline accepts only what it writes.
+one flat, canonical JSON document (version 2) with each tree as its CcTree
+arrays, and load_pipeline accepts only what it writes; version 1 needs a retrain.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -30,7 +31,6 @@ import numpy as np
 from .ccf import (
     CcfModel,
     CcTree,
-    CcTreeNode,
     DegenerateDataError,
     ForestParams,
     predict,
@@ -332,7 +332,7 @@ def predict_scene(
             f": feature {first} is {got[first]!r} where the model has {expected[first]!r}"
         )
         raise DimensionMismatchError(
-            f"model expects {model.n_features} features but extraction produced {len(got)}{detail}"
+            f"model expects {len(expected)} features but extraction produced {len(got)}{detail}"
         )
     rows, cols = np.nonzero(features.valid)
     labels_grid = np.zeros((features.height, features.width), dtype=np.uint8)
@@ -390,7 +390,7 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "technique": result.technique,
         "train_size": result.train_size,
         "test_size": result.test_size,
-        "feature_count": result.model.n_features,
+        "feature_count": len(result.model.feature_names),
         "training_params": result.model.training_params,
         "test_split": report_to_dict(result.report),
         "full_image": report_to_dict(result.full_report)
@@ -404,24 +404,16 @@ def result_to_dict(result: ExperimentResult) -> dict:
 # ---------------------------------------------------------------------------
 
 PIPELINE_FORMAT = "slummap-pipeline"
-PIPELINE_VERSION = 1
-# The tag of the forest member, kept so the version 1 bytes stay as they are.
-MODEL_FORMAT = "ccf-model"
-MODEL_VERSION = 1
+PIPELINE_VERSION = 2
 
-# The JSON type save_pipeline writes for each value, in _typed's terms. A node
-# is a leaf or a split, told apart by its keys.
-_LEAF = dict(class_counts=[int], distribution=[float])
-_SPLIT = dict(feature_subset=[int], projection=[float], threshold=float, left=int, right=int)
+# The JSON type save_pipeline writes for each value, in _typed's terms; _trees
+# checks the trees.
 _GLCM = dict(levels=int, window=int, directions=[int], bands=[str], measures=[str])
 _TRAINING = dict(n_trees=int, n_candidate_features=int, min_node_size=int, master_seed=int)
-_MODEL = dict(
-    format=str, version=int, n_features=int, feature_names=[str], training_params=_TRAINING,
-    trees=[{"nodes": [dict]}],
-)
 _PIPELINE = dict(
     format=str, version=int, technique=str, glcm_params=object,  # None or _GLCM
-    scaler={"means": [float], "stds": [float]}, model=_MODEL,
+    scaler={"means": [float], "stds": [float]}, feature_names=[str], training_params=_TRAINING,
+    trees=[dict],
 )
 
 
@@ -445,43 +437,17 @@ class Pipeline:
             raise ValueError("glcm_params must be given for glcm and only for glcm")
 
 
-def _node_to_dict(node: CcTreeNode) -> dict:
-    if node.is_leaf:
-        return {
-            "class_counts": [int(c) for c in node.class_counts],
-            "distribution": [float(p) for p in node.distribution],
-        }
-    return {
-        "feature_subset": [int(i) for i in node.feature_subset],
-        "projection": [float(v) for v in node.projection],
-        "threshold": float(node.threshold),
-        "left": int(node.left),
-        "right": int(node.right),
-    }
-
-
-def model_to_dict(model: CcfModel) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "n_features": model.n_features,
-        "feature_names": list(model.feature_names),
-        "training_params": model.training_params,
-        "trees": [{"nodes": [_node_to_dict(n) for n in tree.nodes]} for tree in model.trees],
-    }
-
-
 def save_pipeline(pipeline: Pipeline, path: str | Path) -> None:
+    model = pipeline.model
     doc = {
         "format": PIPELINE_FORMAT,
         "version": PIPELINE_VERSION,
         "technique": pipeline.technique,
         "glcm_params": asdict(pipeline.glcm_params) if pipeline.glcm_params else None,
-        "scaler": {
-            "means": [float(v) for v in pipeline.scaler.means],
-            "stds": [float(v) for v in pipeline.scaler.stds],
-        },
-        "model": model_to_dict(pipeline.model),
+        "scaler": {"means": pipeline.scaler.means.tolist(), "stds": pipeline.scaler.stds.tolist()},
+        "feature_names": list(model.feature_names),
+        "training_params": model.training_params,
+        "trees": [{f.name: getattr(t, f.name).tolist() for f in fields(t)} for t in model.trees],
     }
     Path(path).write_text(
         json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
@@ -509,55 +475,92 @@ def _typed(value, kind, what: str):
     return value
 
 
+def _array(value, kind: type, width: int | None, what: str) -> np.ndarray:
+    """A JSON list of kind values (width None) or of rows of width of them, as an
+    int64 or finite float64 array; ModelFormatError if it is anything else."""
+    values = rows = _typed(value, list, what)
+    if width is not None:
+        if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
+            raise ModelFormatError(f"{what} must be a list of rows of {width} values")
+        values = [v for row in rows for v in row]
+    if set(map(type, values)) - {kind}:
+        raise ModelFormatError(f"{what} must hold only values of type {kind.__name__}")
+    try:
+        array = np.array(values, dtype=np.int64 if kind is int else np.float64)
+    except OverflowError:
+        raise ModelFormatError(f"{what} holds an integer outside int64") from None
+    if kind is float and not np.isfinite(array).all():
+        raise ModelFormatError(f"{what} must hold finite floats")
+    return array if width is None else array.reshape(len(rows), width)
+
+
+def _trees(docs: list[dict], lam: int, d: int) -> list[CcTree]:
+    """The trees as save_pipeline writes them, each array checked once over all
+    trees joined end to end."""
+    arrays = dict(
+        feature=(int, lam), projection=(float, lam), threshold=(float, None),
+        left=(int, None), right=(int, None), class_counts=(int, 2),
+    )
+    sizes = [len(_typed(doc.get("threshold"), list, "threshold")) for doc in docs]
+    for doc, size in zip(docs, sizes):
+        if doc.keys() != arrays.keys() or size == 0:
+            raise ModelFormatError(f"a tree must hold exactly the keys {sorted(arrays)}, not empty")
+        if any(len(_typed(doc[k], list, k)) != size for k in arrays):
+            raise ModelFormatError("a tree's arrays must all have one row per node")
+    joined = {k: _array([v for t in docs for v in t[k]], *kind, k) for k, kind in arrays.items()}
+    n = np.repeat(sizes, sizes)  # per node: the size of its tree and its index there
+    node = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    left, right = joined["left"], joined["right"]
+    leaf = (left == -1) & (right == -1)
+    if not (leaf | ((node < left) & (left < n) & (node < right) & (right < n))).all():
+        raise ModelFormatError("a split's children must come after it in its tree, a leaf's be -1")
+    if not ((0 <= joined["feature"]) & (joined["feature"] < d)).all():
+        raise ModelFormatError(f"feature index outside [0, {d})")
+    counts = joined["class_counts"]
+    # A sum past int64 wraps to a negative one.
+    if (counts[leaf] < 0).any() or (counts[leaf].sum(axis=1) <= 0).any():
+        raise ModelFormatError("a leaf needs two counts >= 0, not both 0, summing in int64")
+    at_leaves = (joined["feature"][leaf], joined["projection"][leaf], joined["threshold"][leaf])
+    if counts[~leaf].any() or any(a.any() or np.signbit(a).any() for a in at_leaves):
+        raise ModelFormatError("a leaf's split fields and a split's counts must be 0")
+    cuts = np.cumsum(sizes)[:-1]
+    columns = [np.split(joined[k], cuts) for k in arrays]
+    return [CcTree(**dict(zip(arrays, tree))) for tree in zip(*columns)]
+
+
 def load_pipeline(path: str | Path) -> Pipeline:
     """Read a file save_pipeline wrote, which saves back to the same bytes.
 
-    Anything else raises ModelFormatError. Child indices lie after their
-    parent's and inside the node list (so routing terminates), feature indices
-    in [0, n_features); a leaf holds counts >= 0, not all 0, and their exact
-    frequencies; glcm_params is in the canonical form GlcmParams gives it.
+    Anything else raises ModelFormatError, a version 1 file included. There
+    are training_params["n_trees"] trees, each of whose feature subsets is
+    n_candidate_features wide, in [1, len(feature_names)]. Child indices lie
+    after their split and inside the tree (so routing terminates), feature
+    indices in [0, len(feature_names)); a leaf holds counts >= 0, not both 0,
+    whose sum fits int64, and zero split fields, and a split zero counts;
+    glcm_params is in the canonical form GlcmParams gives it.
     """
     try:
-        doc = _typed(json.loads(Path(path).read_text(encoding="utf-8")), _PIPELINE, "document")
-        model_doc = doc["model"]
-        n_features, names = model_doc["n_features"], model_doc["feature_names"]
-        tags = ((doc, PIPELINE_FORMAT, PIPELINE_VERSION), (model_doc, MODEL_FORMAT, MODEL_VERSION))
-        for part, fmt, version in tags:
-            if (part["format"], part["version"]) != (fmt, version):
-                raise ModelFormatError(f"not a {fmt} version {version} document")
-        if len(names) != n_features:
-            raise ModelFormatError(f"model must name its {n_features} features")
-        trees = []
-        for tree_doc in model_doc["trees"]:
-            nodes, n = [], len(tree_doc["nodes"])
-            for i, raw in enumerate(tree_doc["nodes"]):
-                if raw.keys() == _LEAF.keys():
-                    counts = _typed(raw, _LEAF, "leaf")["class_counts"]
-                    if len(counts) != 2 or min(counts) < 0 or sum(counts) == 0:
-                        raise ModelFormatError(f"node {i}: a leaf needs two counts >= 0, not 0, 0")
-                    leaf = CcTreeNode(class_counts=tuple(counts))
-                    if raw["distribution"] != list(leaf.distribution):
-                        raise ModelFormatError(f"node {i}: distribution is not counts / their sum")
-                    nodes.append(leaf)
-                    continue
-                _typed(raw, _SPLIT, "node")
-                subset, projection = raw["feature_subset"], raw["projection"]
-                left, right = raw["left"], raw["right"]
-                if len(subset) != len(projection):
-                    raise ModelFormatError(f"node {i}: projection and feature subset differ")
-                if not all(0 <= f < n_features for f in subset):
-                    raise ModelFormatError(f"node {i}: feature index outside [0, {n_features})")
-                if not (i < left < n and i < right < n):
-                    raise ModelFormatError(f"node {i}: child index outside ({i}, {n})")
-                subset, projection = np.array(subset, dtype=np.int64), np.array(projection)
-                nodes.append(CcTreeNode(subset, projection, raw["threshold"], left, right))
-            if not nodes:
-                raise ModelFormatError("a tree needs at least one node")
-            trees.append(CcTree(nodes))
-        model = CcfModel(trees, n_features, names, model_doc["training_params"])
+        doc = _typed(json.loads(Path(path).read_text(encoding="utf-8")), dict, "document")
+        if doc.get("format") != PIPELINE_FORMAT or type(doc.get("version")) is not int:
+            raise ModelFormatError(f"not a {PIPELINE_FORMAT} document")
+        if doc["version"] != PIPELINE_VERSION:
+            raise ModelFormatError(
+                f"version {doc['version']} files are no longer read (this slummap reads "
+                f"version {PIPELINE_VERSION}); retrain the model"
+            )
+        _typed(doc, _PIPELINE, "document")
+        names, params = doc["feature_names"], doc["training_params"]
+        d, lam = len(names), params["n_candidate_features"]
+        if not 1 <= lam <= d:
+            raise ModelFormatError(f"n_candidate_features must lie in [1, {d}]")
+        if len(doc["trees"]) != params["n_trees"]:
+            raise ModelFormatError(
+                f"the file holds {len(doc['trees'])} trees, not n_trees = {params['n_trees']}"
+            )
+        model = CcfModel(_trees(doc["trees"], lam, d), names, params)
         means, stds = np.array(doc["scaler"]["means"]), np.array(doc["scaler"]["stds"])
-        if means.shape != (n_features,) or stds.shape != (n_features,):
-            raise ModelFormatError(f"scaler must hold {n_features} means and stds")
+        if means.shape != (d,) or stds.shape != (d,):
+            raise ModelFormatError(f"scaler must hold {d} means and stds")
         glcm_params = None
         if doc["glcm_params"] is not None:
             glcm_doc = _typed(doc["glcm_params"], _GLCM, "glcm_params")
@@ -569,4 +572,4 @@ def load_pipeline(path: str | Path) -> Pipeline:
     except (RecursionError, ValueError) as exc:
         # Also invalid UTF-8, JSON or nesting too deep to parse; and the
         # ModelFormatErrors above, to add the path.
-        raise ModelFormatError(f"{path}: malformed pipeline document: {exc}") from exc
+        raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc

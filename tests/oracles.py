@@ -158,3 +158,37 @@ def split_oracle(rng, n: int) -> tuple[list[int], list[int]]:
     shuffle_oracle(rng, order)
     n_train = max(1, min((8 * n + 5) // 10, n - 1))
     return sorted(order[:n_train]), sorted(order[n_train:])
+
+
+def version_1_document(doc: dict) -> dict:
+    """The version 1 model file of a version 2 document: the same pipeline,
+    with the forest as a nested ccf-model document of one dict per node and
+    each leaf's class frequencies stored beside its counts."""
+    doc = dict(doc)
+    trees = []
+    for tree in doc.pop("trees"):
+        nodes = []
+        for i, (n0, n1) in enumerate(tree["class_counts"]):
+            if tree["left"][i] == -1:
+                distribution = [n0 / (n0 + n1), n1 / (n0 + n1)]
+                nodes.append({"class_counts": [n0, n1], "distribution": distribution})
+            else:
+                nodes.append({
+                    "feature_subset": tree["feature"][i],
+                    "projection": tree["projection"][i],
+                    "threshold": tree["threshold"][i],
+                    "left": tree["left"][i],
+                    "right": tree["right"][i],
+                })
+        trees.append({"nodes": nodes})
+    names = doc.pop("feature_names")
+    doc["model"] = {
+        "format": "ccf-model",
+        "version": 1,
+        "n_features": len(names),
+        "feature_names": names,
+        "training_params": doc.pop("training_params"),
+        "trees": trees,
+    }
+    doc["version"] = 1
+    return doc

@@ -1,16 +1,16 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line and enforcing its tolerance and runtime budget."""
 
-import json
 import math
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from slummap.ccf import RIDGE, cca_fit, predict, train_forest
-from slummap.experiment import evaluate, model_to_dict, run_experiment
+from slummap.experiment import evaluate, run_experiment
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
 from slummap.texture import MEASURES, GlcmParams, _direction_measures
 
@@ -155,9 +155,11 @@ def test_c4_ccf_blobs_xor_and_serialized_determinism():
     xor_labels, _ = predict(xor_model, xor_x)
     assert (xor_labels == xor_y).all(), "training accuracy on the XOR layout must be 1.0"
 
-    # identical serialized models across two runs with seed 0
-    doc_a = json.dumps(model_to_dict(train_forest(x[:160], y[:160], master_seed=0)), sort_keys=True)
-    doc_b = json.dumps(model_to_dict(train_forest(x[:160], y[:160], master_seed=0)), sort_keys=True)
+    # identical tree arrays, bit for bit, across two runs with seed 0
+    doc_a, doc_b = (
+        [[getattr(t, f.name).tobytes() for f in fields(t)] for t in model.trees]
+        for model in (train_forest(x[:160], y[:160], master_seed=0) for _ in range(2))
+    )
     assert doc_a == doc_b
 
     elapsed = time.perf_counter() - t0

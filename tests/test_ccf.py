@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from slummap.ccf import (
     CcfModel,
     CcTree,
-    CcTreeNode,
     DegenerateDataError,
     ForestParams,
     RIDGE,
@@ -19,14 +19,12 @@ from slummap.ccf import (
     grow_tree,
     predict,
     train_forest,
-    tree_depth,
 )
 from slummap.experiment import (
     ModelFormatError,
     Pipeline,
     ScalerStats,
     load_pipeline,
-    model_to_dict,
     save_pipeline,
 )
 from slummap.rng import FOREST_STREAM, stream
@@ -167,12 +165,31 @@ def test_cca_sign_canonicalization():
 # ---------------------------------------------------------------------------
 
 
+def _distribution(tree: CcTree, node: int) -> tuple[float, float]:
+    """Class frequencies of a leaf's training rows."""
+    n0, n1 = tree.class_counts[node].tolist()
+    return n0 / (n0 + n1), n1 / (n0 + n1)
+
+
+def _depth(tree: CcTree) -> int:
+    depth = [0] * len(tree.left)
+    for i, (left, right) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
+        if left >= 0:
+            depth[left] = depth[right] = depth[i] + 1
+    return max(depth)
+
+
+def _trees(model: CcfModel) -> list[list[bytes]]:
+    """Every array of every tree, bit for bit."""
+    return [[getattr(t, f.name).tobytes() for f in fields(t)] for t in model.trees]
+
+
 def test_pure_node_is_single_leaf():
     x = np.random.default_rng(0).normal(size=(20, 3))
     y = np.ones(20, dtype=np.uint8)
     tree = grow_tree(x, y, ForestParams(), stream(0, FOREST_STREAM, 0))
-    assert len(tree.nodes) == 1
-    assert tree.nodes[0].distribution == (0.0, 1.0)
+    assert len(tree.threshold) == 1
+    assert _distribution(tree, 0) == (0.0, 1.0)
 
 
 def test_oblique_line_split_reaches_training_accuracy_one():
@@ -183,10 +200,10 @@ def test_oblique_line_split_reaches_training_accuracy_one():
     y = (x.sum(axis=1) > 0).astype(np.uint8)
     tree = grow_tree(x, y, ForestParams(), stream(0, FOREST_STREAM, 0))
     leaves = apply_tree(tree, x)
-    pred = np.array([tree.nodes[i].distribution[1] > 0.5 for i in leaves])
+    pred = np.array([_distribution(tree, i)[1] > 0.5 for i in leaves])
     assert (pred == y.astype(bool)).all()
     # an oblique split can solve this linearly separable layout very shallowly
-    assert tree_depth(tree) <= 3
+    assert _depth(tree) <= 3
 
 
 def test_xor_layout_needs_depth_two_and_fits_training_data():
@@ -197,9 +214,9 @@ def test_xor_layout_needs_depth_two_and_fits_training_data():
     y = np.repeat(labels, 20)
     tree = grow_tree(x, y, ForestParams(), stream(0, FOREST_STREAM, 0))
     leaves = apply_tree(tree, x)
-    pred = np.array([tree.nodes[i].distribution[1] > 0.5 for i in leaves])
+    pred = np.array([_distribution(tree, i)[1] > 0.5 for i in leaves])
     assert (pred == y.astype(bool)).all()
-    assert tree_depth(tree) >= 2
+    assert _depth(tree) >= 2
 
 
 def test_best_split_prefers_clean_boundary():
@@ -248,13 +265,13 @@ def test_information_gain_positive_at_every_split():
     x = rng.normal(size=(100, 4))
     y = (x[:, 0] * x[:, 1] > 0).astype(np.uint8)
     tree = grow_tree(x, y, ForestParams(), stream(3, FOREST_STREAM, 1))
-    for node in tree.nodes:
-        if node.is_leaf:
-            total = node.class_counts[0] + node.class_counts[1]
-            assert sum(node.distribution) == pytest.approx(1.0, abs=1e-12)
+    for i, (left, right) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
+        if left == -1:
+            total = int(tree.class_counts[i].sum())
+            assert sum(_distribution(tree, i)) == pytest.approx(1.0, abs=1e-12)
             assert total > 0
         else:
-            assert node.left != -1 and node.right != -1
+            assert left != -1 and right != -1
 
 
 @pytest.mark.parametrize("data_seed", [0, 1, 2, 3, 4])
@@ -320,10 +337,10 @@ def test_forest_params_validation():
 
 def test_forest_is_deterministic():
     x, y = _blobs(80, seed=3)
-    doc_a = json.dumps(model_to_dict(train_forest(x, y, master_seed=0)), sort_keys=True)
-    doc_b = json.dumps(model_to_dict(train_forest(x, y, master_seed=0)), sort_keys=True)
+    doc_a = _trees(train_forest(x, y, master_seed=0))
+    doc_b = _trees(train_forest(x, y, master_seed=0))
     assert doc_a == doc_b
-    doc_c = json.dumps(model_to_dict(train_forest(x, y, master_seed=1)), sort_keys=True)
+    doc_c = _trees(train_forest(x, y, master_seed=1))
     assert doc_a != doc_c
 
 
@@ -353,10 +370,16 @@ def test_predict_dimension_mismatch():
 
 
 def test_tie_breaks_toward_class_zero():
-    half_half = CcTreeNode(class_counts=(1, 1))
+    half_half = CcTree(
+        feature=np.zeros((1, 1), dtype=np.int64),
+        projection=np.zeros((1, 1)),
+        threshold=np.zeros(1),
+        left=np.full(1, -1),
+        right=np.full(1, -1),
+        class_counts=np.array([[1, 1]]),
+    )
     model = CcfModel(
-        trees=[CcTree(nodes=[half_half])],
-        n_features=1,
+        trees=[half_half],
         feature_names=["f0"],
         training_params={},
     )
@@ -372,7 +395,7 @@ def test_tie_breaks_toward_class_zero():
 
 def _save(model: CcfModel, path) -> None:
     """Persist a bare forest through the pipeline format with an identity scaler."""
-    d = model.n_features
+    d = len(model.feature_names)
     scaler = ScalerStats(means=np.zeros(d), stds=np.ones(d))
     pipeline = Pipeline(technique="spectral", glcm_params=None, scaler=scaler, model=model)
     save_pipeline(pipeline, path)
@@ -397,8 +420,8 @@ def test_model_metadata_records_parameters(tmp_path):
     x, y = _blobs(50, seed=2)
     model = train_forest(x, y, ForestParams(n_trees=10), master_seed=0)
     _save(model, tmp_path / "m.json")
-    doc = json.loads((tmp_path / "m.json").read_text())["model"]
-    assert (doc["format"], doc["version"]) == ("ccf-model", 1)
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert (doc["format"], doc["version"]) == ("slummap-pipeline", 2)
     assert doc["training_params"]["n_trees"] == 10
     assert doc["training_params"]["master_seed"] == 0
     assert doc["training_params"]["n_candidate_features"] == 2  # ceil(sqrt(2))

@@ -33,6 +33,8 @@ from slummap.raster import (
 )
 from slummap.texture import MEASURES, GlcmParams
 
+from .oracles import version_1_document
+
 
 def run_cli(*args: str, cwd=None):
     return subprocess.run(
@@ -543,9 +545,9 @@ def test_key_outside_sections_exits_two_and_header_section_exits_three(demo, tmp
 
 def _craft_model(case: str, doc: dict) -> bytes:
     """The experiment's model file, damaged in one way."""
-    nodes = doc["model"]["trees"][0]["nodes"]
-    split = next(i for i, node in enumerate(nodes) if "left" in node)
-    leaf = next(i for i, node in enumerate(nodes) if "class_counts" in node)
+    tree = doc["trees"][0]
+    split = tree["left"].index(1)  # the root, whose left child is node 1
+    leaf = tree["left"].index(-1)
     if case == "json-array":
         return b"[]"
     if case == "not-utf8":
@@ -557,42 +559,59 @@ def _craft_model(case: str, doc: dict) -> bytes:
     elif case == "short-scaler":
         doc["scaler"]["means"].pop()
     elif case == "self-loop-child":
-        nodes[split]["left"] = split
+        tree["left"][split] = split
     elif case == "negative-feature":
-        nodes[split]["feature_subset"][0] = -1
+        tree["feature"][split][0] = -1
     elif case == "nested-format":
-        doc["model"]["format"] = "other"
+        # the version 1 layout's nested forest document
+        doc["model"] = {"format": "ccf-model", "version": 1, "trees": doc.pop("trees")}
     elif case == "unknown-technique":
         doc["technique"] = "lidar"
     elif case == "empty-tree":
-        doc["model"]["trees"][0]["nodes"] = []
+        doc["trees"][0] = {key: [] for key in tree}
     elif case == "nested-subset":
-        nodes[split]["feature_subset"] = [nodes[split]["feature_subset"]]
-        nodes[split]["projection"] = [nodes[split]["projection"]]
+        tree["feature"][split] = [tree["feature"][split]]
+        tree["projection"][split] = [tree["projection"][split]]
     elif case == "too-many-levels":
         doc["glcm_params"]["levels"] = 2**16 + 1
     elif case == "short-feature-names":
-        doc["model"]["feature_names"].pop()
+        doc["feature_names"].pop()
     elif case == "null-glcm-params":
         doc["glcm_params"] = None
     elif case == "fractional-levels":
         doc["glcm_params"]["levels"] = 32.7
     elif case == "negative-count":
-        nodes[leaf]["class_counts"] = [-5, 3]
-    elif case == "nan-distribution":
-        nodes[leaf]["distribution"] = [math.nan, math.nan]
-    elif case == "unnormalized-distribution":
-        nodes[leaf]["distribution"] = [7, 9]
+        tree["class_counts"][leaf] = [-5, 3]
     elif case == "fractional-child":
-        nodes[split]["left"] = 1.5
+        tree["left"][split] = 1.5
     elif case == "nan-threshold":
-        nodes[split]["threshold"] = math.nan
+        tree["threshold"][split] = math.nan
     elif case == "string-threshold":
-        nodes[split]["threshold"] = "1e0"
+        tree["threshold"][split] = "1e0"
     elif case == "nan-scaler-std":
         doc["scaler"]["stds"][0] = math.nan
     elif case == "infinite-projection":
-        nodes[split]["projection"][0] = math.inf
+        tree["projection"][split][0] = math.inf
+    elif case == "more-trees-than-n-trees":
+        doc["training_params"]["n_trees"] = len(doc["trees"]) - 1
+    elif case == "subsets-wider-than-n-candidate-features":
+        doc["training_params"]["n_candidate_features"] -= 1
+    elif case == "count-past-int64":
+        tree["class_counts"][leaf] = [2**63, 1]
+    elif case == "counts-summing-past-int64":
+        tree["class_counts"][leaf] = [2**62, 2**62]
+    elif case == "child-past-int64":
+        tree["right"][split] = 2**63
+    elif case == "feature-past-int64":
+        tree["feature"][split][0] = 2**63
+    elif case == "leaf-with-a-threshold":
+        tree["threshold"][leaf] = 1.0
+    elif case == "split-with-counts":
+        tree["class_counts"][split] = [0, 1]
+    elif case == "leaf-with-a-negative-zero-projection":
+        tree["projection"][leaf][0] = -0.0
+    elif case == "one-child":
+        tree["right"][split] = -1
     return json.dumps(doc).encode()
 
 
@@ -614,14 +633,22 @@ def _craft_model(case: str, doc: dict) -> bytes:
         "null-glcm-params",
         "fractional-levels",
         "negative-count",
-        "nan-distribution",
-        "unnormalized-distribution",
         "fractional-child",
         "nan-threshold",
         "string-threshold",
         "nan-scaler-std",
         "infinite-projection",
         "deeply-nested",
+        "more-trees-than-n-trees",
+        "subsets-wider-than-n-candidate-features",
+        "count-past-int64",
+        "counts-summing-past-int64",
+        "child-past-int64",
+        "feature-past-int64",
+        "leaf-with-a-threshold",
+        "split-with-counts",
+        "leaf-with-a-negative-zero-projection",
+        "one-child",
     ],
 )
 def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
@@ -639,6 +666,19 @@ def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
     assert proc.stderr.startswith("i/o error:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_version_1_model_exits_three_and_asks_to_retrain(demo, experiment_out, tmp_path):
+    doc = json.loads((experiment_out / "two-texture_glcm_model.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(version_1_document(doc), sort_keys=True, separators=(",", ":")))
+    args = ["--model", str(model), "--image", str(demo["root"] / "scene.hdr")]
+    proc = run_cli("predict", *args, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("i/o error:") and proc.stderr.count("\n") == 1
+    assert "version 1 files are no longer read" in proc.stderr
+    assert "retrain the model" in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 @settings(max_examples=300, deadline=None)

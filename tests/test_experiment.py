@@ -1,12 +1,17 @@
 import copy
+import hashlib
+import importlib.util
 import json
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slummap import experiment
+from slummap import ccf, experiment
 from slummap.ccf import DegenerateDataError, ForestParams, predict
 from slummap.experiment import (
     CSV_HEADER,
@@ -17,7 +22,6 @@ from slummap.experiment import (
     fit_scaler,
     format_percent,
     load_pipeline,
-    model_to_dict,
     predict_scene,
     report_csv_row,
     report_to_dict,
@@ -32,7 +36,7 @@ from slummap.raster import BandStack, DimensionMismatchError, LabelMask
 from slummap.rng import BALANCE_STREAM, FOREST_STREAM, SPLIT_STREAM, derive_key, stream
 from slummap.texture import GlcmParams
 
-from .oracles import balance_oracle, confusion_oracle, split_oracle
+from .oracles import balance_oracle, confusion_oracle, split_oracle, version_1_document
 
 
 def make_labels(n0: int, n1: int, seed: int = 0) -> np.ndarray:
@@ -293,7 +297,10 @@ def test_run_experiment_is_deterministic(small_scene):
     b = run_experiment(stack, mask, "glcm", glcm_params=params, master_seed=0)
     assert np.array_equal(a.prediction.labels, b.prediction.labels)
     assert a.report.counts() == b.report.counts()
-    assert model_to_dict(a.model) == model_to_dict(b.model)
+    trees_a, trees_b = (
+        [[getattr(t, f.name).tobytes() for f in fields(t)] for t in r.model.trees] for r in (a, b)
+    )
+    assert trees_a == trees_b
 
 
 def _crop_of_the_two_texture_scene():
@@ -477,3 +484,55 @@ def test_model_file_loads_only_what_saves_back_to_the_same_bytes(
         return
     save_pipeline(pipeline, path)
     assert path.read_text(encoding="utf-8") == _dump(doc)
+
+
+# sha256 of a small noisy model's file as saved, and of the same document in
+# the version 1 layout, which is what the version 1 writer gave for it: a
+# one-ulp drift of any projection or threshold changes both.
+_MODEL_SHA256 = {
+    "glcm": (
+        "ec0389c35171115aeedf03ab3d019498f0579c94de36a4da2bcd53190a343643",
+        "45a4c5375ee8f9df23c04ca7666505f1b87f65af7151e63857536b2ce738a9b1",
+    ),
+    "spectral": (
+        "663e649582437782bbb76d318acf36681969a2368e204917e98e798f012ccd22",
+        "9894359d708c461914af910b6f30e569f4cdd1b928d6f230ca7a0e8bb3f58d08",
+    ),
+}
+
+
+@pytest.mark.parametrize("technique", sorted(_MODEL_SHA256))
+def test_saved_model_bytes_are_pinned(technique, tmp_path):
+    stack, mask = make_two_texture_scene(24)
+    noise = np.random.default_rng(1).integers(-15000, 15000, size=stack.samples.shape)
+    stack = BandStack(stack.band_names, np.clip(stack.samples + noise, 0, 65535).astype(np.uint16))
+    params = GlcmParams(window=5) if technique == "glcm" else None
+    result = run_experiment(stack, mask, technique, params)
+    path = tmp_path / "model.json"
+    save_pipeline(Pipeline(technique, params, result.scaler, result.model), path)
+    raw = path.read_bytes()
+    saved, version_1 = _MODEL_SHA256[technique]
+    assert hashlib.sha256(raw).hexdigest() == saved
+    as_version_1 = _dump(version_1_document(json.loads(raw))).encode()
+    assert hashlib.sha256(as_version_1).hexdigest() == version_1
+
+
+def test_perfbench_record_counts_through_the_node_view(monkeypatch):
+    # The benchmark counts nodes, leaves and depth through CcTree.nodes and
+    # ccf.tree_depth; its seed-1 record is read here, never written.
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    expected = json.loads((root / "expected_seed1.json").read_text(encoding="utf-8"))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    for name in ("glcm-noisy", "spectral-noisy"):
+        w = workloads.WORKLOADS[name]
+        stack, mask = workloads.noisy_scene(w.size, 1)
+        model = run_experiment(stack, mask, w.technique, w.glcm_params, jobs=w.jobs).model
+        counts = {
+            "ccf.nodes": sum(len(tree.nodes) for tree in model.trees),
+            "ccf.leaves": sum(node.is_leaf for tree in model.trees for node in tree.nodes),
+            "ccf.max_depth": max(ccf.tree_depth(tree) for tree in model.trees),
+        }
+        assert counts == {key: expected[name]["counts"][key] for key in counts}, name

@@ -4,16 +4,16 @@ Every check runs under a deadline: a worker that never answers fails the
 test instead of hanging the suite. At most 3 processes, as elsewhere.
 """
 
-import json
 import multiprocessing
 import signal
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from slummap.ccf import DegenerateDataError, ForestParams
-from slummap.experiment import model_to_dict, result_to_dict, run_experiment
+from slummap.experiment import result_to_dict, run_experiment
 from slummap.fixtures import make_two_texture_scene
 from slummap.pool import TaskPool
 from slummap.raster import BandStack, LabelMask, save_prediction_map
@@ -104,7 +104,7 @@ def unbalanced_scene(noisy_scene):
 
 def _outputs(result, path):
     save_prediction_map(result.prediction, path)
-    model = json.dumps(model_to_dict(result.model), sort_keys=True)
+    model = [[getattr(t, f.name).tobytes() for f in fields(t)] for t in result.model.trees]
     return model, result_to_dict(result), path.read_bytes()
 
 
