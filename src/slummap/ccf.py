@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pool import TaskPool
+from .pool import fork_map
 from .rng import FOREST_STREAM, Pcg32, stream
 
 RIDGE = 1e-9
@@ -336,15 +336,15 @@ def train_forest(
     params: ForestParams = ForestParams(),
     master_seed: int = 0,
     feature_names: list[str] | None = None,
-    pool: TaskPool | None = None,
+    jobs: int = 1,
 ) -> CcfModel:
     """Train params.n_trees canonical correlation trees, each on the full data.
 
     There is no forest-level bagging; diversity comes from per-node feature
     subsampling and projection bootstraps. Tree t draws from the stream keyed
     by (master_seed, FOREST_STREAM, t), so identical inputs and seed give a
-    bit-identical model. Whole trees are split between the processes of
-    ``pool`` (default: the calling process alone), with the same result.
+    bit-identical model. Whole trees are split between ``jobs`` processes,
+    the caller and children forked for this call, with the same result.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).astype(np.uint8).ravel()
@@ -356,7 +356,7 @@ def train_forest(
         raise DegenerateDataError("training set holds a single class")
     d = x.shape[1]
     tasks = [(x, y, params, stream(master_seed, FOREST_STREAM, t)) for t in range(params.n_trees)]
-    trees = list((pool or TaskPool()).map(grow_tree, tasks))
+    trees = list(fork_map(grow_tree, tasks, jobs))
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(d)]
     if len(feature_names) != d:

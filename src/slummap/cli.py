@@ -372,8 +372,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 _JOBS_HELP = (
-    "processes: the caller plus N-1 forked workers, which split whole GLCM bands "
-    "and whole trees; outputs are bit-identical for any N"
+    "processes: the caller plus N-1 workers, forked for each parallel stage, which "
+    "split whole GLCM bands and whole trees; outputs are bit-identical for any N"
 )
 
 

@@ -36,7 +36,6 @@ from .ccf import (
     predict,
     train_forest,
 )
-from .pool import TaskPool
 from .raster import BandStack, DimensionMismatchError, FeatureRaster, LabelMask, ensure_aligned
 from .rng import BALANCE_STREAM, SPLIT_STREAM, stream
 from .texture import GlcmParams, extract_spectral, extract_texture
@@ -222,12 +221,11 @@ def extract_features(
     technique: str,
     glcm_params: GlcmParams | None = None,
     jobs: int = 1,
-    pool: TaskPool | None = None,
 ) -> FeatureRaster:
     if technique == "spectral":
         return extract_spectral(stack)
     if technique == "glcm":
-        return extract_texture(stack, glcm_params, jobs=jobs, pool=pool)
+        return extract_texture(stack, glcm_params, jobs=jobs)
     raise ValueError(f"unknown technique {technique!r}; choose from {TECHNIQUES}")
 
 
@@ -243,54 +241,52 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full protocol on one scene and one technique.
 
-    One pool of ``jobs`` processes, the caller included, serves both parallel
-    stages: extraction splits the bands into groups and training whole trees.
+    Both parallel stages run in ``jobs`` processes, the caller and children
+    forked for that stage alone: extraction splits the bands into groups and
+    training whole trees.
     """
     ensure_aligned(stack, mask)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
-    n_bands = len((glcm_params or GlcmParams()).bands) if technique == "glcm" else 0
+    t0 = time.perf_counter()
+    features = extract_features(stack, technique, glcm_params, jobs=jobs)
+    timings["extract"] = time.perf_counter() - t0
 
-    with TaskPool(jobs, max(n_bands, forest.n_trees)) as pool:
-        t0 = time.perf_counter()
-        features = extract_features(stack, technique, glcm_params, pool=pool)
-        timings["extract"] = time.perf_counter() - t0
+    # The pixels usable in both inputs, in row-major order; balancing and
+    # splitting only pick indices into them.
+    t0 = time.perf_counter()
+    usable = features.valid & mask.valid
+    if not usable.any():
+        raise ValueError("no usable pixels: every pixel is invalid in one input")
+    rows, cols = np.nonzero(usable)
+    labels = mask.labels[rows, cols]
+    timings["assemble"] = time.perf_counter() - t0
 
-        # The pixels usable in both inputs, in row-major order; balancing and
-        # splitting only pick indices into them.
-        t0 = time.perf_counter()
-        usable = features.valid & mask.valid
-        if not usable.any():
-            raise ValueError("no usable pixels: every pixel is invalid in one input")
-        rows, cols = np.nonzero(usable)
-        labels = mask.labels[rows, cols]
-        timings["assemble"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    kept = undersample_balance(labels, seed=master_seed)
+    timings["balance"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        kept = undersample_balance(labels, seed=master_seed)
-        timings["balance"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    train_pos, test_pos = split_train_test(kept.shape[0], seed=master_seed)
+    train_rows, test_rows = kept[train_pos], kept[test_pos]
+    timings["split"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        train_pos, test_pos = split_train_test(kept.shape[0], seed=master_seed)
-        train_rows, test_rows = kept[train_pos], kept[test_pos]
-        timings["split"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    train_x = features.values[:, rows[train_rows], cols[train_rows]].T.astype(np.float64)
+    scaler = fit_scaler(train_x)
+    train_x = scale_matrix(scaler, train_x)
+    timings["scale"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        train_x = features.values[:, rows[train_rows], cols[train_rows]].T.astype(np.float64)
-        scaler = fit_scaler(train_x)
-        train_x = scale_matrix(scaler, train_x)
-        timings["scale"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        model = train_forest(
-            train_x,
-            labels[train_rows],
-            forest,
-            master_seed=master_seed,
-            feature_names=list(features.feature_names),
-            pool=pool,
-        )
-        timings["train"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    model = train_forest(
+        train_x,
+        labels[train_rows],
+        forest,
+        master_seed=master_seed,
+        feature_names=list(features.feature_names),
+        jobs=jobs,
+    )
+    timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     prediction, full_report = predict_scene(features, mask, model, scaler)
@@ -516,6 +512,8 @@ def _trees(docs: list[dict], lam: int, d: int) -> list[CcTree]:
         raise ModelFormatError("a split's children must come after it in its tree, a leaf's be -1")
     if not ((0 <= joined["feature"]) & (joined["feature"] < d)).all():
         raise ModelFormatError(f"feature index outside [0, {d})")
+    if (np.diff(joined["feature"][~leaf], axis=1) <= 0).any():
+        raise ModelFormatError("a split's feature subset must be strictly increasing")
     counts = joined["class_counts"]
     # A sum past int64 wraps to a negative one.
     if (counts[leaf] < 0).any() or (counts[leaf].sum(axis=1) <= 0).any():
@@ -531,11 +529,13 @@ def _trees(docs: list[dict], lam: int, d: int) -> list[CcTree]:
 def load_pipeline(path: str | Path) -> Pipeline:
     """Read a file save_pipeline wrote, which saves back to the same bytes.
 
-    Anything else raises ModelFormatError, a version 1 file included. There
-    are training_params["n_trees"] trees, each of whose feature subsets is
-    n_candidate_features wide, in [1, len(feature_names)]. Child indices lie
+    Anything else raises ModelFormatError, a version 1 file included. The
+    training_params are valid ForestParams with master_seed in [0, 2**64 - 1].
+    There are training_params["n_trees"] trees, each of whose feature subsets
+    is n_candidate_features wide, in [1, len(feature_names)]. Child indices lie
     after their split and inside the tree (so routing terminates), feature
-    indices in [0, len(feature_names)); a leaf holds counts >= 0, not both 0,
+    indices in [0, len(feature_names)) and strictly increasing along a split's
+    subset, as grow_tree draws them; a leaf holds counts >= 0, not both 0,
     whose sum fits int64, and zero split fields, and a split zero counts;
     glcm_params is in the canonical form GlcmParams gives it.
     """
@@ -551,8 +551,11 @@ def load_pipeline(path: str | Path) -> Pipeline:
         _typed(doc, _PIPELINE, "document")
         names, params = doc["feature_names"], doc["training_params"]
         d, lam = len(names), params["n_candidate_features"]
-        if not 1 <= lam <= d:
+        ForestParams(params["n_trees"], params["min_node_size"], lam)
+        if lam > d:
             raise ModelFormatError(f"n_candidate_features must lie in [1, {d}]")
+        if not 0 <= params["master_seed"] < 2**64:
+            raise ModelFormatError("master_seed must lie in [0, 2**64 - 1]")
         if len(doc["trees"]) != params["n_trees"]:
             raise ModelFormatError(
                 f"the file holds {len(doc['trees'])} trees, not n_trees = {params['n_trees']}"

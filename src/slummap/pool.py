@@ -1,73 +1,77 @@
-"""Split task lists between the calling process and one forked worker pool.
-
-A run forks one pool and hands it to each parallel stage. The calling
-process counts as one of the pool's ``size`` processes. A list of n tasks
-makes k = min(size, n) shares, task i going to share i % k: the caller
-computes share 0 itself while each of k - 1 forked workers computes one
-other share, and the results come back in task order. Each task is a pure
-function of its arguments, so results do not depend on ``size``.
-"""
+"""fork_map: a task list split between the calling process and children
+forked for one call, which inherit the function and its tasks through the
+fork and send their results back pickled through a pipe."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
+import os
+import pickle
+import signal
+from collections.abc import Callable, Iterable
 
 
-def _run_share(fn, tasks: list[tuple]) -> list:
-    return [fn(*task) for task in tasks]
-
-
-class TaskPool:
-    """The calling process plus ``size - 1`` forked workers.
-
-    ``size`` is ``jobs`` capped at ``longest``, the length of the longest task
-    list the pool will be given, so no worker is forked that no list can
-    feed. Use it as a context manager: leaving the block joins the workers.
-    """
-
-    def __init__(self, jobs: int = 1, longest: int = 1):
-        self.size = max(1, min(jobs, longest))
-        # Fork, not spawn: a spawned worker re-imports numpy, which costs more
-        # than a 64x64 run, and fails when the caller's __main__ has no guard.
-        self._executor = (
-            ProcessPoolExecutor(max_workers=self.size - 1, mp_context=get_context("fork"))
-            if self.size > 1
-            else None
-        )
-
-    def map(self, fn, tasks: list[tuple]) -> Iterator:
-        """Yield ``fn(*task)`` for every task, in task order, one share per process.
-
-        With more than one share, the caller computes its own share before it
-        reads the workers' results; alone, it computes each task as the
-        result is consumed, so only one result is held at a time.
-        """
-        shares = max(1, min(self.size, len(tasks)))
-        if shares == 1:
-            for task in tasks:
-                yield fn(*task)
-            return
-        futures = [
-            self._executor.submit(_run_share, fn, tasks[s::shares]) for s in range(1, shares)
-        ]
-        results = [None] * len(tasks)
+def _child(fn: Callable, share: list[tuple], write_end: int) -> None:
+    """Write share's pickled (True, results), or (False, its exception), and exit."""
+    try:
         try:
-            results[::shares] = _run_share(fn, tasks[::shares])
-        finally:
-            # Read every future, so a worker's exception reaches the caller.
-            chunks = [future.result() for future in futures]
-        for s, chunk in enumerate(chunks, 1):
-            results[s::shares] = chunk
-        yield from results
+            payload = pickle.dumps((True, [fn(*task) for task in share]), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                pickle.loads(payload)  # an exception can pickle and still fail to load
+            except Exception:
+                error = RuntimeError(f"a worker raised {exc!r}, which cannot be pickled")
+                payload = pickle.dumps((False, error))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        os._exit(0)
+    finally:
+        os._exit(1)  # never return into the caller's stack
 
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
 
-    def __enter__(self) -> "TaskPool":
-        return self
+def fork_map(fn: Callable, tasks: list[tuple], jobs: int = 1) -> Iterable:
+    """``fn(*task)`` for every task, in task order.
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    n tasks make k = min(jobs, n) shares, task i going to share i % k. With
+    one share the result is a lazy generator, so one result is held at a
+    time. Otherwise k - 1 children are forked now, one per share past the
+    first, the caller computes share 0, and the list of results is returned.
+    Each task is a pure function of its arguments, so results do not depend on
+    ``jobs``. A child's exception is raised in the caller. Every child is
+    reaped before the call returns or raises, and killed first if the
+    caller's share raises or the caller is interrupted while it waits.
+    """
+    k = max(1, min(jobs, len(tasks)))
+    if k == 1:
+        return (fn(*task) for task in tasks)
+    pids, pipes = [], []
+    try:
+        for s in range(1, k):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, tasks[s::k], write_end)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        results = [None] * len(tasks)
+        results[::k] = [fn(*task) for task in tasks[::k]]
+        payloads = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for s, payload, status in zip(range(1, k), payloads, statuses):
+        if status != 0 or not payload:
+            raise RuntimeError(f"a worker ended with exit status {status} and no result")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        results[s::k] = value
+    return results

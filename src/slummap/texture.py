@@ -33,13 +33,12 @@ window 13; 0.70 against 0.78 s at 256², which goes one band per pass.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .pool import TaskPool
+from .pool import fork_map
 from .raster import BandStack, DimensionMismatchError, FeatureRaster
 
 # (row, col) offset of the second pixel of a pair, per direction in degrees.
@@ -167,14 +166,16 @@ def extract_spectral(stack: BandStack) -> FeatureRaster:
     return FeatureRaster(feature_names=list(stack.band_names), values=values, valid=valid)
 
 
-def _box_sums(images: list[np.ndarray], height: int, width: int) -> np.ndarray:
+def _box_sums(images: list, shape: tuple, height: int, width: int) -> np.ndarray:
     """Sum of every height x width window of each (bands, rows, columns) int64
-    image, from one stacked integral image. The sums are exact even where the
-    cumulative sums wrap."""
-    bands, h, w = images[0].shape
+    image of the given shape, from one stacked integral image. Each image is
+    made by calling its entry of images just before its cumulative sum, so
+    only one is held at a time. The sums are exact even where the cumulative
+    sums wrap."""
+    bands, h, w = shape
     integral = np.zeros((len(images), bands, h + 1, w + 1), dtype=np.int64)
     for image, plane in zip(images, integral):
-        np.cumsum(image, axis=1, out=plane[:, 1:, 1:])
+        np.cumsum(image(), axis=1, out=plane[:, 1:, 1:])
     np.cumsum(integral[..., 1:, 1:], axis=3, out=integral[..., 1:, 1:])
     return (
         integral[..., height:, width:]
@@ -343,9 +344,14 @@ def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParam
         planes["second_moment"] = squares / (total * total)
         planes["entropy"] = math.log(total) - entropy_sums * 2.0 ** -_entropy_shift(n) / total
     a, b = _pair_images(quantized, direction)
-    diff2 = (a - b) ** 2
-    closeness = np.rint(_HOMOGENEITY_UNIT / (1.0 + diff2)).astype(np.int64)
-    linear = _box_sums([diff2, closeness, a + b, a * a + b * b, a * b], height, width)
+    images = [
+        lambda: (a - b) ** 2,
+        lambda: np.rint(_HOMOGENEITY_UNIT / (1.0 + (a - b) ** 2)).astype(np.int64),
+        lambda: a + b,
+        lambda: a * a + b * b,
+        lambda: a * b,
+    ]
+    linear = _box_sums(images, a.shape, height, width)
     mean = linear[2] / total
     variance = np.maximum(linear[3] / total - mean * mean, 0.0)
     cross = linear[4] / n - mean * mean
@@ -372,7 +378,6 @@ def extract_texture(
     stack: BandStack,
     params: GlcmParams | None = None,
     jobs: int = 1,
-    pool: TaskPool | None = None,
 ) -> FeatureRaster:
     """Windowed GLCM features for the selected bands.
 
@@ -383,11 +388,12 @@ def extract_texture(
     (within window//2 of any edge) are invalid. A band the stack lacks, or a
     window larger than the stack, raises DimensionMismatchError. The bands
     are dealt into groups, band i to group i % k, and each group is one task:
-    one kernel pass per direction serves a whole group. There are as many
-    groups as processes in ``pool`` (or in a pool of ``jobs`` processes made
-    for this call), or more where a group would hold over _GROUP_PIXELS
-    pixels. Every window sum is an exact integer, so a band's features do not
-    depend on its group, and results are bit-identical for any ``jobs``.
+    one kernel pass per direction serves a whole group. There are ``jobs``
+    groups, or more where a group would hold over _GROUP_PIXELS pixels, but
+    no more than bands; fork_map splits them between ``jobs`` processes
+    forked for this call. Every window sum is an exact integer, so a band's
+    features do not depend on its group, and results are bit-identical for
+    any ``jobs``.
     """
     if params is None:
         params = GlcmParams()
@@ -407,13 +413,12 @@ def extract_texture(
     valid = np.zeros((h, w), dtype=bool)
     valid[radius : h - radius, radius : w - radius] = True
     quantized = np.stack([quantize(stack.band(band), params.levels) for band in params.bands])
-    with nullcontext(pool) if pool is not None else TaskPool(jobs, n_bands) as pool:
-        per_group = max(1, _GROUP_PIXELS // (h * w))
-        groups = min(n_bands, max(pool.size, -(-n_bands // per_group)))
-        tasks = [(quantized[s::groups], params) for s in range(groups)]
-        for s, block in enumerate(pool.map(_band_measures, tasks)):
-            for b, planes in zip(range(s, n_bands, groups), block):
-                values[b, :, radius : h - radius, radius : w - radius] = planes
+    per_group = max(1, _GROUP_PIXELS // (h * w))
+    groups = min(n_bands, max(jobs, -(-n_bands // per_group)))
+    tasks = [(quantized[s::groups], params) for s in range(groups)]
+    for s, block in enumerate(fork_map(_band_measures, tasks, jobs)):
+        for b, planes in zip(range(s, n_bands, groups), block):
+            values[b, :, radius : h - radius, radius : w - radius] = planes
     return FeatureRaster(
         feature_names=params.feature_names(),
         values=values.reshape(n_bands * n_measures, h, w),

@@ -287,6 +287,18 @@ def test_predict_reproduces_experiment_map(demo, experiment_out, tmp_path):
     ).read_bytes()
 
 
+def test_predict_map_does_not_depend_on_jobs(demo, experiment_out, tmp_path):
+    maps = []
+    for jobs in ("1", "2", "3"):
+        model = experiment_out / "two-texture_glcm_model.json"
+        inputs = ["--model", str(model), "--image", str(demo["root"] / "scene.hdr")]
+        proc = run_cli("predict", *inputs, "--out", str(tmp_path / jobs), "--jobs", jobs)
+        assert proc.returncode == 0, proc.stderr
+        maps.append((tmp_path / jobs / "map.pgm").read_bytes())
+    assert maps[1] == maps[0]
+    assert maps[2] == maps[0]
+
+
 @pytest.fixture(scope="module")
 def spectral_model(demo):
     """A spectral model trained on the 10-band demo scene."""
@@ -612,6 +624,16 @@ def _craft_model(case: str, doc: dict) -> bytes:
         tree["projection"][leaf][0] = -0.0
     elif case == "one-child":
         tree["right"][split] = -1
+    elif case == "negative-master-seed":
+        doc["training_params"]["master_seed"] = -1
+    elif case == "master-seed-past-uint64":
+        doc["training_params"]["master_seed"] = 2**64
+    elif case == "min-node-size-0":
+        doc["training_params"]["min_node_size"] = 0
+    elif case == "subset-repeating-a-feature":
+        tree["feature"][split] = [tree["feature"][split][0]] * len(tree["feature"][split])
+    elif case == "unsorted-subset":
+        tree["feature"][split] = tree["feature"][split][::-1]
     return json.dumps(doc).encode()
 
 
@@ -649,6 +671,11 @@ def _craft_model(case: str, doc: dict) -> bytes:
         "split-with-counts",
         "leaf-with-a-negative-zero-projection",
         "one-child",
+        "negative-master-seed",
+        "master-seed-past-uint64",
+        "min-node-size-0",
+        "subset-repeating-a-feature",
+        "unsorted-subset",
     ],
 )
 def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
