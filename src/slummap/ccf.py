@@ -20,6 +20,7 @@ reads the model file.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -122,7 +123,12 @@ def cca_fit(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     cross-covariance is whitened on both sides and decomposed by SVD. With
     two classes this is the Fisher LDA direction ``(Sxx + RIDGE*I)^-1 (mu1 -
     mu0)`` up to scale. The sign is canonicalized so the first nonzero
-    coefficient is positive.
+    coefficient is positive. The centred one-hot block is read off a 2x2
+    table, as the column means of 0/1 values are exact counts over n.
+
+    The column means of x and the products round according to the memory
+    layout of x; grow_tree always passes a column-major sample, and the
+    pinned models depend on that.
 
     Raises DegenerateDataError when all rows of x are identical or only one
     class is present.
@@ -134,7 +140,7 @@ def cca_fit(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     n, d = x.shape
     if n < 2:
         raise DegenerateDataError("need at least two rows")
-    if (x == x[0]).all():
+    if (x[:, 0] == x[0, 0]).all() and (x == x[0]).all():
         raise DegenerateDataError("all rows of x are identical")
     lo, hi = labels.min(), labels.max()
     if lo < 0 or hi > 1:
@@ -142,10 +148,11 @@ def cca_fit(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     if lo == hi:
         raise DegenerateDataError("only one class present in labels")
 
-    y = np.zeros((n, 2), dtype=np.float64)
-    y[np.arange(n), labels] = 1.0
+    # The one-hot columns hold exact counts, so their means are [n0, n1] / n
+    # and each centred row is a row of eye(2) less those means.
+    n1 = np.count_nonzero(labels)
+    yc = (np.eye(2) - np.array([n - n1, n1]) / n).take(labels, axis=0)
     xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
     sxx = xc.T @ xc / (n - 1) + RIDGE * np.eye(d)
     syy = yc.T @ yc / (n - 1) + RIDGE * np.eye(2)
     sxy = xc.T @ yc / (n - 1)
@@ -173,12 +180,14 @@ def _entropy_terms(counts: np.ndarray) -> np.ndarray:
     return c * np.log(np.maximum(c, 1.0))
 
 
-def _weighted_child_entropy(nl, n0l, n1l, n0r, n1r, n: int) -> np.ndarray:
+def _weighted_child_entropy(terms, nl, n0l, n1l, n0r, n1r, n: int) -> np.ndarray:
     """Sum over children of (n_child/n) * H(child), in nats, vectorized.
 
-    The left child holds nl = n0l + n1l rows, the right one n - nl."""
-    hl = _entropy_terms(nl) - (_entropy_terms(n0l) + _entropy_terms(n1l))
-    hr = _entropy_terms(n - nl) - (_entropy_terms(n0r) + _entropy_terms(n1r))
+    The counts are integer arrays and terms[c] = c ln c (an _entropy_terms
+    table over 0..n); the left child holds nl = n0l + n1l rows, the right one
+    n - nl."""
+    hl = terms[nl] - (terms[n0l] + terms[n1l])
+    hr = terms[n - nl] - (terms[n0r] + terms[n1r])
     return (hl + hr) / n
 
 
@@ -191,30 +200,34 @@ def _node_entropy(n0: int, n1: int) -> float:
     return h / n
 
 
-def _best_split(z: np.ndarray, labels: np.ndarray) -> float | None:
+def _best_split(z: np.ndarray, labels: np.ndarray, terms: np.ndarray) -> float | None:
     """Threshold of the best split over midpoints of consecutive distinct values.
 
     The split maximizes the Shannon entropy reduction (gain, in nats); ties
     resolve to the lowest threshold. The returned threshold t satisfies:
     (z <= t) reproduces the scored partition exactly. Returns None when no
-    split has positive gain.
+    split has positive gain. ``terms`` is an _entropy_terms table over at
+    least 0..len(z).
+
+    The sort need not be stable: the class counts left of a boundary between
+    two distinct values do not depend on how equal values are ordered, so
+    neither do the gains or the threshold.
     """
     n = z.shape[0]
-    order = np.argsort(z, kind="stable")
+    order = np.argsort(z)
     zs = z[order]
-    ys = labels[order].astype(np.int64)
     boundaries = np.nonzero(zs[1:] > zs[:-1])[0]
     if boundaries.size == 0:
         return None
-    n1 = int(ys.sum())
+    prefix1 = np.cumsum(labels[order], dtype=np.int64)
+    n1 = int(prefix1[-1])
     n0 = n - n1
-    prefix1 = np.cumsum(ys)
-    n1l = prefix1[boundaries].astype(np.float64)
-    nl = (boundaries + 1).astype(np.float64)
+    n1l = prefix1[boundaries]
+    nl = boundaries + 1
     n0l = nl - n1l
     n1r = n1 - n1l
     n0r = (n - nl) - n1r
-    gains = _node_entropy(n0, n1) - _weighted_child_entropy(nl, n0l, n1l, n0r, n1r, n)
+    gains = _node_entropy(n0, n1) - _weighted_child_entropy(terms, nl, n0l, n1l, n0r, n1r, n)
     best = int(np.argmax(gains))
     if gains[best] <= 0.0:
         return None
@@ -223,6 +236,12 @@ def _best_split(z: np.ndarray, labels: np.ndarray) -> float | None:
     if thr >= zs[i + 1]:  # midpoint rounded up to the right value
         thr = float(zs[i])
     return float(thr)
+
+
+def _rows_identical(xt: np.ndarray, idx: np.ndarray) -> bool:
+    """Whether rows idx of xt.T agree in every feature, read one column at a time."""
+    first = idx[0]
+    return all((column.take(idx) == column[first]).all() for column in xt)
 
 
 def grow_tree(
@@ -239,6 +258,13 @@ def grow_tree(
     resolves to a leaf. Splitting projects all node rows on the leading
     canonical direction of a bootstrap resample; rows with projection <=
     threshold go left.
+
+    Every gather reads xt, the (d, n) row-major transpose of x, which is a
+    view when x is column-major (train_forest passes it so) and a copy
+    otherwise. A node's lambda columns, and their bootstrap sample, come out
+    as (lambda, m) row-major blocks, so cca_fit and the projection read their
+    (m, lambda) transposes: column-major, strides (8, 8m). The axis-0 means
+    and BLAS products round by layout, and the pinned models rest on this one.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).astype(np.uint8).ravel()
@@ -246,41 +272,40 @@ def grow_tree(
         raise ValueError("x must be (n, d) with one label per row")
     if x.shape[0] < 1:
         raise ValueError("need at least one row")
-    d = x.shape[1]
+    n_rows, d = x.shape
     lam = params.resolve_lambda(d)
+    xt = np.ascontiguousarray(x.T)
+    terms = _entropy_terms(np.arange(n_rows + 1))
 
     # One row per node in preorder, in CcTree's field order.
     nodes: list[list] = []
     no_feature, no_projection = np.zeros(lam, dtype=np.int64), np.zeros(lam)
     # (row indices, parent node index, attach as left child?)
-    stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(x.shape[0]), -1, False)]
+    stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(n_rows), -1, False)]
     while stack:
         idx, parent, is_left = stack.pop()
         node = len(nodes)
         if parent >= 0:
             nodes[parent][3 if is_left else 4] = node  # its left or right child
-        x_node = x[idx]
         y_node = y[idx]
         n = idx.shape[0]
         n1 = int(y_node.sum())
         nodes.append([no_feature, no_projection, 0.0, -1, -1, (n - n1, n1)])  # a leaf
-        if n1 in (0, n) or n < params.min_node_size or (x_node == x_node[0]).all():
+        if n1 in (0, n) or n < params.min_node_size or _rows_identical(xt, idx):
             continue
 
         subset = np.sort(rng.sample_without_replacement(d, lam))
         boot = rng.bootstrap_indices(n)
-        # Gathered through the transpose so the sample is column-major, the
-        # layout whose float reductions in cca_fit the pinned outputs rely on.
-        x_boot = x_node.T[np.ix_(subset, boot)].T
+        x_sub = xt.take(subset[:, None] * n_rows + idx)  # (lam, n) row-major
         try:
-            w = cca_fit(x_boot, y_node[boot])
+            w = cca_fit(x_sub.take(boot, axis=1).T, y_node[boot])
         except DegenerateDataError:
             try:
-                w = cca_fit(x_node[:, subset], y_node)
+                w = cca_fit(x_sub.T, y_node)
             except DegenerateDataError:
                 continue
-        z = x_node[:, subset] @ w
-        split = _best_split(z, y_node)
+        z = x_sub.T @ w
+        split = _best_split(z, y_node, terms)
         if split is None:
             continue
         mask = z <= split
@@ -355,8 +380,10 @@ def train_forest(
     if y.min() == y.max():
         raise DegenerateDataError("training set holds a single class")
     d = x.shape[1]
+    x = np.asfortranarray(x)  # grow_tree gathers from its transpose; one copy per forest
     tasks = [(x, y, params, stream(master_seed, FOREST_STREAM, t)) for t in range(params.n_trees)]
     trees = list(fork_map(grow_tree, tasks, jobs))
+    _release_free_heap()
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(d)]
     if len(feature_names) != d:
@@ -371,6 +398,17 @@ def train_forest(
             "master_seed": master_seed,
         },
     )
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free memory to the system, where glibc can (a no-op
+    elsewhere). Tree induction frees its node gathers, several MB each on large
+    training sets, below glibc's trim threshold; without this they stay
+    resident through the map stage, which sets the process's peak."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 def predict(model: CcfModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

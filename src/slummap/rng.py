@@ -118,25 +118,35 @@ class Pcg32:
         """One unbiased integer in [0, bounds[i]) per entry, in order, as int64.
 
         Equal, value for value and in the state left behind, to calling
-        ``pcg32_boundedrand_r`` on each bound in turn. Raw values come from
-        blocks computed ahead by jump-ahead; a rejected raw value is skipped
-        and the draws after it shift one position along the stream.
+        ``pcg32_boundedrand_r`` on each bound in turn.
         """
         bounds = np.asarray(bounds)
         if bounds.size and (bounds.min() < 1 or bounds.max() > 1 << 32):
             raise ValueError("bound must lie in [1, 2**32]")
-        bounds = bounds.astype(np.int64, copy=False)
+        return self._bounded(bounds.shape[0], bounds.astype(np.int64, copy=False))
+
+    def _bounded(self, count: int, bounds) -> np.ndarray:
+        """count bounded draws under an int64 array of count bounds, or under
+        one np.int64 bound for them all.
+
+        Raw values come from blocks computed ahead by jump-ahead; a rejected
+        raw value is skipped and the draws after it shift one position along
+        the stream.
+        """
+        const = bounds.ndim == 0
         thresholds = (1 << 32) % bounds
-        out = np.empty(bounds.shape[0], dtype=np.int64)
+        out = np.empty(count, dtype=np.int64)
         done = 0
-        while done < out.shape[0]:
+        while done < count:
             if self._state != self._ahead_state or self._ahead_pos == _BLOCK:
                 self._compute_ahead()
-            raw = self._ahead[self._ahead_pos :]
-            length = min(raw.shape[0], out.shape[0] - done)
-            ok = raw[:length] >= thresholds[done : done + length]
+            raw = self._ahead[self._ahead_pos : self._ahead_pos + count - done]
+            length = raw.shape[0]
+            ok = raw >= (thresholds if const else thresholds[done : done + length])
             accepted = length if ok.all() else int(ok.argmin())
-            out[done : done + accepted] = raw[:accepted] % bounds[done : done + accepted]
+            out[done : done + accepted] = raw[:accepted] % (
+                bounds if const else bounds[done : done + accepted]
+            )
             done += accepted
             self._consume(accepted + (accepted < length))  # with the rejected value
         return out
@@ -161,22 +171,28 @@ class Pcg32:
     def shuffle(self, items) -> None:
         """In-place Fisher-Yates shuffle of a list or 1-D array, descending index order."""
         picks = self.randbelow_array(np.arange(len(items), 1, -1))
-        for i, j in zip(range(len(items) - 1, 0, -1), picks.tolist()):
-            items[i], items[j] = items[j], items[i]
+        values = items.tolist() if isinstance(items, np.ndarray) else items
+        for i, j in zip(range(len(values) - 1, 0, -1), picks.tolist()):
+            values[i], values[j] = values[j], values[i]
+        if values is not items:
+            items[:] = values
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), partial Fisher-Yates order."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        picks = np.arange(k) + self.randbelow_array(np.arange(n, n - k, -1))
-        pool = np.arange(n)
+        picks = self.randbelow_array(np.arange(n, n - k, -1))
+        pool = list(range(n))
         for i, j in enumerate(picks.tolist()):
+            j += i
             pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        return np.array(pool[:k], dtype=np.int64)
 
     def bootstrap_indices(self, n: int) -> np.ndarray:
-        """n draws from range(n) with replacement."""
-        return self.randbelow_array(np.full(n, n, dtype=np.int64))
+        """n draws from range(n) with replacement, all under the one bound n."""
+        if not 0 <= n <= 1 << 32:
+            raise ValueError("need 0 <= n <= 2**32")
+        return self._bounded(n, np.int64(max(n, 1)))  # n = 0 draws nothing
 
 
 _BLOCK = 1024

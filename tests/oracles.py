@@ -192,3 +192,97 @@ def version_1_document(doc: dict) -> dict:
     }
     doc["version"] = 1
     return doc
+
+
+def grow_tree_oracle(x, y, lam: int, min_node_size: int, rng) -> list:
+    """The tree grow_tree must build, bit for bit, grown the plain numpy way.
+
+    Every node gathers its full (n, d) rows and tests them for identity across
+    all features; its lambda columns and bootstrap sample are gathered from
+    those rows (column-major, as grow_tree keeps them); CCA builds and averages
+    the one-hot label block; the split search sorts stably and takes c ln c
+    per call; every draw is made by the scalar loops above. Returns CcTree's
+    six arrays in field order.
+    """
+    import numpy as np
+
+    from slummap.ccf import RIDGE
+
+    def inv_sqrt(s):
+        w, v = np.linalg.eigh(s)
+        return (v / np.sqrt(np.maximum(w, RIDGE))) @ v.T
+
+    def cca(x, labels):
+        n, d = x.shape
+        if (x == x[0]).all() or labels.min() == labels.max():
+            return None
+        one_hot = np.zeros((n, 2))
+        one_hot[np.arange(n), labels] = 1.0
+        xc = x - x.mean(axis=0)
+        yc = one_hot - one_hot.mean(axis=0)
+        isx = inv_sqrt(xc.T @ xc / (n - 1) + RIDGE * np.eye(d))
+        isy = inv_sqrt(yc.T @ yc / (n - 1) + RIDGE * np.eye(2))
+        u = np.linalg.svd(isx @ (xc.T @ yc / (n - 1)) @ isy)[0]
+        w = (isx @ u[:, :1])[:, 0]
+        nonzero = np.nonzero(w)[0]
+        return -w if nonzero.size and w[nonzero[0]] < 0 else w
+
+    def c_ln_c(c):
+        return c * np.log(np.maximum(c, 1.0))
+
+    def best_split(z, labels):
+        n = len(z)
+        order = np.argsort(z, kind="stable")
+        zs, ys = z[order], labels[order].astype(np.int64)
+        boundaries = np.nonzero(zs[1:] > zs[:-1])[0]
+        if boundaries.size == 0:
+            return None
+        n1 = int(ys.sum())
+        n1l = np.cumsum(ys)[boundaries].astype(np.float64)
+        nl = (boundaries + 1).astype(np.float64)
+        n0l, n1r = nl - n1l, n1 - n1l
+        n0r = (n - nl) - n1r
+        hl = c_ln_c(nl) - (c_ln_c(n0l) + c_ln_c(n1l))
+        hr = c_ln_c(n - nl) - (c_ln_c(n0r) + c_ln_c(n1r))
+        h = n * math.log(n)
+        for c in (n - n1, n1):
+            if c > 0:
+                h -= c * math.log(c)
+        gains = h / n - (hl + hr) / n
+        best = int(np.argmax(gains))
+        if gains[best] <= 0.0:
+            return None
+        i = boundaries[best]
+        thr = (zs[i] + zs[i + 1]) / 2.0
+        return float(zs[i] if thr >= zs[i + 1] else thr)
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.uint8)
+    nodes = []
+    stack = [(np.arange(len(x)), -1, False)]
+    while stack:
+        idx, parent, is_left = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][3 if is_left else 4] = node
+        x_node, y_node = x[idx], y[idx]
+        n, n1 = len(idx), int(y_node.sum())
+        nodes.append([np.zeros(lam, dtype=np.int64), np.zeros(lam), 0.0, -1, -1, (n - n1, n1)])
+        if n1 in (0, n) or n < min_node_size or (x_node == x_node[0]).all():
+            continue
+        subset = np.sort(sample_without_replacement_oracle(rng, x.shape[1], lam))
+        boot = np.array(bootstrap_oracle(rng, n, n))
+        w = cca(x_node.T[np.ix_(subset, boot)].T, y_node[boot])
+        if w is None:
+            w = cca(x_node[:, subset], y_node)
+        if w is None:
+            continue
+        z = x_node[:, subset] @ w
+        split = best_split(z, y_node)
+        if split is None:
+            continue
+        mask = z <= split
+        nodes[node] = [subset, w, split, -1, -1, (0, 0)]
+        stack.append((idx[~mask], node, False))
+        stack.append((idx[mask], node, True))
+    return [np.array(column) for column in zip(*nodes)]

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slummap.ccf import (
     CcfModel,
@@ -12,6 +14,7 @@ from slummap.ccf import (
     ForestParams,
     RIDGE,
     _best_split,
+    _entropy_terms,
     _node_entropy,
     _weighted_child_entropy,
     apply_tree,
@@ -29,7 +32,7 @@ from slummap.experiment import (
 )
 from slummap.rng import FOREST_STREAM, stream
 
-from .oracles import lda_direction_oracle
+from .oracles import grow_tree_oracle, lda_direction_oracle
 
 
 def pearson(a, b):
@@ -100,6 +103,14 @@ def test_cca_degenerate_inputs_raise():
         cca_fit(x2, np.zeros(10, dtype=np.uint8))
     with pytest.raises(DegenerateDataError, match="two rows"):
         cca_fit(x2[:1], np.array([0], dtype=np.uint8))
+
+
+def test_cca_sample_constant_in_column_zero_only_is_not_degenerate():
+    x = np.column_stack([np.full(6, 2.5), np.arange(6.0)])
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    w = cca_fit(x, labels)
+    assert np.isfinite(w).all() and w[1] > 0
+    np.testing.assert_allclose(w[1:], cca_fit(x[:, 1:], labels), rtol=1e-6)
 
 
 def test_cca_rejects_labels_other_than_zero_and_one():
@@ -219,34 +230,73 @@ def test_xor_layout_needs_depth_two_and_fits_training_data():
     assert _depth(tree) >= 2
 
 
+def _terms(n: int) -> np.ndarray:
+    """The c ln c table grow_tree builds for a tree over n rows."""
+    return _entropy_terms(np.arange(n + 1))
+
+
 def test_best_split_prefers_clean_boundary():
     z = np.array([0.0, 1.0, 2.0, 3.0])
     labels = np.array([0, 0, 1, 1], dtype=np.uint8)
-    assert _best_split(z, labels) == pytest.approx(1.5)
+    assert _best_split(z, labels, _terms(4)) == pytest.approx(1.5)
     # That split separates the classes: the gain is the whole node entropy.
-    one, zero = np.array([2.0]), np.array([0.0])
-    gain = _node_entropy(2, 2) - _weighted_child_entropy(2.0, one, zero, zero, one, 4)
+    two, zero = np.array([2]), np.array([0])
+    gain = _node_entropy(2, 2) - _weighted_child_entropy(_terms(4), two, two, zero, zero, two, 4)
     assert gain[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_best_split_returns_none_without_gain():
-    assert _best_split(np.zeros(4), np.array([0, 1, 0, 1], dtype=np.uint8)) is None
+    assert _best_split(np.zeros(4), np.array([0, 1, 0, 1], dtype=np.uint8), _terms(4)) is None
 
 
 def test_weighted_child_entropy_matches_definition():
     rng = np.random.default_rng(13)
-    counts = rng.integers(0, 6, size=(200, 4)).astype(np.float64)
-    counts[counts.sum(axis=1) == 0, 0] = 1.0
-    n0l, n1l, n0r, n1r = counts.T
-    n = counts.sum(axis=1)
-    got = _weighted_child_entropy(n0l + n1l, n0l, n1l, n0r, n1r, n)
+    counts = rng.integers(0, 6, size=(200, 4))
+    counts[counts.sum(axis=1) == 0, 0] = 1
+    totals = counts.sum(axis=1)
+    terms = _terms(int(totals.max()))
 
     def entropy(a, b):
         return -sum(c / (a + b) * math.log(c / (a + b)) for c in (a, b) if c > 0)
 
-    for i, (a, b, c, e) in enumerate(counts.tolist()):
-        expected = (a + b) / n[i] * entropy(a, b) + (c + e) / n[i] * entropy(c, e)
-        assert got[i] == pytest.approx(expected, abs=1e-12)
+    for n in set(totals.tolist()):
+        n0l, n1l, n0r, n1r = counts[totals == n].T
+        got = _weighted_child_entropy(terms, n0l + n1l, n0l, n1l, n0r, n1r, n)
+        for g, (a, b, c, e) in zip(got.tolist(), counts[totals == n].tolist()):
+            expected = (a + b) / n * entropy(a, b) + (c + e) / n * entropy(c, e)
+            assert g == pytest.approx(expected, abs=1e-12)
+
+
+def test_entropy_table_equals_terms_computed_per_count():
+    # The table is read in place of c ln c over float counts; it must hold the
+    # same doubles, whatever the length and alignment of the array logged.
+    table = _terms(5000)
+    rng = np.random.default_rng(4)
+    for size in (1, 2, 7, 8, 9, 31, 1693, 4999):
+        counts = rng.integers(0, 5001, size=size)
+        assert table[counts].tobytes() == _entropy_terms(counts.astype(np.float64)).tobytes()
+        offset = rng.integers(0, 5)
+        chunk = np.arange(offset, offset + size, dtype=np.float64)
+        assert table[offset : offset + size].tobytes() == _entropy_terms(chunk).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=2, max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_best_split_threshold_does_not_depend_on_the_order_of_ties(data, seed):
+    # Six distinct values over up to 60 rows: most rows tie with others.
+    z = np.array([v for v, _ in data], dtype=np.float64) / 3.0
+    labels = np.array([c for _, c in data], dtype=np.uint8)
+    terms = _terms(len(z))
+    expected = _best_split(z, labels, terms)
+    for _ in range(3):
+        perm = np.random.default_rng(seed).permutation(len(z))
+        seed += 1
+        assert _best_split(z[perm], labels[perm], terms) == expected
+    # Reversing the rows reverses the order of every run of ties.
+    assert _best_split(z[::-1].copy(), labels[::-1].copy(), terms) == expected
 
 
 def test_split_partition_matches_threshold_evaluation():
@@ -256,8 +306,66 @@ def test_split_partition_matches_threshold_evaluation():
     b = np.nextafter(a, 2.0)
     z = np.array([a, a, b, b])
     labels = np.array([0, 0, 1, 1], dtype=np.uint8)
-    threshold = _best_split(z, labels)
+    threshold = _best_split(z, labels, _terms(4))
     assert ((z <= threshold) == np.array([True, True, False, False])).all()
+
+
+def _assert_tree_equals_oracle(x, y, params=ForestParams(), key=(0, 0)):
+    tree = grow_tree(x, y, params, stream(key[0], FOREST_STREAM, key[1]))
+    lam = params.resolve_lambda(x.shape[1])
+    expected = grow_tree_oracle(x, y, lam, params.min_node_size, stream(key[0], FOREST_STREAM, key[1]))
+    got = [getattr(tree, f.name) for f in fields(tree)]
+    for field, a, b in zip(fields(tree), got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
+    return tree
+
+
+def test_rows_equal_in_leading_columns_still_split_as_the_reference_grower():
+    # Columns 0 and 1 are constant on every node, so the identical-rows test
+    # must read on to a later column before it can tell the rows apart.
+    rng = np.random.default_rng(21)
+    x = np.zeros((80, 4))
+    x[:, 0] = 3.0
+    x[:, 1] = -1.0
+    x[:, 2] = rng.normal(size=80)
+    x[:, 3] = rng.normal(size=80)
+    y = (x[:, 2] + 0.3 * x[:, 3] > 0).astype(np.uint8)
+    tree = _assert_tree_equals_oracle(x, y, ForestParams(n_candidate_features=2))
+    assert len(tree.threshold) > 1
+    # Only the last column differs, and only between two halves.
+    x = np.ones((40, 3))
+    x[20:, 2] = 2.0
+    y = np.repeat(np.array([0, 1], dtype=np.uint8), 20)
+    tree = _assert_tree_equals_oracle(x, y, ForestParams(n_candidate_features=3))
+    assert tree.left[0] >= 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 120),
+    d=st.integers(1, 6),
+    levels=st.integers(1, 4),
+    min_node_size=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grow_tree_equals_reference_grower(n, d, levels, min_node_size, seed):
+    # Few levels per feature: many tied projections, duplicated rows and
+    # nodes whose rows agree in some columns only.
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+    y = rng.integers(0, 2, size=n).astype(np.uint8)
+    _assert_tree_equals_oracle(x, y, ForestParams(min_node_size=min_node_size), key=(seed, 1))
+
+
+def test_identical_rows_with_mixed_labels_are_one_leaf_and_draw_nothing():
+    x = np.tile(np.array([[0.5, -2.0, 7.0]]), (30, 1))
+    y = np.array([0, 1] * 15, dtype=np.uint8)
+    rng = stream(0, FOREST_STREAM, 0)
+    tree = grow_tree(x, y, ForestParams(), rng)
+    assert tree.left.tolist() == [-1]
+    assert tree.class_counts.tolist() == [[15, 15]]
+    assert rng.next_u32() == stream(0, FOREST_STREAM, 0).next_u32()
 
 
 def test_information_gain_positive_at_every_split():

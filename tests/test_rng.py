@@ -203,3 +203,61 @@ def test_block_draws_equal_scalar_oracle_property(key, bound, size):
     got = rng.randbelow_array(np.full(size, bound, dtype=np.int64))
     assert got.tolist() == bootstrap_oracle(oracle, bound, size)
     assert rng._state == oracle._state
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("key", KEYS)
+def test_bootstrap_indices_method_equals_scalar_oracle(key, n):
+    # bootstrap_indices draws under one scalar bound, not through randbelow_array.
+    rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+    rng.next_u32(), oracle.next_u32()  # start off a block boundary
+    got = rng.bootstrap_indices(n)
+    assert got.dtype == np.int64
+    assert got.tolist() == bootstrap_oracle(oracle, n, n)
+    assert rng._state == oracle._state
+    assert rng.bootstrap_indices(n).tolist() == bootstrap_oracle(oracle, n, n)
+    assert rng._state == oracle._state
+
+
+@pytest.mark.parametrize("bound", [7, 2**31 + 1, 2**32])
+@pytest.mark.parametrize("key", KEYS)
+def test_one_bound_for_all_draws_equals_scalar_oracle_across_rejections(key, bound):
+    # The path bootstrap_indices takes, under bounds that reject half the raw
+    # values (2**31 + 1) or none (2**32).
+    size = 2 * _BLOCK + 5
+    rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+    assert rng._bounded(size, np.int64(bound)).tolist() == bootstrap_oracle(oracle, bound, size)
+    assert rng._state == oracle._state
+
+
+def test_bootstrap_indices_of_nothing_draws_nothing():
+    rng = Pcg32.from_key(KEYS[1])
+    state = rng._state
+    assert rng.bootstrap_indices(0).tolist() == []
+    assert rng._state == state
+    with pytest.raises(ValueError):
+        rng.bootstrap_indices(-1)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("key", KEYS)
+def test_shuffle_of_an_array_equals_scalar_oracle_and_keeps_its_dtype(key, size):
+    rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+    expected = list(range(size))
+    shuffle_oracle(oracle, expected)
+    items = np.arange(size, dtype=np.int32)
+    rng.shuffle(items)
+    assert items.dtype == np.int32
+    assert items.tolist() == expected
+    assert rng._state == oracle._state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 28, _BLOCK + 1])
+@pytest.mark.parametrize("key", KEYS)
+def test_sample_without_replacement_with_k_near_n_equals_scalar_oracle(key, n):
+    for k in {0, max(n - 2, 0), n - 1, n}:
+        rng, oracle = Pcg32.from_key(key), Pcg32.from_key(key)
+        got = rng.sample_without_replacement(n, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == sample_without_replacement_oracle(oracle, n, k)
+        assert rng._state == oracle._state

@@ -1,0 +1,186 @@
+"""A/B benchmark: the working tree against a base revision, in alternating runs.
+
+    python tools/ab.py --base HEAD~1 --workload glcm-noisy --pairs 10 --seconds 6
+
+The base revision's committed files are exported (``git archive``) into a
+temporary directory. Each pair then runs ``perfbench/run.py --trace 0`` once
+in the base tree and once in the working tree, each against its own
+``src/``; even pairs run the base first, odd pairs the change first, so a
+drift of the host over the session falls on both sides alike. Nothing under
+``perfbench/`` is edited.
+
+Writes ``bench/BENCH_<workload>-seed<seed>.json``: for each end-to-end metric the medians
+and quartiles of both sides, the pairs the change won, the base's quartile
+spread and whether the gain clears it; the ``env`` line of each side; and
+every run with its ``correct`` flag. Exits 1 unless every run read
+``correct: true`` with no failed operation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+WIN_SHARE = 0.9  # a claimed gain must win this share of the pairs
+
+
+def parse_run(stdout: str) -> dict:
+    """The env line and the closing JSON line of one ``perfbench/run.py`` run."""
+    lines = stdout.strip().splitlines()
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    result = json.loads(lines[-1]) if lines else {}
+    return {
+        "correct": result.get("correct") is True and result.get("failed") == 0,
+        "failed": result.get("failed"),
+        "attempted": result.get("attempted"),
+        "env": env,
+        "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()},
+    }
+
+
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    try:
+        run = parse_run(done.stdout)
+    except (ValueError, KeyError, TypeError):
+        run = {"correct": False, "failed": None, "attempted": None, "env": None, "metrics": {}}
+    if done.returncode != 0 or not run["correct"]:
+        run["correct"] = False
+        run["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
+    return run
+
+
+def alternate(pairs: int, run_side) -> list[dict]:
+    """pairs x (base, change) runs of run_side(side); odd pairs run the change first."""
+    runs = []
+    for pair in range(pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for position, side in enumerate(order):
+            runs.append({"pair": pair, "side": side, "first": position == 0, **run_side(side)})
+    return runs
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Lower quartile, median and upper quartile, linearly interpolated."""
+    v = sorted(values)
+
+    def at(p):
+        pos = p * (len(v) - 1)
+        lo = math.floor(pos)
+        hi = min(lo + 1, len(v) - 1)
+        return v[lo] + (v[hi] - v[lo]) * (pos - lo)
+
+    return at(0.25), statistics.median(v), at(0.75)
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict[str, dict]:
+    """Per metric: both sides' quartiles, pairs the change won, the base spread."""
+    by_pair = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+    pairs = [p for p in by_pair.values() if all(side in p for side in SIDES)]
+    names = [n for n in better if pairs and all(n in p[side] for p in pairs for side in SIDES)]
+    out = {}
+    for name in names:
+        lower = better[name] == "lower"
+        values = {side: [p[side][name] for p in pairs] for side in SIDES}
+        stats = {side: dict(zip(("q1", "median", "q3"), quartiles(values[side]))) for side in SIDES}
+        base_median, change_median = stats["base"]["median"], stats["change"]["median"]
+        won = sum((c < b) if lower else (c > b) for b, c in zip(values["base"], values["change"]))
+        gain = (base_median - change_median) if lower else (change_median - base_median)
+        spread = stats["base"]["q3"] - stats["base"]["q1"]
+        out[name] = {
+            "better": better[name],
+            "base": stats["base"],
+            "change": stats["change"],
+            "change_pct": 100.0 * (change_median - base_median) / base_median if base_median else None,
+            "pairs": len(pairs),
+            "pairs_won": won,
+            "base_quartile_spread": spread,
+            "gain_clears_spread": won >= math.ceil(WIN_SHARE * len(pairs)) and gain > spread,
+        }
+    return out
+
+
+def bench_document(args, base_rev: str, change_rev: str, runs: list[dict], better: dict) -> dict:
+    def env(side):
+        return next((r["env"] for r in runs if r["side"] == side and r["env"]), None)
+
+    return {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "base": {"rev": base_rev, "env": env("base")},
+        "change": {"rev": change_rev, "env": env("change")},
+        "correct": bool(runs) and all(r["correct"] for r in runs),
+        "metrics": summarize(runs, better),
+        "runs": runs,
+    }
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, into: Path) -> None:
+    """The committed files of rev, as ``git archive`` writes them, under into."""
+    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(into, filter="data")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=6.0, help="per run, as perfbench/run.py takes it")
+    parser.add_argument("--seed", type=int, default=1, help="noise seed of the scenes")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    change_rev = git("rev-parse", "HEAD") + (" + uncommitted changes" if git("status", "--porcelain") else "")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
+        export(base_rev, Path(tmp))
+        trees = {"base": Path(tmp), "change": ROOT}
+
+        def run_side(side):
+            run = run_perfbench(trees[side], args.workload, args.seed, args.seconds)
+            wall = run["metrics"].get("wall_s")
+            print(f"{side:6} correct={run['correct']} wall_s={wall}", file=sys.stderr, flush=True)
+            return run
+
+        runs = alternate(args.pairs, run_side)
+
+    doc = bench_document(args, base_rev, change_rev, runs, better)
+    path = ROOT / "bench" / f"BENCH_{args.workload}-seed{args.seed}.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    for name, m in doc["metrics"].items():
+        pct = "" if m["change_pct"] is None else f" ({m['change_pct']:+.1f}%)"
+        print(f"{name}: {m['base']['median']:.6g} -> {m['change']['median']:.6g}{pct}, "
+              f"won {m['pairs_won']}/{m['pairs']}, base spread {m['base_quartile_spread']:.3g}")
+    print(f"wrote {path}; correct: {doc['correct']}")
+    return 0 if doc["correct"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
