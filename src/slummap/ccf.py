@@ -325,11 +325,22 @@ def tree_depth(tree: CcTree) -> int:
 
 
 def apply_tree(tree: CcTree, x: np.ndarray) -> np.ndarray:
-    """Leaf node index reached by every row of x."""
+    """Leaf node index reached by every row of x.
+
+    A split projects its rows' lambda columns as one (rows, lambda)
+    column-major block, as indexing x along axis 1 gives it; the BLAS product
+    rounds by layout, and the pinned maps rest on this one. Each node builds
+    the block by the gather that copies fewer values, and none copies all
+    of x: a node holding at most lambda / d of the rows takes its rows
+    first, then its columns; one holding more takes its columns first, then
+    its rows; one holding every row (the root) takes its columns alone.
+    """
     x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    few = n * tree.feature.shape[1] // d  # up to this many rows, rows first copies less
     left, right, threshold = tree.left.tolist(), tree.right.tolist(), tree.threshold.tolist()
-    out = np.empty(x.shape[0], dtype=np.int64)
-    stack = [(0, np.arange(x.shape[0]))]
+    out = np.empty(n, dtype=np.int64)
+    stack = [(0, np.arange(n))]
     while stack:
         node, rows = stack.pop()
         if rows.size == 0:
@@ -337,7 +348,13 @@ def apply_tree(tree: CcTree, x: np.ndarray) -> np.ndarray:
         if left[node] < 0:
             out[rows] = node
             continue
-        z = x[rows][:, tree.feature[node]] @ tree.projection[node]
+        if rows.size <= few:
+            block = x[rows][:, tree.feature[node]]
+        elif rows.size < n:
+            block = x[:, tree.feature[node]].T.take(rows, axis=1).T
+        else:
+            block = x[:, tree.feature[node]]
+        z = block @ tree.projection[node]
         mask = z <= threshold[node]
         stack.append((left[node], rows[mask]))
         stack.append((right[node], rows[~mask]))
@@ -370,6 +387,10 @@ def train_forest(
     by (master_seed, FOREST_STREAM, t), so identical inputs and seed give a
     bit-identical model. Whole trees are split between ``jobs`` processes,
     the caller and children forked for this call, with the same result.
+
+    Every tree reads x column-major. Pass it so (run_experiment scales into
+    that layout) and no copy of x is made; any other x is copied to it here,
+    before the fork.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).astype(np.uint8).ravel()
@@ -380,7 +401,7 @@ def train_forest(
     if y.min() == y.max():
         raise DegenerateDataError("training set holds a single class")
     d = x.shape[1]
-    x = np.asfortranarray(x)  # grow_tree gathers from its transpose; one copy per forest
+    x = np.asfortranarray(x)  # grow_tree gathers from its transpose
     tasks = [(x, y, params, stream(master_seed, FOREST_STREAM, t)) for t in range(params.n_trees)]
     trees = list(fork_map(grow_tree, tasks, jobs))
     _release_free_heap()

@@ -154,10 +154,18 @@ def fit_scaler(x: np.ndarray) -> ScalerStats:
     return ScalerStats(means=means, stds=stds)
 
 
-def scale_matrix(stats: ScalerStats, features: np.ndarray) -> np.ndarray:
-    """(v - mean) / std per column; constant columns (std 0) map to 0."""
+def scale_matrix(stats: ScalerStats, features: np.ndarray, order: str = "C") -> np.ndarray:
+    """(v - mean) / std per column; constant columns (std 0) map to 0.
+
+    Returns a new float64 matrix in ``order`` ("C" row-major, "F" column-major)
+    and leaves ``features`` as it is. It is the only full-size array made:
+    float32 values are widened inside the subtraction, which is exact, and
+    the division and zeroing run in place, so the result is bit-equal to
+    ``(features.astype(np.float64) - means) / divisor`` in either layout.
+    """
     divisor = np.where(stats.stds > 0, stats.stds, 1.0)
-    scaled = (features - stats.means) / divisor
+    scaled = np.subtract(features, stats.means, dtype=np.float64, order=order)
+    scaled /= divisor
     scaled[:, stats.constant_columns] = 0.0
     return scaled
 
@@ -271,10 +279,12 @@ def run_experiment(
     train_rows, test_rows = kept[train_pos], kept[test_pos]
     timings["split"] = time.perf_counter() - t0
 
+    # fit_scaler reads the row-major gather, as its axis-0 sums round by
+    # layout; the forest reads a column-major matrix, so scaling writes one.
     t0 = time.perf_counter()
     train_x = features.values[:, rows[train_rows], cols[train_rows]].T.astype(np.float64)
     scaler = fit_scaler(train_x)
-    train_x = scale_matrix(scaler, train_x)
+    train_x = scale_matrix(scaler, train_x, order="F")
     timings["scale"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -286,6 +296,7 @@ def run_experiment(
         feature_names=list(features.feature_names),
         jobs=jobs,
     )
+    del train_x  # the map stage does not read it, so its peak need not hold it
     timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -320,7 +331,11 @@ def predict_scene(
     scaler: ScalerStats,
 ) -> tuple[LabelMask, MetricsReport | None]:
     """Predict every feature-valid pixel; score against the mask if given. A raster
-    without the model's features, by name and in order, raises DimensionMismatchError."""
+    without the model's features, by name and in order, raises DimensionMismatchError.
+
+    The full-size arrays are the float32 gather of the valid pixels and its
+    scaled float64 copy, row-major, the layout routing reads fastest; the
+    gather is freed once scaled, so routing holds the scaled matrix alone."""
     expected, got = model.feature_names, features.feature_names
     if got != expected:
         first = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
@@ -332,7 +347,7 @@ def predict_scene(
         )
     rows, cols = np.nonzero(features.valid)
     labels_grid = np.zeros((features.height, features.width), dtype=np.uint8)
-    matrix = scale_matrix(scaler, features.values[:, rows, cols].T.astype(np.float64))
+    matrix = scale_matrix(scaler, features.values[:, rows, cols].T)
     labels, _ = predict(model, matrix)
     labels_grid[rows, cols] = labels
     prediction = LabelMask(labels=labels_grid, valid=features.valid.copy())

@@ -336,13 +336,24 @@ def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParam
     height, width = params.window - abs(dr), params.window - abs(dc)
     n = height * width
     total = 2 * n
-    planes = {}
-    # The key kernel first, while the linear measures' temporaries are not yet live.
-    if "second_moment" in params.measures or "entropy" in params.measures:
+    # The key kernel first, while neither the output nor the linear measures'
+    # temporaries are live; each full-size temporary is dropped once used.
+    key_kernel = "second_moment" in params.measures or "entropy" in params.measures
+    if key_kernel:
         keys = _pair_keys(*_pair_images(quantized, direction), params.levels)
         squares, entropy_sums = _key_sums(keys, height, width, params.levels)
-        planes["second_moment"] = squares / (total * total)
-        planes["entropy"] = math.log(total) - entropy_sums * 2.0 ** -_entropy_shift(n) / total
+        del keys
+    bands, h, w = quantized.shape
+    out = np.empty((bands, len(params.measures), h - params.window + 1, w - params.window + 1))
+
+    def put(measure: str, plane) -> None:
+        if measure in params.measures:
+            out[:, params.measures.index(measure)] = plane
+
+    if key_kernel:
+        put("second_moment", squares / (total * total))
+        put("entropy", math.log(total) - entropy_sums * 2.0 ** -_entropy_shift(n) / total)
+        del squares, entropy_sums
     a, b = _pair_images(quantized, direction)
     images = [
         lambda: (a - b) ** 2,
@@ -352,26 +363,34 @@ def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParam
         lambda: a * b,
     ]
     linear = _box_sums(images, a.shape, height, width)
+    del a, b, images
+    put("contrast", linear[0] / n)
+    put("homogeneity", linear[1] / (_HOMOGENEITY_UNIT * n))
     mean = linear[2] / total
     variance = np.maximum(linear[3] / total - mean * mean, 0.0)
     cross = linear[4] / n - mean * mean
-    planes.update(
-        contrast=linear[0] / n,
-        correlation=np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0),
-        homogeneity=linear[1] / (_HOMOGENEITY_UNIT * n),
-        mean=mean,
-        variance=variance,
-    )
-    return np.stack([planes[m] for m in params.measures], axis=1)
+    del linear
+    put("mean", mean)
+    put("variance", variance)
+    put("correlation", np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0))
+    return out
 
 
 def _band_measures(quantized: np.ndarray, params: GlcmParams) -> np.ndarray:
     """Selected measures of each band of a quantized (bands, height, width)
     stack averaged over the directions,
-    (bands, n_measures, height - window + 1, width - window + 1) float64."""
+    (bands, n_measures, height - window + 1, width - window + 1) float64.
+
+    One accumulator takes each direction's measures in place, in the order
+    and with the rounding of sum() over them, divided by their number."""
+    first, *rest = params.directions
+    summed = _direction_measures(quantized, first, params)
     # sum() starts from 0, so a zero average is +0.0 even if every term is -0.0.
-    summed = sum(_direction_measures(quantized, d, params) for d in params.directions)
-    return summed / len(params.directions)
+    summed += 0.0
+    for direction in rest:
+        summed += _direction_measures(quantized, direction, params)
+    summed /= len(params.directions)
+    return summed
 
 
 def extract_texture(

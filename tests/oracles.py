@@ -286,3 +286,26 @@ def grow_tree_oracle(x, y, lam: int, min_node_size: int, rng) -> list:
         stack.append((idx[~mask], node, False))
         stack.append((idx[mask], node, True))
     return [np.array(column) for column in zip(*nodes)]
+
+
+def apply_tree_oracle(tree, x):
+    """The leaf each row of x reaches, routed the plain way: every split
+    gathers its rows' full feature vectors, then its lambda columns, and
+    projects that block. This is the router the pinned maps were made with."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape[0], dtype=np.int64)
+    stack = [(0, np.arange(x.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if tree.left[node] < 0:
+            out[rows] = node
+            continue
+        z = x[rows][:, tree.feature[node]] @ tree.projection[node]
+        mask = z <= tree.threshold[node]
+        stack.append((tree.left[node], rows[mask]))
+        stack.append((tree.right[node], rows[~mask]))
+    return out

@@ -1,4 +1,5 @@
-"""tools/ab.py on canned perfbench output: statistics and the BENCH file schema.
+"""tools/ab.py on canned output: statistics, the BENCH and SCALE file schemas
+and the map digest check of scale runs.
 
 No test here launches a run: subprocess.run is replaced by a function that fails.
 """
@@ -123,3 +124,83 @@ def test_bench_document_schema_and_correct_flag():
     runs[3]["correct"] = False
     assert ab.bench_document(args, "a" * 40, "b" * 40, runs, BETTER)["correct"] is False
     assert ab.bench_document(args, "a" * 40, "b" * 40, [], BETTER)["correct"] is False
+
+
+def canned_scale_stdout(digest="ab" * 32, total=5.0, peak=205.7, children=0.0) -> str:
+    stages = {"extract": 2.9, "assemble": 0.01, "balance": 0.001, "split": 0.12, "scale": 0.15,
+              "train": 1.2, "map": 0.6, "predict": 0.001, "total": total}
+    result = {"env": {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}, "map_sha256": digest,
+              "metrics": {**{k + "_s": v for k, v in stages.items()},
+                          "peak_rss_mb": peak, "children_peak_rss_mb": children}}
+    return "some warning on stdout\n" + json.dumps(result) + "\n"
+
+
+def _scale_runs(base_digests, change_digests):
+    runs = []
+    for pair, (b, c) in enumerate(zip(base_digests, change_digests)):
+        for side, digest, peak in (("base", b, 285.7), ("change", c, 205.7 + pair)):
+            runs.append({"pair": pair, "side": side, "first": side == "base",
+                         **ab.parse_scale_run(canned_scale_stdout(digest, peak=peak))})
+    return runs
+
+
+def test_parse_scale_run_reads_stages_peaks_and_the_map_digest():
+    run = ab.parse_scale_run(canned_scale_stdout(total=4.5, peak=210.0, children=160.5))
+    assert run["correct"] is True and run["map_sha256"] == "ab" * 32
+    assert run["env"] == {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
+    assert run["metrics"]["total_s"] == 4.5 and run["metrics"]["map_s"] == 0.6
+    assert run["metrics"]["peak_rss_mb"] == 210.0
+    assert run["metrics"]["children_peak_rss_mb"] == 160.5
+    assert ab.parse_scale_run("")["correct"] is False
+
+
+def test_scale_runs_agree_only_on_one_map_digest_across_both_sides():
+    same = "ab" * 32
+    assert ab.digests_agree(_scale_runs([same] * 3, [same] * 3)) is True
+    assert ab.digests_agree(_scale_runs([same] * 3, [same, "cd" * 32, same])) is False
+    assert ab.digests_agree(_scale_runs([same, "cd" * 32], [same, same])) is False
+    runs = _scale_runs([same] * 2, [same] * 2)
+    runs[1]["correct"] = False
+    assert ab.digests_agree(runs) is False
+    assert ab.digests_agree([]) is False
+
+
+def test_scale_document_summarizes_every_stage_and_peak():
+    args = Namespace(scale=512, technique="glcm", jobs=1, seed=1, pairs=3)
+    same = "ab" * 32
+    doc = ab.scale_document(args, "a" * 40, "b" * 40, _scale_runs([same] * 3, [same] * 3))
+    assert json.loads(json.dumps(doc)) == doc
+    assert set(doc) == {"scale", "technique", "jobs", "seed", "pairs", "base", "change",
+                        "map_digests", "correct", "metrics", "runs"}
+    assert doc["correct"] is True and doc["map_digests"] == {"base": [same], "change": [same]}
+    assert set(doc["metrics"]) == {"extract_s", "assemble_s", "balance_s", "split_s", "scale_s",
+                                   "train_s", "map_s", "predict_s", "total_s", "peak_rss_mb",
+                                   "children_peak_rss_mb"}
+    peak = doc["metrics"]["peak_rss_mb"]
+    assert peak["better"] == "lower" and peak["pairs_won"] == 3
+    assert peak["base"]["median"] == 285.7 and peak["change"]["median"] == 206.7
+    other = ab.scale_document(args, "a" * 40, "b" * 40, _scale_runs([same] * 3, ["cd" * 32] * 3))
+    assert other["correct"] is False
+    assert other["map_digests"] == {"base": [same], "change": ["cd" * 32]}
+
+
+@pytest.mark.parametrize("change_digest, status", [("ab" * 32, 0), ("cd" * 32, 1)])
+def test_scale_mode_exits_one_when_the_maps_differ(tmp_path, monkeypatch, change_digest, status):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "git", lambda *args: "" if args[0] == "status" else "f" * 40)
+    monkeypatch.setattr(ab, "export", lambda rev, into: None)
+    calls = []
+
+    def run_scale(tree, side, technique, jobs, seed):
+        calls.append((tree == tmp_path, side, technique, jobs, seed))
+        digest = change_digest if tree == tmp_path else "ab" * 32
+        return ab.parse_scale_run(canned_scale_stdout(digest))
+
+    monkeypatch.setattr(ab, "run_scale", run_scale)
+    argv = ["--base", "HEAD", "--scale", "64", "--technique", "glcm", "--jobs", "2", "--pairs", "2"]
+    assert ab.main(argv) == status
+    assert calls == [(False, 64, "glcm", 2, 1), (True, 64, "glcm", 2, 1),
+                     (True, 64, "glcm", 2, 1), (False, 64, "glcm", 2, 1)]
+    doc = json.loads((tmp_path / "bench" / "SCALE_glcm-64-jobs2.json").read_text())
+    assert doc["correct"] is (status == 0) and len(doc["runs"]) == 4

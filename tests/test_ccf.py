@@ -32,7 +32,7 @@ from slummap.experiment import (
 )
 from slummap.rng import FOREST_STREAM, stream
 
-from .oracles import grow_tree_oracle, lda_direction_oracle
+from .oracles import apply_tree_oracle, grow_tree_oracle, lda_direction_oracle
 
 
 def pearson(a, b):
@@ -399,6 +399,50 @@ def test_leaf_partition_invariant_under_positive_feature_scaling(data_seed):
     groups_a = {frozenset(np.nonzero(leaves_a == l)[0].tolist()) for l in set(leaves_a)}
     groups_b = {frozenset(np.nonzero(leaves_b == l)[0].tolist()) for l in set(leaves_b)}
     assert groups_a == groups_b
+
+
+def _tree_with_ties(x: np.ndarray, lam: int, depth: int, rng) -> CcTree:
+    """A random tree over x whose every threshold is the projection of one of
+    the rows that reach its split, as apply_tree_oracle computes it: a router
+    that rounds any projection differently sends some row the other way."""
+    nodes = []
+
+    def grow(rows, level):
+        node = len(nodes)
+        nodes.append([np.zeros(lam, dtype=np.int64), np.zeros(lam), 0.0, -1, -1, (1, 1)])
+        if level == depth or rows.size == 0 or rng.random() < 0.15:
+            return node
+        feature = np.sort(rng.choice(x.shape[1], lam, replace=False))
+        w = rng.normal(size=lam)
+        z = x[rows][:, feature] @ w
+        threshold = float(z[rng.integers(z.size)])
+        mask = z <= threshold
+        left = grow(rows[mask], level + 1)
+        nodes[node] = [feature, w, threshold, left, grow(rows[~mask], level + 1), (0, 0)]
+        return node
+
+    grow(np.arange(x.shape[0]), 0)
+    return CcTree(*(np.array(column) for column in zip(*nodes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    d=st.integers(1, 12),
+    lam_share=st.floats(0.0, 1.0),
+    depth=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_tree_equals_reference_router(n, d, lam_share, depth, seed):
+    # Every gather order apply_tree picks (the root's columns, columns then
+    # rows, rows then columns) must project exactly as the reference does.
+    rng = np.random.default_rng(seed)
+    lam = 1 + int(lam_share * (d - 1))
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 1000.0, size=d)
+    tree = _tree_with_ties(x, lam, depth, rng)
+    expected = apply_tree_oracle(tree, x)
+    for layout in (x, np.asfortranarray(x)):
+        assert apply_tree(tree, layout).tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------------------

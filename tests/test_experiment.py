@@ -3,6 +3,8 @@ import hashlib
 import importlib.util
 import json
 import sys
+import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -172,6 +174,25 @@ def test_test_set_outliers_never_touch_scaler():
     stats_after = fit_scaler(x[train])
     assert np.array_equal(stats.means, stats_after.means)
     assert np.array_equal(stats.stds, stats_after.stds)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_scale_matrix_is_bit_equal_to_the_plain_expression(dtype, layout, order):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(257, 6)) * [1.0, 1e-3, 5e4, 1.0, 1.0, 3.0]
+    x = np.asarray(x, dtype=dtype, order=layout)
+    x[:, 3] = 2.5  # a constant column
+    x[:, 5] = -0.0  # a constant column of -0.0, which still scales to +0.0
+    stats = fit_scaler(x.astype(np.float64))
+    before = x.copy()
+    scaled = scale_matrix(stats, x, order=order)
+    expected = (x.astype(np.float64) - stats.means) / np.where(stats.stds > 0, stats.stds, 1.0)
+    expected[:, stats.constant_columns] = 0.0
+    assert scaled.dtype == np.float64 and scaled.flags[f"{order}_CONTIGUOUS"]
+    assert np.ascontiguousarray(scaled).tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert np.array_equal(x, before) and x.flags[f"{layout}_CONTIGUOUS"]
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +451,47 @@ def test_predict_scene_without_a_valid_pixel_maps_nothing(small_scene, spectral_
     prediction, report = predict_scene(features, mask, model, scaler)
     assert not prediction.valid.any() and not prediction.labels.any()
     assert report is None
+
+
+def test_predict_scene_holds_at_most_one_and_a_half_feature_matrices():
+    # numpy reports its buffers to tracemalloc. The full-size arrays are the
+    # float32 gather (half the float64 matrix) and the scaled matrix; the rest
+    # is the row and column indices (2 / 28 of it) and the ufunc's fixed-size
+    # cast buffers. Widening, subtracting and dividing into separate arrays,
+    # and copying every row at the root, peaked at 3.1 matrices.
+    stack, mask = make_two_texture_scene(64)
+    result = run_experiment(stack, mask, "glcm", forest=ForestParams(n_trees=3))
+    features = extract_features(make_two_texture_scene(96)[0], "glcm")
+    matrix_bytes = int(features.valid.sum()) * len(features.feature_names) * 8
+    tracemalloc.start()
+    try:
+        predict_scene(features, None, result.model, result.scaler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * matrix_bytes
+
+
+def test_run_experiment_trains_on_a_column_major_matrix_it_frees_before_the_map(
+    small_scene, monkeypatch
+):
+    # The forest reads the training matrix column-major: scaling writes it so,
+    # and train_forest then copies nothing. The map stage does not need it.
+    seen = {}
+
+    def spy_train(x, *args, **kwargs):
+        seen["column_major"] = x.flags.f_contiguous and not x.flags.c_contiguous
+        seen["matrix"] = weakref.ref(x)
+        return ccf.train_forest(x, *args, **kwargs)
+
+    def spy_predict_scene(*args):
+        seen["alive_at_map"] = seen["matrix"]() is not None
+        return predict_scene(*args)
+
+    monkeypatch.setattr(experiment, "train_forest", spy_train)
+    monkeypatch.setattr(experiment, "predict_scene", spy_predict_scene)
+    run_experiment(*small_scene, "glcm", glcm_params=GlcmParams(window=5))
+    assert seen == {"column_major": True, "matrix": seen["matrix"], "alive_at_map": False}
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,37 @@ def test_direction_average_is_rotation_invariant(case):
     assert np.abs(np.rot90(kernel, axes=(1, 2)) - turned).max() <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bands=st.integers(1, 3),
+    levels=st.sampled_from([2, 4, 32]),
+    window=st.sampled_from([3, 5]),
+    directions=st.sets(st.sampled_from(sorted(DIRECTION_OFFSETS)), min_size=1),
+    measures=st.sets(st.sampled_from(MEASURES), min_size=1),
+)
+def test_band_measures_equal_the_sum_of_direction_measures(
+    seed, bands, levels, window, directions, measures
+):
+    """The in-place accumulator rounds as sum() over the directions does."""
+    quantized = np.random.default_rng(seed).integers(0, levels, size=(bands, 9, 11))
+    params = GlcmParams(levels=levels, window=window, directions=directions, measures=measures)
+    per_direction = [_direction_measures(quantized, d, params) for d in params.directions]
+    expected = sum(per_direction) / len(params.directions)
+    assert _band_measures(quantized, params).tobytes() == expected.tobytes()
+
+
+def test_band_measures_average_negative_zeros_to_positive_zero(monkeypatch):
+    # sum() starts from the integer 0, so -0.0 in every direction sums to +0.0.
+    planes = np.full((1, 7, 3, 3), -0.0)
+    monkeypatch.setattr(texture, "_direction_measures", lambda *args: planes.copy())
+    params = GlcmParams(window=3)
+    expected = sum(planes for _ in params.directions) / len(params.directions)
+    got = _band_measures(np.zeros((1, 5, 5), dtype=np.int32), params)
+    assert not np.signbit(expected).any()
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_extract_spectral_identity_and_dimension():
     samples = np.arange(10, dtype=np.uint16).reshape(10, 1, 1)
     stack = BandStack(band_names=[f"X{i}" for i in range(10)], samples=samples)

@@ -1,19 +1,27 @@
 """A/B benchmark: the working tree against a base revision, in alternating runs.
 
     python tools/ab.py --base HEAD~1 --workload glcm-noisy --pairs 10 --seconds 6
+    python tools/ab.py --base HEAD~1 --scale 512 --technique glcm --jobs 1 --pairs 3
 
 The base revision's committed files are exported (``git archive``) into a
-temporary directory. Each pair then runs ``perfbench/run.py --trace 0`` once
-in the base tree and once in the working tree, each against its own
-``src/``; even pairs run the base first, odd pairs the change first, so a
-drift of the host over the session falls on both sides alike. Nothing under
-``perfbench/`` is edited.
+temporary directory. Each pair then runs once in the base tree and once in
+the working tree, each against its own ``src/``; even pairs run the base
+first, odd pairs the change first, so a drift of the host over the session
+falls on both sides alike. Nothing under ``perfbench/`` is edited.
 
-Writes ``bench/BENCH_<workload>-seed<seed>.json``: for each end-to-end metric the medians
+With ``--workload`` a run is ``perfbench/run.py --trace 0``. Writes
+``bench/BENCH_<workload>-seed<seed>.json``: for each end-to-end metric the medians
 and quartiles of both sides, the pairs the change won, the base's quartile
 spread and whether the gain clears it; the ``env`` line of each side; and
 every run with its ``correct`` flag. Exits 1 unless every run read
 ``correct: true`` with no failed operation.
+
+With ``--scale SIDE`` a run is one ``run_experiment`` in a fresh process on
+``perfbench/workloads.noisy_scene(SIDE, seed)``, which it imports. It records
+each stage's seconds from ``timings``, the peak RSS (``ru_maxrss``) of the
+process and of its forked children, and the sha256 of the map file. Writes
+``bench/SCALE_<technique>-<SIDE>-jobs<jobs>.json`` with the same statistics
+per measure. Exits 1 unless every run finished and all maps are the same.
 """
 
 from __future__ import annotations
@@ -60,6 +68,90 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         run["correct"] = False
         run["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
     return run
+
+
+# One scale run: argv is side, technique, jobs, seed; the last line printed is JSON.
+SCALE_RUN = """
+import hashlib, json, os, platform, resource, sys, tempfile
+sys.path[:0] = ["src", "perfbench"]
+import numpy as np
+from slummap import experiment, raster
+from workloads import noisy_scene
+side, technique, jobs, seed = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+stack, mask = noisy_scene(side, seed)
+result = experiment.run_experiment(stack, mask, technique=technique, jobs=jobs)
+with tempfile.TemporaryDirectory() as tmp:
+    raster.save_prediction_map(result.prediction, os.path.join(tmp, "map.pgm"))
+    digest = hashlib.sha256(open(os.path.join(tmp, "map.pgm"), "rb").read()).hexdigest()
+peak = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who)).ru_maxrss / 1024
+        for who in ("SELF", "CHILDREN")}
+print(json.dumps({
+    "env": {"python": platform.python_version(), "numpy": np.__version__, "nproc": os.cpu_count()},
+    "map_sha256": digest,
+    "metrics": {**{stage + "_s": t for stage, t in result.timings.items()},
+                "peak_rss_mb": peak["SELF"], "children_peak_rss_mb": peak["CHILDREN"]},
+}))
+"""
+
+
+def parse_scale_run(stdout: str) -> dict:
+    """The JSON line that closes one scale run."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    return {
+        "correct": bool(result.get("map_sha256")),
+        "env": result.get("env"),
+        "map_sha256": result.get("map_sha256"),
+        "metrics": result.get("metrics", {}),
+    }
+
+
+def run_scale(tree: Path, side: int, technique: str, jobs: int, seed: int) -> dict:
+    command = [sys.executable, "-c", SCALE_RUN, str(side), technique, str(jobs), str(seed)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    try:
+        run = parse_scale_run(done.stdout)
+    except (ValueError, AttributeError):
+        run = {"correct": False, "env": None, "map_sha256": None, "metrics": {}}
+    if done.returncode != 0 or not run["correct"]:
+        run["correct"] = False
+        run["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
+    return run
+
+
+def map_digests(runs: list[dict]) -> dict[str, list[str]]:
+    """Each side's distinct map digests, sorted; a run without a map adds none."""
+    return {
+        side: sorted({r["map_sha256"] for r in runs if r["side"] == side and r["map_sha256"]})
+        for side in SIDES
+    }
+
+
+def digests_agree(runs: list[dict]) -> bool:
+    """Every run made a map, and every map of both sides is the same file."""
+    digests = map_digests(runs)
+    return (bool(runs) and all(r["correct"] for r in runs)
+            and len(digests["base"]) == 1 and digests["base"] == digests["change"])
+
+
+def scale_document(args, base_rev: str, change_rev: str, runs: list[dict]) -> dict:
+    def env(side):
+        return next((r["env"] for r in runs if r["side"] == side and r["env"]), None)
+
+    names = list(dict.fromkeys(n for r in runs for n in r["metrics"]))
+    return {
+        "scale": args.scale,
+        "technique": args.technique,
+        "jobs": args.jobs,
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "base": {"rev": base_rev, "env": env("base")},
+        "change": {"rev": change_rev, "env": env("change")},
+        "map_digests": map_digests(runs),
+        "correct": digests_agree(runs),
+        "metrics": summarize(runs, dict.fromkeys(names, "lower")),
+        "runs": runs,
+    }
 
 
 def alternate(pairs: int, run_side) -> list[dict]:
@@ -146,13 +238,20 @@ def export(rev: str, into: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", help="a perfbench workload to run")
+    mode.add_argument("--scale", type=int, metavar="SIDE", help="scene side of a scale run")
+    parser.add_argument("--technique", choices=("glcm", "spectral"), default="glcm",
+                        help="with --scale")
+    parser.add_argument("--jobs", type=int, default=1, help="with --scale")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6.0, help="per run, as perfbench/run.py takes it")
     parser.add_argument("--seed", type=int, default=1, help="noise seed of the scenes")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.scale is not None and (args.scale < 1 or args.jobs < 1):
+        parser.error("--scale and --jobs must be >= 1")
 
     base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     change_rev = git("rev-parse", "HEAD") + (" + uncommitted changes" if git("status", "--porcelain") else "")
@@ -163,21 +262,33 @@ def main(argv=None) -> int:
         trees = {"base": Path(tmp), "change": ROOT}
 
         def run_side(side):
-            run = run_perfbench(trees[side], args.workload, args.seed, args.seconds)
-            wall = run["metrics"].get("wall_s")
-            print(f"{side:6} correct={run['correct']} wall_s={wall}", file=sys.stderr, flush=True)
+            if args.scale is None:
+                run = run_perfbench(trees[side], args.workload, args.seed, args.seconds)
+                shown = ("wall_s",)
+            else:
+                run = run_scale(trees[side], args.scale, args.technique, args.jobs, args.seed)
+                shown = ("total_s", "peak_rss_mb")
+            values = " ".join(f"{k}={run['metrics'].get(k)}" for k in shown)
+            print(f"{side:6} correct={run['correct']} {values}", file=sys.stderr, flush=True)
             return run
 
         runs = alternate(args.pairs, run_side)
 
-    doc = bench_document(args, base_rev, change_rev, runs, better)
-    path = ROOT / "bench" / f"BENCH_{args.workload}-seed{args.seed}.json"
+    if args.scale is None:
+        doc = bench_document(args, base_rev, change_rev, runs, better)
+        filename = f"BENCH_{args.workload}-seed{args.seed}.json"
+    else:
+        doc = scale_document(args, base_rev, change_rev, runs)
+        filename = f"SCALE_{args.technique}-{args.scale}-jobs{args.jobs}.json"
+    path = ROOT / "bench" / filename
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for name, m in doc["metrics"].items():
         pct = "" if m["change_pct"] is None else f" ({m['change_pct']:+.1f}%)"
         print(f"{name}: {m['base']['median']:.6g} -> {m['change']['median']:.6g}{pct}, "
               f"won {m['pairs_won']}/{m['pairs']}, base spread {m['base_quartile_spread']:.3g}")
+    if args.scale is not None and not doc["correct"]:
+        print(f"map digests: {doc['map_digests']}")
     print(f"wrote {path}; correct: {doc['correct']}")
     return 0 if doc["correct"] else 1
 
