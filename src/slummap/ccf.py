@@ -401,14 +401,14 @@ def train_forest(
     if y.min() == y.max():
         raise DegenerateDataError("training set holds a single class")
     d = x.shape[1]
-    x = np.asfortranarray(x)  # grow_tree gathers from its transpose
-    tasks = [(x, y, params, stream(master_seed, FOREST_STREAM, t)) for t in range(params.n_trees)]
-    trees = list(fork_map(grow_tree, tasks, jobs))
-    _release_free_heap()
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(d)]
     if len(feature_names) != d:
         raise ValueError("feature_names length must match feature count")
+    x = np.asfortranarray(x)  # grow_tree gathers from its transpose
+    tasks = [(x, y, params, stream(master_seed, FOREST_STREAM, t)) for t in range(params.n_trees)]
+    trees = list(fork_map(grow_tree, tasks, jobs))
+    _release_free_heap()
     return CcfModel(
         trees=trees,
         feature_names=list(feature_names),

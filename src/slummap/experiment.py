@@ -12,17 +12,21 @@ All randomness derives from the master seed through the documented
 sub-streams (see :mod:`slummap.rng`): balancing uses BALANCE_STREAM, the
 partition SPLIT_STREAM and tree induction FOREST_STREAM.
 
-The model file is this module's alone: save_pipeline writes a Pipeline as
-one flat, canonical JSON document (version 2) with each tree as its CcTree
-arrays, and load_pipeline accepts only what it writes; version 1 needs a retrain.
+The model file is this module's alone: save_pipeline writes a Pipeline as one
+canonical JSON document (version 3), and load_pipeline reads only what it writes.
+Its trees are ``tree_sizes``, the node counts, and ``arrays``: each CcTree array
+joined over the trees, as standard base64 of its little-endian int64 or float64
+bytes. Non-canonical base64, a byte count the node counts do not imply and a
+non-finite float are rejected; version 1 and 2 files need a retrain.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -415,16 +419,18 @@ def result_to_dict(result: ExperimentResult) -> dict:
 # ---------------------------------------------------------------------------
 
 PIPELINE_FORMAT = "slummap-pipeline"
-PIPELINE_VERSION = 2
+PIPELINE_VERSION = 3
 
-# The JSON type save_pipeline writes for each value, in _typed's terms; _trees
-# checks the trees.
+_PACKED = dict(  # CcTree's arrays in field order and the type of their packed values
+    feature="<i8", projection="<f8", threshold="<f8", left="<i8", right="<i8", class_counts="<i8"
+)
+# The JSON type of each value save_pipeline writes, in _typed's terms; _trees checks the trees.
 _GLCM = dict(levels=int, window=int, directions=[int], bands=[str], measures=[str])
 _TRAINING = dict(n_trees=int, n_candidate_features=int, min_node_size=int, master_seed=int)
 _PIPELINE = dict(
     format=str, version=int, technique=str, glcm_params=object,  # None or _GLCM
     scaler={"means": [float], "stds": [float]}, feature_names=[str], training_params=_TRAINING,
-    trees=[dict],
+    tree_sizes=[int], arrays={key: str for key in _PACKED},
 )
 
 
@@ -458,7 +464,11 @@ def save_pipeline(pipeline: Pipeline, path: str | Path) -> None:
         "scaler": {"means": pipeline.scaler.means.tolist(), "stds": pipeline.scaler.stds.tolist()},
         "feature_names": list(model.feature_names),
         "training_params": model.training_params,
-        "trees": [{f.name: getattr(t, f.name).tolist() for f in fields(t)} for t in model.trees],
+        "tree_sizes": [len(tree.threshold) for tree in model.trees],
+        "arrays": {
+            k: binascii.b2a_base64(np.concatenate([getattr(t, k) for t in model.trees], dtype=kind),
+                                   newline=False).decode("ascii") for k, kind in _PACKED.items()
+        },
     }
     Path(path).write_text(
         json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
@@ -486,39 +496,27 @@ def _typed(value, kind, what: str):
     return value
 
 
-def _array(value, kind: type, width: int | None, what: str) -> np.ndarray:
-    """A JSON list of kind values (width None) or of rows of width of them, as an
-    int64 or finite float64 array; ModelFormatError if it is anything else."""
-    values = rows = _typed(value, list, what)
-    if width is not None:
-        if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
-            raise ModelFormatError(f"{what} must be a list of rows of {width} values")
-        values = [v for row in rows for v in row]
-    if set(map(type, values)) - {kind}:
-        raise ModelFormatError(f"{what} must hold only values of type {kind.__name__}")
+def _unpack(text: str, kind: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The array of this shape and type that text holds as canonical base64."""
     try:
-        array = np.array(values, dtype=np.int64 if kind is int else np.float64)
-    except OverflowError:
-        raise ModelFormatError(f"{what} holds an integer outside int64") from None
-    if kind is float and not np.isfinite(array).all():
+        raw = binascii.a2b_base64(text)  # which skips characters outside the alphabet
+        if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
+            raise ValueError  # text held such characters, or padding bits that are not zero
+    except ValueError:  # also bad padding, or a character outside ASCII
+        raise ModelFormatError(f"{what} must be canonical base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ModelFormatError(f"{what} must hold {8 * math.prod(shape)} bytes, not {len(raw)}")
+    array = np.frombuffer(raw, kind).reshape(shape)
+    if kind == "<f8" and not np.isfinite(array).all():
         raise ModelFormatError(f"{what} must hold finite floats")
-    return array if width is None else array.reshape(len(rows), width)
+    return array
 
 
-def _trees(docs: list[dict], lam: int, d: int) -> list[CcTree]:
-    """The trees as save_pipeline writes them, each array checked once over all
-    trees joined end to end."""
-    arrays = dict(
-        feature=(int, lam), projection=(float, lam), threshold=(float, None),
-        left=(int, None), right=(int, None), class_counts=(int, 2),
-    )
-    sizes = [len(_typed(doc.get("threshold"), list, "threshold")) for doc in docs]
-    for doc, size in zip(docs, sizes):
-        if doc.keys() != arrays.keys() or size == 0:
-            raise ModelFormatError(f"a tree must hold exactly the keys {sorted(arrays)}, not empty")
-        if any(len(_typed(doc[k], list, k)) != size for k in arrays):
-            raise ModelFormatError("a tree's arrays must all have one row per node")
-    joined = {k: _array([v for t in docs for v in t[k]], *kind, k) for k, kind in arrays.items()}
+def _trees(sizes: list[int], packed: dict[str, str], lam: int, d: int) -> list[CcTree]:
+    """The packed trees, each array decoded and checked once over all trees joined."""
+    widths = dict(feature=(lam,), projection=(lam,), class_counts=(2,))
+    joined = {k: _unpack(packed[k], kind, (sum(sizes), *widths.get(k, ())), k)
+              for k, kind in _PACKED.items()}
     n = np.repeat(sizes, sizes)  # per node: the size of its tree and its index there
     node = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     left, right = joined["left"], joined["right"]
@@ -537,17 +535,18 @@ def _trees(docs: list[dict], lam: int, d: int) -> list[CcTree]:
     if counts[~leaf].any() or any(a.any() or np.signbit(a).any() for a in at_leaves):
         raise ModelFormatError("a leaf's split fields and a split's counts must be 0")
     cuts = np.cumsum(sizes)[:-1]
-    columns = [np.split(joined[k], cuts) for k in arrays]
-    return [CcTree(**dict(zip(arrays, tree))) for tree in zip(*columns)]
+    columns = [np.split(joined[k], cuts) for k in _PACKED]
+    return [CcTree(**dict(zip(_PACKED, tree))) for tree in zip(*columns)]
 
 
 def load_pipeline(path: str | Path) -> Pipeline:
     """Read a file save_pipeline wrote, which saves back to the same bytes.
 
-    Anything else raises ModelFormatError, a version 1 file included. The
+    Anything else raises ModelFormatError, a version 1 or 2 file included. The
     training_params are valid ForestParams with master_seed in [0, 2**64 - 1].
-    There are training_params["n_trees"] trees, each of whose feature subsets
-    is n_candidate_features wide, in [1, len(feature_names)]. Child indices lie
+    There are training_params["n_trees"] trees of at least one node, each of
+    whose feature subsets is n_candidate_features wide, in [1, len(feature_names)],
+    and each array holds exactly the bytes the node counts imply. Child indices lie
     after their split and inside the tree (so routing terminates), feature
     indices in [0, len(feature_names)) and strictly increasing along a split's
     subset, as grow_tree draws them; a leaf holds counts >= 0, not both 0,
@@ -571,11 +570,9 @@ def load_pipeline(path: str | Path) -> Pipeline:
             raise ModelFormatError(f"n_candidate_features must lie in [1, {d}]")
         if not 0 <= params["master_seed"] < 2**64:
             raise ModelFormatError("master_seed must lie in [0, 2**64 - 1]")
-        if len(doc["trees"]) != params["n_trees"]:
-            raise ModelFormatError(
-                f"the file holds {len(doc['trees'])} trees, not n_trees = {params['n_trees']}"
-            )
-        model = CcfModel(_trees(doc["trees"], lam, d), names, params)
+        if len(doc["tree_sizes"]) != params["n_trees"] or min(doc["tree_sizes"]) < 1:
+            raise ModelFormatError(f"tree_sizes must hold n_trees = {params['n_trees']} sizes >= 1")
+        model = CcfModel(_trees(doc["tree_sizes"], doc["arrays"], lam, d), names, params)
         means, stds = np.array(doc["scaler"]["means"]), np.array(doc["scaler"]["stds"])
         if means.shape != (d,) or stds.shape != (d,):
             raise ModelFormatError(f"scaler must hold {d} means and stds")

@@ -334,6 +334,8 @@ def load_prediction_map(path: str | Path) -> LabelMask:
         maxval = int(parts[2])
     except ValueError:
         raise RasterFormatError(f"{path}: malformed P5 header") from None
+    if width < 1 or height < 1:
+        raise RasterFormatError(f"{path}: width and height must be >= 1")
     if maxval != 255:
         raise RasterFormatError(f"{path}: expected maxval 255, got {maxval}")
     payload = np.frombuffer(parts[3], dtype=np.uint8)

@@ -6,7 +6,9 @@ mathematical definitions, independent of the library's vectorized paths.
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
 
 OFFSETS = {0: (0, 1), 45: (-1, 1), 90: (-1, 0), 135: (-1, -1)}
 
@@ -158,6 +160,29 @@ def split_oracle(rng, n: int) -> tuple[list[int], list[int]]:
     shuffle_oracle(rng, order)
     n_train = max(1, min((8 * n + 5) // 10, n - 1))
     return sorted(order[:n_train]), sorted(order[n_train:])
+
+
+def version_2_document(doc: dict) -> dict:
+    """The version 2 model file of a version 3 document: the same pipeline, with
+    each tree as its six arrays spelled out as JSON numbers, rows as lists."""
+    doc = dict(doc)
+    sizes = doc.pop("tree_sizes")
+    lam = doc["training_params"]["n_candidate_features"]
+    widths = {"feature": lam, "projection": lam, "class_counts": 2}
+    trees = [{} for _ in sizes]
+    for key, text in doc.pop("arrays").items():
+        raw = base64.b64decode(text)
+        code = "d" if key in ("projection", "threshold") else "q"
+        values = list(struct.unpack(f"<{len(raw) // 8}{code}", raw))
+        if key in widths:
+            values = [values[i : i + widths[key]] for i in range(0, len(values), widths[key])]
+        start = 0
+        for tree, size in zip(trees, sizes):
+            tree[key] = values[start : start + size]
+            start += size
+    doc["trees"] = trees
+    doc["version"] = 2
+    return doc
 
 
 def version_1_document(doc: dict) -> dict:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slummap import ccf
 from slummap.ccf import (
     CcfModel,
     CcTree,
@@ -514,6 +515,16 @@ def test_forest_rejects_single_class():
         train_forest(x, np.zeros(10, dtype=np.uint8))
 
 
+def test_forest_checks_feature_names_before_growing_a_tree(monkeypatch):
+    def grow_tree_must_not_run(*args):
+        raise AssertionError("a tree was grown before feature_names was checked")
+
+    monkeypatch.setattr(ccf, "grow_tree", grow_tree_must_not_run)
+    x, y = _blobs(40)
+    with pytest.raises(ValueError, match="feature_names length"):
+        train_forest(x, y, ForestParams(n_trees=2), feature_names=["f0"])
+
+
 def test_predict_dimension_mismatch():
     x, y = _blobs(40)
     model = train_forest(x, y, ForestParams(n_trees=2))
@@ -573,7 +584,7 @@ def test_model_metadata_records_parameters(tmp_path):
     model = train_forest(x, y, ForestParams(n_trees=10), master_seed=0)
     _save(model, tmp_path / "m.json")
     doc = json.loads((tmp_path / "m.json").read_text())
-    assert (doc["format"], doc["version"]) == ("slummap-pipeline", 2)
+    assert (doc["format"], doc["version"]) == ("slummap-pipeline", 3)
     assert doc["training_params"]["n_trees"] == 10
     assert doc["training_params"]["master_seed"] == 0
     assert doc["training_params"]["n_candidate_features"] == 2  # ceil(sqrt(2))

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io
 import json
@@ -22,6 +23,7 @@ from slummap.cli import (
     main,
     validate_config,
 )
+from slummap.experiment import _PACKED
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
 from slummap.raster import (
     BandStack,
@@ -33,7 +35,7 @@ from slummap.raster import (
 )
 from slummap.texture import MEASURES, GlcmParams
 
-from .oracles import version_1_document
+from .oracles import version_1_document, version_2_document
 
 
 def run_cli(*args: str, cwd=None):
@@ -370,6 +372,17 @@ def test_evaluate_matches_full_image_report(demo, experiment_out, tmp_path):
     assert standalone == from_experiment["full_image"]
 
 
+def test_evaluate_map_with_negative_dimensions_exits_three(demo, tmp_path):
+    # -2 x -2 multiplies to the 4 payload bytes that follow it.
+    (tmp_path / "map.pgm").write_bytes(b"P5\n-2 -2\n255\n" + b"\xff" * 4)
+    args = ["--pred", str(tmp_path / "map.pgm"), "--truth", str(demo["root"] / "mask.hdr")]
+    proc = run_cli("evaluate", *args, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("i/o error:") and proc.stderr.count("\n") == 1
+    assert "width and height must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_single_class_scene_exits_four(tmp_path):
     stack, _ = make_two_texture_scene(size=48)
     save_band_stack(stack, tmp_path / "scene.hdr")
@@ -555,35 +568,55 @@ def test_key_outside_sections_exits_two_and_header_section_exits_three(demo, tmp
     assert "section [extra]" in proc.stderr
 
 
+def _unpacked(doc: dict) -> dict[str, np.ndarray]:
+    """The packed tree arrays of a model document, decoded into writable arrays."""
+    lam = doc["training_params"]["n_candidate_features"]
+    widths = {"feature": (lam,), "projection": (lam,), "class_counts": (2,)}
+    return {
+        key: np.frombuffer(base64.b64decode(text), _PACKED[key])
+        .reshape(-1, *widths.get(key, ())).copy()
+        for key, text in doc["arrays"].items()
+    }
+
+
+def _packed(arrays: dict[str, np.ndarray]) -> dict[str, str]:
+    """The arrays packed as a model document holds them: base64 of little-endian bytes."""
+    return {
+        key: base64.b64encode(np.ascontiguousarray(a, _PACKED[key])).decode("ascii")
+        for key, a in arrays.items()
+    }
+
+
 def _craft_model(case: str, doc: dict) -> bytes:
     """The experiment's model file, damaged in one way."""
-    tree = doc["trees"][0]
-    split = tree["left"].index(1)  # the root, whose left child is node 1
-    leaf = tree["left"].index(-1)
     if case == "json-array":
         return b"[]"
     if case == "not-utf8":
         return b"\xff\xfe" + json.dumps(doc).encode()
     if case == "deeply-nested":
         return b"[" * 100_000 + b"]" * 100_000
+    arrays = _unpacked(doc)
+    split = int(np.flatnonzero(arrays["left"] == 1)[0])  # the first tree's root
+    leaf = int(np.flatnonzero(arrays["left"] == -1)[0])
+    feature, projection, threshold = arrays["feature"], arrays["projection"], arrays["threshold"]
+    left, right, counts = arrays["left"], arrays["right"], arrays["class_counts"]
+    sizes = doc["tree_sizes"]
     if case == "even-window":
         doc["glcm_params"]["window"] = 4
     elif case == "short-scaler":
         doc["scaler"]["means"].pop()
     elif case == "self-loop-child":
-        tree["left"][split] = split
+        left[split] = split
     elif case == "negative-feature":
-        tree["feature"][split][0] = -1
+        feature[split, 0] = -1
     elif case == "nested-format":
         # the version 1 layout's nested forest document
-        doc["model"] = {"format": "ccf-model", "version": 1, "trees": doc.pop("trees")}
+        doc["model"] = {"format": "ccf-model", "version": 1, "trees": doc.pop("arrays")}
     elif case == "unknown-technique":
         doc["technique"] = "lidar"
     elif case == "empty-tree":
-        doc["trees"][0] = {key: [] for key in tree}
-    elif case == "nested-subset":
-        tree["feature"][split] = [tree["feature"][split]]
-        tree["projection"][split] = [tree["projection"][split]]
+        arrays = {key: a[sizes[0]:] for key, a in arrays.items()}
+        sizes[0] = 0
     elif case == "too-many-levels":
         doc["glcm_params"]["levels"] = 2**16 + 1
     elif case == "short-feature-names":
@@ -593,37 +626,27 @@ def _craft_model(case: str, doc: dict) -> bytes:
     elif case == "fractional-levels":
         doc["glcm_params"]["levels"] = 32.7
     elif case == "negative-count":
-        tree["class_counts"][leaf] = [-5, 3]
-    elif case == "fractional-child":
-        tree["left"][split] = 1.5
+        counts[leaf] = [-5, 3]
     elif case == "nan-threshold":
-        tree["threshold"][split] = math.nan
-    elif case == "string-threshold":
-        tree["threshold"][split] = "1e0"
+        threshold[split] = math.nan
     elif case == "nan-scaler-std":
         doc["scaler"]["stds"][0] = math.nan
     elif case == "infinite-projection":
-        tree["projection"][split][0] = math.inf
+        projection[split, 0] = math.inf
     elif case == "more-trees-than-n-trees":
-        doc["training_params"]["n_trees"] = len(doc["trees"]) - 1
+        doc["training_params"]["n_trees"] = len(sizes) - 1
     elif case == "subsets-wider-than-n-candidate-features":
         doc["training_params"]["n_candidate_features"] -= 1
-    elif case == "count-past-int64":
-        tree["class_counts"][leaf] = [2**63, 1]
     elif case == "counts-summing-past-int64":
-        tree["class_counts"][leaf] = [2**62, 2**62]
-    elif case == "child-past-int64":
-        tree["right"][split] = 2**63
-    elif case == "feature-past-int64":
-        tree["feature"][split][0] = 2**63
+        counts[leaf] = [2**62, 2**62]
     elif case == "leaf-with-a-threshold":
-        tree["threshold"][leaf] = 1.0
+        threshold[leaf] = 1.0
     elif case == "split-with-counts":
-        tree["class_counts"][split] = [0, 1]
+        counts[split] = [0, 1]
     elif case == "leaf-with-a-negative-zero-projection":
-        tree["projection"][leaf][0] = -0.0
+        projection[leaf, 0] = -0.0
     elif case == "one-child":
-        tree["right"][split] = -1
+        right[split] = -1
     elif case == "negative-master-seed":
         doc["training_params"]["master_seed"] = -1
     elif case == "master-seed-past-uint64":
@@ -631,10 +654,51 @@ def _craft_model(case: str, doc: dict) -> bytes:
     elif case == "min-node-size-0":
         doc["training_params"]["min_node_size"] = 0
     elif case == "subset-repeating-a-feature":
-        tree["feature"][split] = [tree["feature"][split][0]] * len(tree["feature"][split])
+        feature[split] = feature[split, 0]
     elif case == "unsorted-subset":
-        tree["feature"][split] = tree["feature"][split][::-1]
+        feature[split] = feature[split, ::-1]
+    elif case == "zero-tree-size":
+        # the node total still matches: the first tree's nodes move to the second
+        sizes[:2] = [0, sizes[0] + sizes[1]]
+    elif case == "tree-sizes-disagree-with-n-trees":
+        sizes[-2:] = [sizes[-2] + sizes[-1]]
+    elif case == "non-canonical-padding":
+        # The first tree becomes one leaf, a valid model whose node total is not
+        # a multiple of 3, so threshold's base64 ends in padding.
+        keep = np.ones(len(left), dtype=bool)
+        keep[1 : sizes[0]] = False
+        arrays = {key: a[keep] for key, a in arrays.items()}
+        for key in ("feature", "projection", "threshold"):
+            arrays[key][0] = 0
+        arrays["left"][0] = arrays["right"][0] = -1
+        arrays["class_counts"][0] = [1, 1]
+        sizes[0] = 1
+    if "arrays" in doc:
+        doc["arrays"] = _packed(arrays)
+    packed = doc.get("arrays", {})
+    if case == "truncated-block":
+        packed["threshold"] = packed["threshold"][:-4]
+    elif case == "one-byte-too-many":
+        packed["left"] = base64.b64encode(base64.b64decode(packed["left"]) + b"\0").decode()
+    elif case == "non-alphabet-character":
+        packed["projection"] = "-" + packed["projection"][1:]  # URL-safe base64's 62
+    elif case == "non-canonical-padding":
+        text = packed["threshold"].rstrip("=")
+        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+        flipped = alphabet[alphabet.index(text[-1]) ^ 1]  # its lowest bit is padding
+        packed["threshold"] = packed["threshold"].replace(text, text[:-1] + flipped)
     return json.dumps(doc).encode()
+
+
+# The packed-layer rows, with the part of the error each must give.
+_PACKED_LAYER_ERRORS = {
+    "truncated-block": "threshold must hold 240 bytes, not 237",
+    "one-byte-too-many": "left must hold 240 bytes, not 241",
+    "non-alphabet-character": "projection must be canonical base64",
+    "non-canonical-padding": "threshold must be canonical base64",
+    "zero-tree-size": "tree_sizes must hold n_trees = 10 sizes >= 1",
+    "tree-sizes-disagree-with-n-trees": "tree_sizes must hold n_trees = 10 sizes >= 1",
+}
 
 
 @pytest.mark.parametrize(
@@ -649,24 +713,18 @@ def _craft_model(case: str, doc: dict) -> bytes:
         "nested-format",
         "unknown-technique",
         "empty-tree",
-        "nested-subset",
         "too-many-levels",
         "short-feature-names",
         "null-glcm-params",
         "fractional-levels",
         "negative-count",
-        "fractional-child",
         "nan-threshold",
-        "string-threshold",
         "nan-scaler-std",
         "infinite-projection",
         "deeply-nested",
         "more-trees-than-n-trees",
         "subsets-wider-than-n-candidate-features",
-        "count-past-int64",
         "counts-summing-past-int64",
-        "child-past-int64",
-        "feature-past-int64",
         "leaf-with-a-threshold",
         "split-with-counts",
         "leaf-with-a-negative-zero-projection",
@@ -676,6 +734,7 @@ def _craft_model(case: str, doc: dict) -> bytes:
         "min-node-size-0",
         "subset-repeating-a-feature",
         "unsorted-subset",
+        *_PACKED_LAYER_ERRORS,
     ],
 )
 def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
@@ -693,19 +752,41 @@ def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
     assert proc.stderr.startswith("i/o error:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    assert _PACKED_LAYER_ERRORS.get(case, "") in proc.stderr
+
+
+def test_padding_row_is_a_valid_model_until_its_padding_bits_change(
+    demo, experiment_out, tmp_path
+):
+    # The pack helpers round-trip a saved file's arrays, and the padding row's
+    # model, its single-leaf first tree included, loads once re-packed.
+    doc = json.loads((experiment_out / "two-texture_glcm_model.json").read_text())
+    assert _packed(_unpacked(doc)) == doc["arrays"]
+    damaged = json.loads(_craft_model("non-canonical-padding", json.loads(json.dumps(doc))))
+    arrays = _unpacked(damaged)
+    damaged["arrays"] = _packed(arrays)
+    assert damaged["arrays"]["threshold"].endswith("=")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(damaged))
+    args = ["--model", str(model), "--image", str(demo["root"] / "scene.hdr")]
+    proc = run_cli("predict", *args, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_version_1_model_exits_three_and_asks_to_retrain(demo, experiment_out, tmp_path):
+    # Also version 2: both spelled out every tree value as a JSON number.
     doc = json.loads((experiment_out / "two-texture_glcm_model.json").read_text())
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(version_1_document(doc), sort_keys=True, separators=(",", ":")))
-    args = ["--model", str(model), "--image", str(demo["root"] / "scene.hdr")]
-    proc = run_cli("predict", *args, "--out", str(tmp_path / "o"))
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("i/o error:") and proc.stderr.count("\n") == 1
-    assert "version 1 files are no longer read" in proc.stderr
-    assert "retrain the model" in proc.stderr
-    assert not (tmp_path / "o").exists()
+    version_2 = version_2_document(doc)
+    for version, old in ((1, version_1_document(version_2)), (2, version_2)):
+        model = tmp_path / f"model-v{version}.json"
+        model.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")))
+        args = ["--model", str(model), "--image", str(demo["root"] / "scene.hdr")]
+        proc = run_cli("predict", *args, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("i/o error:") and proc.stderr.count("\n") == 1
+        assert f"version {version} files are no longer read" in proc.stderr
+        assert "retrain the model" in proc.stderr
+        assert not (tmp_path / "o").exists()
 
 
 @settings(max_examples=300, deadline=None)

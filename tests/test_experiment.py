@@ -38,7 +38,13 @@ from slummap.raster import BandStack, DimensionMismatchError, LabelMask
 from slummap.rng import BALANCE_STREAM, FOREST_STREAM, SPLIT_STREAM, derive_key, stream
 from slummap.texture import GlcmParams
 
-from .oracles import balance_oracle, confusion_oracle, split_oracle, version_1_document
+from .oracles import (
+    balance_oracle,
+    confusion_oracle,
+    split_oracle,
+    version_1_document,
+    version_2_document,
+)
 
 
 def make_labels(n0: int, n1: int, seed: int = 0) -> np.ndarray:
@@ -548,15 +554,17 @@ def test_model_file_loads_only_what_saves_back_to_the_same_bytes(
     assert path.read_text(encoding="utf-8") == _dump(doc)
 
 
-# sha256 of a small noisy model's file as saved, and of the same document in
-# the version 1 layout, which is what the version 1 writer gave for it: a
-# one-ulp drift of any projection or threshold changes both.
+# sha256 of a small noisy model's file as saved (version 3), and of the same
+# document in the version 2 and version 1 layouts, which is what those writers
+# gave for it: a one-ulp drift of any projection or threshold changes all three.
 _MODEL_SHA256 = {
     "glcm": (
+        "b151fdd3f272ff95a78b579355b4699d06ffccafbaec85981197187a9539ac30",
         "ec0389c35171115aeedf03ab3d019498f0579c94de36a4da2bcd53190a343643",
         "45a4c5375ee8f9df23c04ca7666505f1b87f65af7151e63857536b2ce738a9b1",
     ),
     "spectral": (
+        "536cfb7195eff483b1fcf3703c3f1d0021e62a6e6f5a51198b7815ed0606f339",
         "663e649582437782bbb76d318acf36681969a2368e204917e98e798f012ccd22",
         "9894359d708c461914af910b6f30e569f4cdd1b928d6f230ca7a0e8bb3f58d08",
     ),
@@ -573,10 +581,12 @@ def test_saved_model_bytes_are_pinned(technique, tmp_path):
     path = tmp_path / "model.json"
     save_pipeline(Pipeline(technique, params, result.scaler, result.model), path)
     raw = path.read_bytes()
-    saved, version_1 = _MODEL_SHA256[technique]
-    assert hashlib.sha256(raw).hexdigest() == saved
-    as_version_1 = _dump(version_1_document(json.loads(raw))).encode()
+    saved, version_2, version_1 = _MODEL_SHA256[technique]
+    as_version_2 = version_2_document(json.loads(raw))
+    assert hashlib.sha256(_dump(as_version_2).encode()).hexdigest() == version_2
+    as_version_1 = _dump(version_1_document(as_version_2)).encode()
     assert hashlib.sha256(as_version_1).hexdigest() == version_1
+    assert hashlib.sha256(raw).hexdigest() == saved
 
 
 def test_perfbench_record_counts_through_the_node_view(monkeypatch):

@@ -166,6 +166,27 @@ def test_prediction_map_encoding(tmp_path):
     assert np.array_equal(back.valid, mixed.valid)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"P5\n-2 -2\n255\n" + b"\xff" * 4, "width and height must be >= 1"),
+        (b"P5\n-1 -4\n255\n" + b"\xff" * 4, "width and height must be >= 1"),
+        (b"P5\n0 0\n255\n", "width and height must be >= 1"),
+        (b"P5\n0 3\n255\n", "width and height must be >= 1"),
+        (b"P5\n2 -1\n255\n", "width and height must be >= 1"),
+        (b"P6\n2 2\n255\n" + b"\xff" * 4, "not a P5 greymap"),
+        (b"P5\n2 2 2\n255\n" + b"\xff" * 4, "malformed P5 header"),
+        (b"P5\n2 2\n65535\n" + b"\xff" * 4, "expected maxval 255"),
+        (b"P5\n2 2\n255\n" + b"\xff" * 3, "payload size"),
+        (b"P5\n2 2\n255\n" + b"\xff\xff\xff\x01", "byte outside"),
+    ],
+)
+def test_malformed_prediction_map_is_a_format_error(tmp_path, raw, message):
+    (tmp_path / "m.pgm").write_bytes(raw)
+    with pytest.raises(RasterFormatError, match=message):
+        load_prediction_map(tmp_path / "m.pgm")
+
+
 def test_feature_raster_round_trip_with_invalid_pixels(tmp_path):
     values = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
     valid = np.array([[True, False], [True, True]])
