@@ -47,6 +47,9 @@ from .texture import GlcmParams, extract_spectral, extract_texture
 TECHNIQUES = ("spectral", "glcm")
 
 TRAIN_FRACTION = 0.8  # the 80/20 train/test split of the protocol
+# Pixels predict_scene gathers at a time: every feature of a block of them,
+# so that each block of matrix rows is written whole.
+_GATHER_PIXELS = 2**12
 
 CSV_HEADER = "location,technique,acc_slum,acc_non,iou_slum,iou_non,miou,seconds"
 
@@ -167,11 +170,16 @@ def scale_matrix(stats: ScalerStats, features: np.ndarray, order: str = "C") -> 
     the division and zeroing run in place, so the result is bit-equal to
     ``(features.astype(np.float64) - means) / divisor`` in either layout.
     """
-    divisor = np.where(stats.stds > 0, stats.stds, 1.0)
-    scaled = np.subtract(features, stats.means, dtype=np.float64, order=order)
-    scaled /= divisor
-    scaled[:, stats.constant_columns] = 0.0
-    return scaled
+    return _scale(stats, features, np.empty(features.shape, order=order))
+
+
+def _scale(stats: ScalerStats, features: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """scale_matrix's arithmetic into the float64 matrix ``out``, which may
+    be ``features`` itself."""
+    np.subtract(features, stats.means, out=out)
+    out /= np.where(stats.stds > 0, stats.stds, 1.0)
+    out[:, stats.constant_columns] = 0.0
+    return out
 
 
 def evaluate(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
@@ -337,9 +345,10 @@ def predict_scene(
     """Predict every feature-valid pixel; score against the mask if given. A raster
     without the model's features, by name and in order, raises DimensionMismatchError.
 
-    The full-size arrays are the float32 gather of the valid pixels and its
-    scaled float64 copy, row-major, the layout routing reads fastest; the
-    gather is freed once scaled, so routing holds the scaled matrix alone."""
+    The one full-size array is the float64 matrix of the valid pixels,
+    row-major, the layout routing reads fastest: it is gathered into a block
+    of _GATHER_PIXELS rows at a time, widened exactly from float32, and
+    scaled in place, bit-equal to scale_matrix."""
     expected, got = model.feature_names, features.feature_names
     if got != expected:
         first = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
@@ -349,11 +358,15 @@ def predict_scene(
         raise DimensionMismatchError(
             f"model expects {len(expected)} features but extraction produced {len(got)}{detail}"
         )
-    rows, cols = np.nonzero(features.valid)
+    pixels = np.flatnonzero(features.valid)
+    planes = features.values.reshape(len(expected), -1)
+    matrix = np.empty((pixels.size, len(expected)))
+    for start in range(0, pixels.size, _GATHER_PIXELS):
+        block = pixels[start : start + _GATHER_PIXELS]
+        matrix[start : start + block.size] = planes[:, block].T
+    labels, _ = predict(model, _scale(scaler, matrix, matrix))
     labels_grid = np.zeros((features.height, features.width), dtype=np.uint8)
-    matrix = scale_matrix(scaler, features.values[:, rows, cols].T)
-    labels, _ = predict(model, matrix)
-    labels_grid[rows, cols] = labels
+    labels_grid.reshape(-1)[pixels] = labels
     prediction = LabelMask(labels=labels_grid, valid=features.valid.copy())
     full_report = None
     if mask is not None:

@@ -12,22 +12,36 @@ marked invalid and excluded from sampling and scoring downstream.
 Every per-window sum is an exact integer, so a pixel's features depend only
 on its own window: not on its strip, the bands it is computed with, the
 scene's size or the order of summation. The five measures linear in the
-co-occurrence matrix are int64 box sums, homogeneity's in units of 2**-40.
+co-occurrence matrix are int64 box sums, homogeneity's in units of 2**-40:
+sums of a + b and of a^2 + b^2 from two pixel integral images that every
+direction shares, and per direction those of a * b and of homogeneity.
 Second moment and entropy come from one kernel for any number K of distinct
 pair keys, _key_sums: a (windows x K) count table moves down the image,
 adding the entering key row and subtracting the leaving one (a running
 histogram, as in Huang, Yang & Tang's 1979 median filter), and every pair
 that enters or leaves steps its window's sums of squared cells and of c ln c,
-the latter in fixed point. One pass at one direction serves a stack of bands
-of at most _GROUP_PIXELS pixels: each band keeps its own K key ids, and each
-key-row step of the table, each block step and each box sum runs once for
-the whole stack. The table holds at most _TABLE_CELLS cells (2 MB) unless one
-band's K alone is more; the other temporaries are blocks of _BLOCK_CELLS
-pairs, reused down the image. On noisy scenes (2-core Xeon, numpy 2.4.6)
-the median four-band extract took, against one pass per band: 40 against
-57 ms at 64² and the defaults; 27 against 44 ms at window 5; 37 against
-43 ms at 300 levels and window 5; 51 against 53 ms at 300 levels and
-window 13; 0.70 against 0.78 s at 256², which goes one band per pass.
+the latter in fixed point.
+
+One kernel pass serves a stack of key images of one shape: the bands of a
+group at every direction whose key image and window have that shape (see
+_passes). 45 and 135 degrees always share a pass; 90 degrees, transposed,
+shares 0 degrees' window (19 x 18 at the defaults), and on square scenes its
+key image too. Each image keeps its own K key ids, and each key-row step of
+the table, each block step and each box sum runs once for the whole stack.
+A pass holds at most _GROUP_PIXELS band-direction pixels, and few bytes for
+each: table counts in the smallest type that holds 2n + width (16 bits at
+the defaults), key ids in 16 bits up to 65,536 pairs an image, 8-bit ranks
+for only a chunk of rows and the window above it (_RANK_BYTES), and int64
+sums for only the output rows. The table holds at most _TABLE_CELLS cells
+unless one image's K alone is more, and the other temporaries are blocks of
+_BLOCK_CELLS pairs, reused down the image. So a default 64² extract peaks
+lower with two passes of eight band-directions than it did with four passes
+of four bands: 2.43 against 2.87 MB traced. On noisy scenes (2-core Xeon,
+numpy 2.4.6) the median four-band extract took, against one pass per
+direction: 16 against 21 ms at 64² and the defaults; 9 against 13 ms at
+window 5; 15 against 19 ms at 300 levels and window 5; 20 against 24 ms at
+300 levels and window 13; 0.26 against 0.32 s at 256², which goes one band,
+two directions, per pass.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .pool import fork_map
 from .raster import BandStack, DimensionMismatchError, FeatureRaster
@@ -66,16 +80,20 @@ MAX_LEVELS = 2**16
 # sums below 2**63 while n < 2**23: every window up to 2895 wide.
 _HOMOGENEITY_UNIT = 2.0**40
 MAX_WINDOW = 2895
-# Cells of one count table (2 MB of intp): wider tables take their bands and
-# window columns in slabs.
-_TABLE_CELLS = 2**18
+# Cells of one count table: 1 MB of the default window's 16-bit counts, 2 MB
+# of the 32-bit counts of windows over 181 wide. Wider tables take their
+# images and window columns in slabs.
+_TABLE_CELLS = 2**19
 # Pairs per block of key rows whose steps are summed at once.
 _BLOCK_CELLS = 2**13
-# Pixels of one band group, the stack that one kernel pass serves. The
-# kernel's temporaries grow with it while the saving in numpy calls shrinks
-# with the scene: four bands share a pass up to 64x64, and from 91x91 up
-# bands go one at a time.
-_GROUP_PIXELS = 2**14
+# Bytes of the rank planes of one chunk of key rows and the window before it.
+_RANK_BYTES = 2**18
+# Band-direction pixels of one kernel pass: a band group's bands, times the
+# most directions that share a pass, times the scene's pixels. The kernel's
+# temporaries grow with it while the saving in numpy calls shrinks with the
+# scene: at the four default directions four bands share each pass up to
+# 64x64, and from 91x91 up bands go one at a time.
+_GROUP_PIXELS = 2**15
 
 
 @dataclass
@@ -139,24 +157,23 @@ def quantize(band: np.ndarray, levels: int) -> np.ndarray:
 
 
 def _pair_images(quantized: np.ndarray, direction: int) -> tuple[np.ndarray, np.ndarray]:
-    """First- and second-pixel images of every pair at a direction, as int64,
+    """First- and second-pixel images of every pair at a direction, as views
     of an image or a (bands, rows, columns) stack. Entry (..., r, c) is the
     pair whose first pixel sits at quantized[..., r + max(0,-dr), c + max(0,-dc)]."""
     dr, dc = DIRECTION_OFFSETS[direction]
     h, w = quantized.shape[-2:]
     r0, r1 = max(0, -dr), h - max(0, dr)
     c0, c1 = max(0, -dc), w - max(0, dc)
-    first = quantized[..., r0:r1, c0:c1].astype(np.int64)
-    second = quantized[..., r0 + dr : r1 + dr, c0 + dc : c1 + dc].astype(np.int64)
-    return first, second
+    return quantized[..., r0:r1, c0:c1], quantized[..., r0 + dr : r1 + dr, c0 + dc : c1 + dc]
 
 
 def _pair_keys(first: np.ndarray, second: np.ndarray, levels: int) -> np.ndarray:
     """|a-b|*levels + min(a,b) per pair: one key per unordered pair, below
     ``levels`` exactly on the diagonal, in the smallest unsigned type."""
-    return (np.abs(first - second) * levels + np.minimum(first, second)).astype(
-        np.min_scalar_type(levels * levels - 1)
-    )
+    keys = np.abs(np.subtract(first, second, dtype=np.int64))
+    keys *= levels
+    keys += np.minimum(first, second)
+    return keys.astype(np.min_scalar_type(levels * levels - 1))
 
 
 def extract_spectral(stack: BandStack) -> FeatureRaster:
@@ -166,23 +183,25 @@ def extract_spectral(stack: BandStack) -> FeatureRaster:
     return FeatureRaster(feature_names=list(stack.band_names), values=values, valid=valid)
 
 
-def _box_sums(images: list, shape: tuple, height: int, width: int) -> np.ndarray:
-    """Sum of every height x width window of each (bands, rows, columns) int64
-    image of the given shape, from one stacked integral image. Each image is
-    made by calling its entry of images just before its cumulative sum, so
-    only one is held at a time. The sums are exact even where the cumulative
-    sums wrap."""
-    bands, h, w = shape
-    integral = np.zeros((len(images), bands, h + 1, w + 1), dtype=np.int64)
-    for image, plane in zip(images, integral):
-        np.cumsum(image(), axis=1, out=plane[:, 1:, 1:])
+def _pair_box_sums(a: np.ndarray, b: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Sums of a * b and of homogeneity's rint(2**40 / (1 + (a - b)**2)) over
+    every height x width window of the pairs of first- and second-pixel
+    images a and b, (2, bands, rows - height + 1, columns - width + 1) int64,
+    from one integral image that each is written straight into. The sums are
+    exact even where the cumulative sums wrap."""
+    bands, h, w = a.shape
+    integral = np.zeros((2, bands, h + 1, w + 1), dtype=np.int64)
+    np.multiply(a, b, out=integral[0, :, 1:, 1:], dtype=np.int64)
+    # (a - b)**2 + 1 is exact in float64, as it was in int64.
+    d = np.subtract(a, b, dtype=np.float64)
+    np.square(d, out=d)
+    d += 1.0
+    np.divide(_HOMOGENEITY_UNIT, d, out=d)
+    integral[1, :, 1:, 1:] = np.rint(d, out=d)
+    del d
+    np.cumsum(integral[..., 1:, 1:], axis=2, out=integral[..., 1:, 1:])
     np.cumsum(integral[..., 1:, 1:], axis=3, out=integral[..., 1:, 1:])
-    return (
-        integral[..., height:, width:]
-        - integral[..., :-height, width:]
-        - integral[..., height:, :-width]
-        + integral[..., :-height, :-width]
-    )
+    return _box(integral, 0, 0, height, width, (h - height + 1, w - width + 1))
 
 
 def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -194,8 +213,8 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     ordered = np.take_along_axis(flat, order, axis=1)
     first = np.ones(flat.shape, dtype=bool)
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
-    ids = np.empty(flat.shape, dtype=np.intp)
-    np.put_along_axis(ids, order, np.cumsum(first, axis=1) - 1, axis=1)
+    ids = np.empty(flat.shape, dtype=np.min_scalar_type(flat.shape[1] - 1))
+    np.put_along_axis(ids, order, np.cumsum(first, axis=1, dtype=ids.dtype) - 1, axis=1)
     return ids.reshape(keys.shape), [row[new] for row, new in zip(ordered, first)]
 
 
@@ -215,22 +234,6 @@ def _key_terms(n: int) -> np.ndarray:
     per_key = np.array([[2], [1]])
     entropy = np.rint(2.0 ** _entropy_shift(n) * (per_key * cell * np.log(np.maximum(cell, 1))))
     return np.stack([per_key * cell * cell, entropy.astype(np.int64)])
-
-
-def _ranks(keys: np.ndarray, width: int) -> np.ndarray:
-    """rank[r, o, b, c]: how many of keys[b, r, c : c + o] equal
-    keys[b, r, c + o], so the equal keys of a window row are numbered 0, 1,
-    ... from the left. A view of a (width, bands, rows, columns) table of
-    running equality counts."""
-    bands, h, w = keys.shape
-    equal = np.zeros((width, bands, h, w), dtype=np.min_scalar_type(width))
-    for d in range(1, width):
-        np.equal(keys[..., d:], keys[..., :-d], out=equal[d, ..., d:])
-        equal[d] += equal[d - 1]
-    s = equal.itemsize
-    return as_strided(
-        equal, (h, width, bands, w - width + 1), (w * s, (bands * h * w + 1) * s, h * w * s, s)
-    )
 
 
 def _slabs(sizes: np.ndarray, columns: int):
@@ -253,127 +256,253 @@ def _slabs(sizes: np.ndarray, columns: int):
 
 def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndarray:
     """The two _key_terms sums over the keys of every height x width window of
-    each band of a (bands, rows, columns) pair-key stack, exact:
-    (2, bands, rows - height + 1, columns - width + 1) int64.
+    each image of a (stack, rows, columns) pair-key stack, exact:
+    (2, stack, rows - height + 1, columns - width + 1) int64.
 
     The count table holds a key's count plus n + 1 if it is diagonal, so a
     cell's value indexes ``steps``, each sum's change as a count moves from u
-    to u + 1 (negated for a pair that leaves). One take per step reads the
-    leaving cells after their subtraction and the entering cells before their
-    addition; a pair's step sits at that value plus its rank among the equal
-    keys of its window row. Steps are summed per window in blocks of rows,
-    then down the image. Each band keeps its own K_b dense key ids, and one
-    table holds K_b cells per window column of each of its bands, so every
-    step of a key row serves all bands of a slab (see _slabs) at once.
+    to u + 1, then the same negated for a pair that leaves. One take per key
+    row reads the leaving cells after their subtraction and the entering cells
+    before their addition; a pair's step sits at that value plus its rank
+    among the equal keys of its window row. Steps are summed per window in
+    blocks of rows, then down the image: only the output rows are kept, and
+    the rows above the first one sum into it. Each image keeps its own K_b
+    dense key ids, and one table holds K_b cells per window column of each of
+    its images, so every step of a key row serves all images of a slab (see
+    _slabs) at once. Table counts are in the smallest type that holds 2n +
+    width: 16 bits for windows up to 181 wide.
+
+    The ranks are made a chunk of key rows at a time, and held only for the
+    chunk and the ``height`` rows before it, which are the rows that leave
+    while it enters. One strided view reads each side's ids, and one each
+    side's ranks, so both sides of a block take one add apiece.
     """
     n = height * width
     key_terms = _key_terms(n)
     change = np.diff(key_terms, axis=-1, append=key_terms[..., -1:]).reshape(2, -1)
-    # steps[i, z]: sum z's step at index i, so one take reads both sums.
+    # steps[i, z]: sum z's step at index i; leaving pairs read from 2(n + 1) on.
     steps = np.concatenate([change, -change], axis=1).T.copy()
+    leaving_steps = steps[2 * (n + 1) :]
     ids, distinct = _dense_ids(keys)
-    rank = _ranks(keys, width)
-    bands, hk = keys.shape[:2]
-    out_w = rank.shape[3]
+    stack, hk, wk = keys.shape
+    out_w = wk - width + 1
     sizes = np.array([d.size for d in distinct])
-    # windows[r, o, b, c] = ids[b, r, c + o], the pairs of every window row
-    windows = sliding_window_view(ids, out_w, axis=2).transpose(1, 2, 0, 3)
-    sums = np.empty((bands, hk, out_w, 2), dtype=np.int64)
+    sums = np.empty((hk - height + 1, stack, out_w, 2), dtype=np.int64)
+    # What the key rows above the first window's last row add to its sums.
+    carry = np.zeros((stack, out_w, 2), dtype=np.int64)
     slabs = list(_slabs(sizes, out_w))
-    # One table buffer serves every slab; each band holds its columns in turn.
+    # One table buffer serves every slab; each image holds its columns in turn.
     cells_needed = max(sizes[b0:b1].sum() * (c1 - c0) for b0, b1, c0, c1 in slabs)
-    buffer = np.empty(cells_needed, dtype=np.intp)
+    # Table values and step indices stay below 2n + width.
+    buffer = np.empty(cells_needed, dtype=np.min_scalar_type(2 * n + width))
+    one = buffer.dtype.type(1)  # a Python 1 sends ufunc.at down a slow casting path
     for b0, b1, c0, c1 in slabs:
-        cols = c1 - c0
+        cols, images = c1 - c0, b1 - b0
         starts = np.concatenate(([0], np.cumsum(sizes[b0:b1]))) * cols
         table = buffer[: starts[-1]]
         for b, s0, s1 in zip(range(b0, b1), starts, starts[1:]):
             table[s0:s1].reshape(cols, -1)[:] = np.where(distinct[b] < levels, n + 1, 0)
-        # The first cell of each band's window column.
+        # The first cell of each image's window column; as int32 the add that
+        # makes the cells buffers less and runs faster than as intp.
         offsets = starts[:-1, np.newaxis] + np.arange(cols) * sizes[b0:b1, np.newaxis]
+        offsets = offsets.astype(np.int32)
         rows = max(1, _BLOCK_CELLS // (offsets.size * width))
-        # Per step the leaving row's cells, then the entering row's. Steps
-        # before row `height` evict nothing and read cell 0 in its place.
-        cells = np.zeros((rows, 2, width, b1 - b0, cols), dtype=np.intp)
-        index = np.empty_like(cells)
-        gathered = np.empty(cells.shape + (2,), dtype=np.int64)
-        slab = (..., slice(b0, b1), slice(c0, c1))
-        for i0 in range(0, hk, rows):
-            i1 = min(hk, i0 + rows)
-            e0 = min(i1, max(i0, height))
-            np.add(windows[e0 - height : i1 - height][slab], offsets, out=cells[e0 - i0 : i1 - i0, 0])
-            np.add(windows[i0:i1][slab], offsets, out=cells[: i1 - i0, 1])
-            for k in range(i1 - i0):
-                if k >= e0 - i0:
-                    np.subtract.at(table, cells[k, 0], 1)
-                # mode="clip" because every cell is in range, and "raise" buffers out.
-                np.take(table, cells[k], out=index[k], mode="clip")
-                np.add.at(table, cells[k, 1], 1)
-            index[: e0 - i0, 0] = n
-            index[e0 - i0 : i1 - i0, 0] += rank[e0 - height : i1 - height][slab]
-            index[e0 - i0 : i1 - i0, 0] += 2 * (n + 1)
-            index[: i1 - i0, 1] += rank[i0:i1][slab]
-            np.take(steps, index[: i1 - i0], axis=0, out=gathered[: i1 - i0], mode="clip")
-            np.einsum("isobcz->bicz", gathered[: i1 - i0], out=sums[b0:b1, i0:i1, c0:c1])
-    np.cumsum(sums, axis=1, out=sums)
-    return np.moveaxis(sums[:, height - 1 :], -1, 0)
+        # Ranks are made for chunks of key rows, at least a window's height
+        # and a block, so the rows that leave while a chunk enters are the
+        # `height` before it; together they fill _RANK_BYTES if they can.
+        row_bytes = width * images * (cols + width - 1)
+        chunk = min(hk, max(height, rows, _RANK_BYTES // row_bytes - height))
+        # pairs[k, s, o, b, c]: the id of pair o of window row k + s * height
+        # of (b, c), which leaves (s = 0) or enters (s = 1) at step k + height.
+        # Steps before row `height` evict nothing: first[k] reads row k twice.
+        slab_ids = ids[b0:b1, :, c0 : c1 + width - 1]
+        sb, sr, sc = slab_ids.strides
+        first = as_strided(slab_ids, (height, 2, width, images, cols), (sr, 0, sc, sb, sc))
+        pairs = as_strided(
+            slab_ids, (hk - height, 2, width, images, cols), (sr, height * sr, sc, sb, sc)
+        )
+        # Running equality counts of the `height` key rows before a chunk, then
+        # of the chunk: rank[k, s, o, b, c] counts the keys of window row
+        # k + s * height of (b, c) before pair o that equal it, as a view of
+        # equal[k + s * height, o, b, c + o].
+        equal = np.zeros(
+            (height + chunk, width, images, cols + width - 1), np.min_scalar_type(width)
+        )
+        e0, e1, e2, e3 = equal.strides
+        rank = as_strided(
+            equal, (chunk, 2, width, images, cols), (e0, height * e0, e1 + e3, e2, e3)
+        )
+        # Per step the leaving row's cells, then the entering row's, and
+        # their values in the table.
+        cells = np.empty((rows, 2, width, images, cols), dtype=np.intp)
+        values = np.empty(cells.shape, dtype=buffer.dtype)
+        # The steps that the pairs read, side first, so that each side's take
+        # writes one block and one reduction sums both sides of a window row.
+        index = np.empty((2, width, rows, images, cols), dtype=np.intp)
+        gathered = np.empty(index.shape + (2,), dtype=np.int64)
+        for j0 in range(0, hk, chunk):
+            j1 = min(hk, j0 + chunk)
+            equal[:height] = equal[chunk:]
+            new = equal[height : height + j1 - j0]
+            rows_keys = keys[b0:b1, j0:j1, c0 : c1 + width - 1].transpose(1, 0, 2)
+            for d in range(1, width):
+                np.equal(rows_keys[..., d:], rows_keys[..., :-d], out=new[:, d, :, d:])
+                new[:, d, :, d:] += new[:, d - 1, :, d:]
+            # Blocks stay inside a chunk, and the first window's last row and
+            # the first row that evicts each start one.
+            bounds = {*range(j0, j1, rows), j1} | ({height - 1, height} & set(range(j0, j1)))
+            bounds = sorted(bounds)
+            for i0, i1 in zip(bounds, bounds[1:]):
+                m = i1 - i0
+                evicts = i0 >= height
+                source = pairs[i0 - height : i1 - height] if evicts else first[i0:i1]
+                np.add(source, offsets, out=cells[:m])
+                for k in range(m):
+                    if evicts:
+                        np.subtract.at(table, cells[k, 0], one)
+                    # mode="clip" because every cell is in range, and "raise" buffers out.
+                    np.take(table, cells[k], out=values[k], mode="clip")
+                    np.add.at(table, cells[k, 1], one)
+                block = index[:, :, :m]
+                np.add(values[:m], rank[i0 - j0 : i1 - j0], out=block.transpose(2, 0, 1, 3, 4))
+                if not evicts:
+                    block[0] = n  # a zero step
+                np.take(leaving_steps, block[0], axis=0, out=gathered[0, :, :m], mode="clip")
+                np.take(steps, block[1], axis=0, out=gathered[1, :, :m], mode="clip")
+                if i1 < height:
+                    carry[b0:b1, c0:c1] += np.add.reduce(gathered[:, :, :m], axis=(0, 1, 2))
+                else:
+                    out = sums[i0 - height + 1 : i1 - height + 1, b0:b1, c0:c1]
+                    np.add.reduce(gathered[:, :, :m], axis=(0, 1), out=out)
+    sums[0] += carry
+    np.cumsum(sums, axis=0, out=sums)
+    return sums.transpose(3, 1, 0, 2)
 
 
-def _direction_measures(quantized: np.ndarray, direction: int, params: GlcmParams) -> np.ndarray:
-    """The selected measures, in params.measures order, of every window of
-    each band of a (bands, height, width) stack at one direction.
+def _pixel_sums(quantized: np.ndarray) -> np.ndarray:
+    """Integral images of the pixel values and of their squares,
+    (2, bands, rows + 1, columns + 1) int64: every direction's sums of a + b
+    and of a^2 + b^2 are box sums of these, exact as in _pair_box_sums."""
+    bands, h, w = quantized.shape
+    integral = np.zeros((2, bands, h + 1, w + 1), dtype=np.int64)
+    integral[0, :, 1:, 1:] = quantized
+    np.square(integral[0], out=integral[1])
+    np.cumsum(integral[:, :, 1:, 1:], axis=2, out=integral[:, :, 1:, 1:])
+    np.cumsum(integral[:, :, 1:, 1:], axis=3, out=integral[:, :, 1:, 1:])
+    return integral
 
-    Returns (bands, n_measures, height - window + 1, width - window + 1)
-    float64. A window holds n pairs and its symmetric matrix T = 2n counts.
-    Entropy uses the natural logarithm with 0 ln 0 = 0, as
-    ln T - sum(c ln c) / T. Variance and correlation use the expansions
-    sum(i^2 p) - mu^2 and (sum(i j p) - mu^2) / variance; rounding can push an
-    exactly-zero variance microscopically negative, so it is clamped at 0, and
-    the correlation of a zero-variance window is 0 by convention. The key
-    kernel runs only if second moment or entropy is selected.
+
+def _box(integral: np.ndarray, top: int, left: int, height: int, width: int, shape) -> np.ndarray:
+    """Sum of the height x width box whose corner sits at (r + top, c + left),
+    for every (r, c) of the given output shape."""
+    out_h, out_w = shape
+    bottom, right = top + height, left + width
+    out = np.subtract(
+        integral[..., bottom : bottom + out_h, right : right + out_w],
+        integral[..., top : top + out_h, right : right + out_w],
+    )
+    out -= integral[..., bottom : bottom + out_h, left : left + out_w]
+    out += integral[..., top : top + out_h, left : left + out_w]
+    return out
+
+
+def _window(direction: int, window: int) -> tuple[int, int]:
+    """Pair rows and columns of one window at a direction."""
+    dr, dc = DIRECTION_OFFSETS[direction]
+    return window - abs(dr), window - abs(dc)
+
+
+def _passes(directions, h: int, w: int, window: int) -> list[tuple[int, ...]]:
+    """The directions of each key-kernel pass over an h x w image: those
+    whose key images, with 90 degrees transposed, and windows have the same
+    shape. 45 and 135 degrees always share one; 0 and 90 do on square images."""
+    passes: dict[tuple, list[int]] = {}
+    for d in directions:
+        height, width = _window(d, window)
+        dr, dc = DIRECTION_OFFSETS[d]
+        shape = (h - abs(dr), w - abs(dc), height, width)
+        if d == 90:
+            shape = (shape[1], shape[0], width, height)
+        passes.setdefault(shape, []).append(d)
+    return [tuple(p) for p in passes.values()]
+
+
+def _all_key_sums(quantized: np.ndarray, params: GlcmParams) -> dict[int, np.ndarray]:
+    """Each direction's two _key_sums, (2, bands, out_h, out_w) int64, from
+    one kernel pass per group of _passes."""
+    bands, h, w = quantized.shape
+    found = {}
+    for directions in _passes(params.directions, h, w, params.window):
+        keys = [_pair_keys(*_pair_images(quantized, d), params.levels) for d in directions]
+        keys = np.concatenate(
+            [image.transpose(0, 2, 1) if d == 90 else image for d, image in zip(directions, keys)]
+        )
+        height, width = _window(directions[0], params.window)
+        if directions[0] == 90:
+            height, width = width, height
+        sums = _key_sums(keys, height, width, params.levels)
+        del keys
+        for i, d in enumerate(directions):
+            part = sums[:, i * bands : (i + 1) * bands]
+            found[d] = part.transpose(0, 1, 3, 2) if d == 90 else part
+    return found
+
+
+def _direction_planes(
+    quantized: np.ndarray, direction: int, params: GlcmParams, key_sums, pixels
+):
+    """Yield (k, plane) for each selected measure at one direction: plane k
+    of params.measures over every window of each band of a (bands, height,
+    width) stack, (bands, height - window + 1, width - window + 1) float64.
+
+    ``key_sums`` is the direction's two _key_sums, or None if neither second
+    moment nor entropy is selected, and ``pixels`` the stack's _pixel_sums. A
+    window holds n pairs and its symmetric matrix T = 2n counts. Entropy uses
+    the natural logarithm with 0 ln 0 = 0, as ln T - sum(c ln c) / T. Contrast
+    is sum(a^2 + b^2) - 2 sum(ab) over n. Variance and correlation use the
+    expansions sum(i^2 p) - mu^2 and (sum(i j p) - mu^2) / variance; rounding
+    can push an exactly-zero variance microscopically negative, so it is
+    clamped at 0, and the correlation of a zero-variance window is 0 by
+    convention.
     """
     dr, dc = DIRECTION_OFFSETS[direction]
-    height, width = params.window - abs(dr), params.window - abs(dc)
+    height, width = _window(direction, params.window)
     n = height * width
     total = 2 * n
-    # The key kernel first, while neither the output nor the linear measures'
-    # temporaries are live; each full-size temporary is dropped once used.
-    key_kernel = "second_moment" in params.measures or "entropy" in params.measures
-    if key_kernel:
-        keys = _pair_keys(*_pair_images(quantized, direction), params.levels)
-        squares, entropy_sums = _key_sums(keys, height, width, params.levels)
-        del keys
-    bands, h, w = quantized.shape
-    out = np.empty((bands, len(params.measures), h - params.window + 1, w - params.window + 1))
-
-    def put(measure: str, plane) -> None:
-        if measure in params.measures:
-            out[:, params.measures.index(measure)] = plane
-
-    if key_kernel:
-        put("second_moment", squares / (total * total))
-        put("entropy", math.log(total) - entropy_sums * 2.0 ** -_entropy_shift(n) / total)
-        del squares, entropy_sums
-    a, b = _pair_images(quantized, direction)
-    images = [
-        lambda: (a - b) ** 2,
-        lambda: np.rint(_HOMOGENEITY_UNIT / (1.0 + (a - b) ** 2)).astype(np.int64),
-        lambda: a + b,
-        lambda: a * a + b * b,
-        lambda: a * b,
-    ]
-    linear = _box_sums(images, a.shape, height, width)
-    del a, b, images
-    put("contrast", linear[0] / n)
-    put("homogeneity", linear[1] / (_HOMOGENEITY_UNIT * n))
-    mean = linear[2] / total
-    variance = np.maximum(linear[3] / total - mean * mean, 0.0)
-    cross = linear[4] / n - mean * mean
-    del linear
-    put("mean", mean)
-    put("variance", variance)
-    put("correlation", np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0))
-    return out
+    shape = tuple(side - params.window + 1 for side in quantized.shape[1:])
+    selected = {measure: k for k, measure in enumerate(params.measures)}
+    if key_sums is not None:
+        squares, entropy_sums = key_sums
+        if "second_moment" in selected:
+            yield selected["second_moment"], squares / (total * total)
+        if "entropy" in selected:
+            entropy = math.log(total) - entropy_sums * 2.0 ** -_entropy_shift(n) / total
+            yield selected["entropy"], entropy
+            del entropy
+        del key_sums, squares, entropy_sums
+    cross_sums, homogeneity = _pair_box_sums(*_pair_images(quantized, direction), height, width)
+    r0, c0 = max(0, -dr), max(0, -dc)
+    # Sums of a + b and of a^2 + b^2: the first pixels' box plus the second's.
+    pair_sums, pair_squares = pixel_boxes = _box(pixels, r0, c0, height, width, shape)
+    pixel_boxes += _box(pixels, r0 + dr, c0 + dc, height, width, shape)
+    del pixel_boxes
+    if "contrast" in selected:
+        yield selected["contrast"], (pair_squares - 2 * cross_sums) / n
+    if "homogeneity" in selected:
+        yield selected["homogeneity"], homogeneity / (_HOMOGENEITY_UNIT * n)
+    mean = pair_sums / total
+    variance = np.maximum(pair_squares / total - mean * mean, 0.0)
+    cross = cross_sums / n - mean * mean
+    del pair_sums, pair_squares, cross_sums, homogeneity
+    if "mean" in selected:
+        yield selected["mean"], mean
+    del mean
+    if "variance" in selected:
+        yield selected["variance"], variance
+    if "correlation" in selected:
+        positive = variance > 0
+        np.divide(cross, np.where(positive, variance, 1.0), out=cross)
+        yield selected["correlation"], np.where(positive, cross, 0.0)
 
 
 def _band_measures(quantized: np.ndarray, params: GlcmParams) -> np.ndarray:
@@ -381,14 +510,24 @@ def _band_measures(quantized: np.ndarray, params: GlcmParams) -> np.ndarray:
     stack averaged over the directions,
     (bands, n_measures, height - window + 1, width - window + 1) float64.
 
-    One accumulator takes each direction's measures in place, in the order
-    and with the rounding of sum() over them, divided by their number."""
-    first, *rest = params.directions
-    summed = _direction_measures(quantized, first, params)
-    # sum() starts from 0, so a zero average is +0.0 even if every term is -0.0.
-    summed += 0.0
-    for direction in rest:
-        summed += _direction_measures(quantized, direction, params)
+    The key kernel runs first, if second moment or entropy is selected, while
+    nothing else is held. One accumulator, zero at the start, then takes each
+    direction's planes in direction order, which rounds as sum() over the
+    directions does, and is divided by their number."""
+    quantized = np.asarray(quantized, dtype=np.int32)  # as quantize() makes it
+    bands, h, w = quantized.shape
+    key_kernel = "second_moment" in params.measures or "entropy" in params.measures
+    key_sums = _all_key_sums(quantized, params) if key_kernel else {}
+    pixels = _pixel_sums(quantized)
+    summed = np.zeros((bands, len(params.measures), h - params.window + 1, w - params.window + 1))
+    for direction in params.directions:
+        # The generator holds the direction's key sums only while it needs them.
+        planes = _direction_planes(
+            quantized, direction, params, key_sums.pop(direction, None), pixels
+        )
+        for k, plane in planes:
+            summed[:, k] += plane
+            del plane  # before the next plane is made
     summed /= len(params.directions)
     return summed
 
@@ -407,12 +546,12 @@ def extract_texture(
     (within window//2 of any edge) are invalid. A band the stack lacks, or a
     window larger than the stack, raises DimensionMismatchError. The bands
     are dealt into groups, band i to group i % k, and each group is one task:
-    one kernel pass per direction serves a whole group. There are ``jobs``
-    groups, or more where a group would hold over _GROUP_PIXELS pixels, but
-    no more than bands; fork_map splits them between ``jobs`` processes
-    forked for this call. Every window sum is an exact integer, so a band's
-    features do not depend on its group, and results are bit-identical for
-    any ``jobs``.
+    one kernel pass per group of _passes serves a whole group. There are
+    ``jobs`` groups, or more where a pass would hold over _GROUP_PIXELS
+    band-direction pixels, but no more than bands; fork_map splits them
+    between ``jobs`` processes forked for this call. Every window sum is an
+    exact integer, so a band's features do not depend on its group, and
+    results are bit-identical for any ``jobs``.
     """
     if params is None:
         params = GlcmParams()
@@ -432,7 +571,8 @@ def extract_texture(
     valid = np.zeros((h, w), dtype=bool)
     valid[radius : h - radius, radius : w - radius] = True
     quantized = np.stack([quantize(stack.band(band), params.levels) for band in params.bands])
-    per_group = max(1, _GROUP_PIXELS // (h * w))
+    most = max(len(directions) for directions in _passes(params.directions, h, w, params.window))
+    per_group = max(1, _GROUP_PIXELS // (h * w * most))
     groups = min(n_bands, max(jobs, -(-n_bands // per_group)))
     tasks = [(quantized[s::groups], params) for s in range(groups)]
     for s, block in enumerate(fork_map(_band_measures, tasks, jobs)):

@@ -2,6 +2,9 @@
 
 Everything here is deliberately written as plain Python loops over the
 mathematical definitions, independent of the library's vectorized paths.
+The one exception is direction_measures_oracle: an earlier, simpler
+vectorized GLCM path, kept as the byte-exact reference for the kernel
+passes that directions now share.
 """
 
 from __future__ import annotations
@@ -57,6 +60,73 @@ def haralick_oracle(p) -> dict[str, float]:
         "mean": mu,
         "variance": var,
     }
+
+
+def direction_measures_oracle(quantized, direction: int, params):
+    """The selected measures of every window of each band of a quantized
+    (bands, height, width) stack at one direction, in params.measures order:
+    (bands, n_measures, height - window + 1, width - window + 1) float64.
+
+    The library's one-pass-per-direction path before directions shared
+    kernel passes: one _key_sums call per band, in the direction's own
+    orientation, and five box sums of int64 pair images for the linear
+    measures. Grouped extraction must equal it byte for byte.
+    """
+    import numpy as np
+
+    from slummap.texture import (
+        _HOMOGENEITY_UNIT,
+        DIRECTION_OFFSETS,
+        _entropy_shift,
+        _key_sums,
+        _pair_images,
+        _pair_keys,
+    )
+
+    dr, dc = DIRECTION_OFFSETS[direction]
+    height, width = params.window - abs(dr), params.window - abs(dc)
+    n = height * width
+    total = 2 * n
+    a, b = (image.astype(np.int64) for image in _pair_images(quantized, direction))
+    bands, h, w = quantized.shape
+    out = np.empty((bands, len(params.measures), h - params.window + 1, w - params.window + 1))
+
+    def put(measure: str, plane) -> None:
+        if measure in params.measures:
+            out[:, params.measures.index(measure)] = plane
+
+    if "second_moment" in params.measures or "entropy" in params.measures:
+        keys = _pair_keys(a, b, params.levels)
+        squares, entropy_sums = np.concatenate(
+            [_key_sums(keys[i : i + 1], height, width, params.levels) for i in range(bands)], axis=1
+        )
+        put("second_moment", squares / (total * total))
+        put("entropy", math.log(total) - entropy_sums * 2.0 ** -_entropy_shift(n) / total)
+    images = [
+        (a - b) ** 2,
+        np.rint(_HOMOGENEITY_UNIT / (1.0 + (a - b) ** 2)).astype(np.int64),
+        a + b,
+        a * a + b * b,
+        a * b,
+    ]
+    integral = np.zeros((len(images), bands, a.shape[1] + 1, a.shape[2] + 1), dtype=np.int64)
+    for image, plane in zip(images, integral):
+        np.cumsum(np.cumsum(image, axis=1), axis=2, out=plane[:, 1:, 1:])
+    linear = (
+        integral[..., height:, width:]
+        - integral[..., :-height, width:]
+        - integral[..., height:, :-width]
+        + integral[..., :-height, :-width]
+    )
+    put("contrast", linear[0] / n)
+    put("homogeneity", linear[1] / (_HOMOGENEITY_UNIT * n))
+    mean = linear[2] / total
+    variance = np.maximum(linear[3] / total - mean * mean, 0.0)
+    cross = linear[4] / n - mean * mean
+    put("mean", mean)
+    put("variance", variance)
+    put("correlation", np.where(variance > 0, cross / np.where(variance > 0, variance, 1.0), 0.0))
+    return out
 
 
 def confusion_oracle(pred, truth) -> dict[str, int]:

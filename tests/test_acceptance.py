@@ -12,7 +12,7 @@ import numpy as np
 from slummap.ccf import RIDGE, cca_fit, predict, train_forest
 from slummap.experiment import evaluate, run_experiment
 from slummap.fixtures import make_two_texture_scene, write_demo_scene
-from slummap.texture import MEASURES, GlcmParams, _direction_measures
+from slummap.texture import MEASURES, GlcmParams, _band_measures
 
 from .oracles import confusion_oracle, glcm_oracle, haralick_oracle, lda_direction_oracle
 
@@ -24,9 +24,8 @@ def report(criterion: str, elapsed: float, budget: float | None = None) -> None:
 
 def _kernel(image, direction: int, levels: int, window: int) -> dict[str, np.ndarray]:
     """The co-occurrence kernel's seven planes for one direction, by measure name."""
-    planes = _direction_measures(
-        np.asarray(image)[np.newaxis], direction, GlcmParams(levels=levels, window=window)
-    )
+    params = GlcmParams(levels=levels, window=window, directions=(direction,))
+    planes = _band_measures(np.asarray(image)[np.newaxis], params)
     return dict(zip(MEASURES, planes[0]))
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,17 +17,17 @@ from slummap.texture import (
     GlcmParams,
     MAX_WINDOW,
     _band_measures,
-    _direction_measures,
     _key_sums,
     _key_terms,
     _pair_images,
     _pair_keys,
+    _passes,
     extract_spectral,
     extract_texture,
     quantize,
 )
 
-from .oracles import glcm_oracle, haralick_oracle
+from .oracles import direction_measures_oracle, glcm_oracle, haralick_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +88,8 @@ def test_quantize_surjective_when_band_spans_range():
 
 def _measures(image, direction: int, levels: int, window: int = 3) -> dict[str, np.ndarray]:
     """The kernel's seven planes for one direction, by measure name."""
-    planes = _direction_measures(
-        np.asarray(image)[np.newaxis], direction, GlcmParams(levels=levels, window=window)
-    )
+    params = GlcmParams(levels=levels, window=window, directions=(direction,))
+    planes = _band_measures(np.asarray(image)[np.newaxis], params)
     return dict(zip(MEASURES, planes[0]))
 
 
@@ -501,7 +501,7 @@ def test_band_measures_equal_the_sum_of_direction_measures(
     """The in-place accumulator rounds as sum() over the directions does."""
     quantized = np.random.default_rng(seed).integers(0, levels, size=(bands, 9, 11))
     params = GlcmParams(levels=levels, window=window, directions=directions, measures=measures)
-    per_direction = [_direction_measures(quantized, d, params) for d in params.directions]
+    per_direction = [direction_measures_oracle(quantized, d, params) for d in params.directions]
     expected = sum(per_direction) / len(params.directions)
     assert _band_measures(quantized, params).tobytes() == expected.tobytes()
 
@@ -509,12 +509,78 @@ def test_band_measures_equal_the_sum_of_direction_measures(
 def test_band_measures_average_negative_zeros_to_positive_zero(monkeypatch):
     # sum() starts from the integer 0, so -0.0 in every direction sums to +0.0.
     planes = np.full((1, 7, 3, 3), -0.0)
-    monkeypatch.setattr(texture, "_direction_measures", lambda *args: planes.copy())
+    monkeypatch.setattr(
+        texture, "_direction_planes", lambda *args: ((k, plane) for k, plane in enumerate(planes[0]))
+    )
     params = GlcmParams(window=3)
     expected = sum(planes for _ in params.directions) / len(params.directions)
     got = _band_measures(np.zeros((1, 5, 5), dtype=np.int32), params)
     assert not np.signbit(expected).any()
     assert got.tobytes() == expected.tobytes()
+
+
+def test_directions_share_a_pass_when_their_shapes_match():
+    # The 90 degree keys, transposed, have 0 degrees' window; their key images
+    # match only on square scenes. 45 and 135 degrees always match.
+    assert _passes((0, 45, 90, 135), 64, 64, 19) == [(0, 90), (45, 135)]
+    assert _passes((0, 45, 90, 135), 64, 63, 19) == [(0,), (45, 135), (90,)]
+    assert _passes((90, 135), 20, 9, 3) == [(90,), (135,)]
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    side=st.integers(9, 20),
+    other=st.one_of(st.none(), st.integers(9, 20)),
+    bands=st.integers(1, 3),
+    levels=st.sampled_from([2, 4, 32, 300]),
+    window=st.sampled_from([3, 5, 7]),
+    directions=st.sets(st.sampled_from(sorted(DIRECTION_OFFSETS)), min_size=1),
+    measures=st.sets(st.sampled_from(MEASURES), min_size=1),
+)
+def test_grouped_passes_equal_one_pass_per_direction_and_band(
+    budget, seed, side, other, bands, levels, window, directions, measures
+):
+    """Extraction with directions sharing kernel passes by shape equals the
+    per-direction oracle run one band at a time, byte for byte, at the
+    default budgets and with every budget at 1: one-column tables, one key
+    row per block, rank chunks one window high, one band per group."""
+    h, w = side, side if other is None else other
+    names = tuple(f"B{i}" for i in range(bands))
+    samples = np.random.default_rng(seed).integers(0, 65536, size=(bands, h, w), dtype=np.uint16)
+    params = GlcmParams(
+        levels=levels, window=window, directions=directions, bands=names, measures=measures
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            for name in ("_TABLE_CELLS", "_BLOCK_CELLS", "_RANK_BYTES", "_GROUP_PIXELS"):
+                patch.setattr(texture, name, budget)
+        got = extract_texture(BandStack(band_names=list(names), samples=samples), params)
+    r = window // 2
+    expected = np.full((bands, len(params.measures), h, w), np.nan, dtype=np.float32)
+    for b in range(bands):
+        quantized = quantize(samples[b], levels)[np.newaxis]
+        per_direction = [direction_measures_oracle(quantized, d, params) for d in params.directions]
+        expected[b, :, r : h - r, r : w - r] = (sum(per_direction) / len(params.directions))[0]
+    assert got.values.tobytes() == expected.reshape(got.values.shape).tobytes()
+
+
+# tracemalloc's peak for the same call when each direction had its own kernel
+# pass, measured on numpy 2.4.6, which reports its buffers to tracemalloc.
+ONE_PASS_PER_DIRECTION_PEAK = 2_866_831
+
+
+def test_extract_peak_memory_is_no_more_than_with_one_pass_per_direction():
+    stack = _noisy_scene(64, 1)
+    extract_texture(stack, GlcmParams())
+    tracemalloc.start()
+    try:
+        extract_texture(stack, GlcmParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ONE_PASS_PER_DIRECTION_PEAK
 
 
 def test_extract_spectral_identity_and_dimension():
