@@ -409,16 +409,13 @@ def train_forest(
     tasks = [(x, y, params, stream(master_seed, FOREST_STREAM, t)) for t in range(params.n_trees)]
     trees = list(fork_map(grow_tree, tasks, jobs))
     _release_free_heap()
-    return CcfModel(
-        trees=trees,
-        feature_names=list(feature_names),
-        training_params={
-            "n_trees": params.n_trees,
-            "n_candidate_features": params.resolve_lambda(d),
-            "min_node_size": params.min_node_size,
-            "master_seed": master_seed,
-        },
-    )
+    return CcfModel(trees, list(feature_names), training_params(params, d, master_seed))
+
+
+def training_params(params: ForestParams, d: int, master_seed: int) -> dict:
+    """What a model records of its training on d features, as the model file holds it."""
+    return dict(n_trees=params.n_trees, n_candidate_features=params.resolve_lambda(d),
+                min_node_size=params.min_node_size, master_seed=master_seed)
 
 
 def _release_free_heap() -> None:

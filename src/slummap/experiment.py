@@ -16,8 +16,11 @@ The model file is this module's alone: save_pipeline writes a Pipeline as one
 canonical JSON document (version 3), and load_pipeline reads only what it writes.
 Its trees are ``tree_sizes``, the node counts, and ``arrays``: each CcTree array
 joined over the trees, as standard base64 of its little-endian int64 or float64
-bytes. Non-canonical base64, a byte count the node counts do not imply and a
-non-finite float are rejected; version 1 and 2 files need a retrain.
+bytes. The writer is the one definition of the document: load_pipeline builds a
+Pipeline through the checks that carry meaning (the parameter constructors, the
+seed range, the tree arrays' bytes and structure; see load_pipeline) and rejects
+the file unless that Pipeline writes back the same document less ``arrays``.
+Version 1 and 2 files need a retrain.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .ccf import (
     ForestParams,
     predict,
     train_forest,
+    training_params,
 )
 from .raster import BandStack, DimensionMismatchError, FeatureRaster, LabelMask, ensure_aligned
 from .rng import BALANCE_STREAM, SPLIT_STREAM, stream
@@ -161,16 +165,16 @@ def fit_scaler(x: np.ndarray) -> ScalerStats:
     return ScalerStats(means=means, stds=stds)
 
 
-def scale_matrix(stats: ScalerStats, features: np.ndarray, order: str = "C") -> np.ndarray:
+def scale_matrix(stats: ScalerStats, features: np.ndarray) -> np.ndarray:
     """(v - mean) / std per column; constant columns (std 0) map to 0.
 
-    Returns a new float64 matrix in ``order`` ("C" row-major, "F" column-major)
+    Returns a new column-major float64 matrix, the layout the forest reads,
     and leaves ``features`` as it is. It is the only full-size array made:
     float32 values are widened inside the subtraction, which is exact, and
     the division and zeroing run in place, so the result is bit-equal to
-    ``(features.astype(np.float64) - means) / divisor`` in either layout.
+    ``(features.astype(np.float64) - means) / divisor``.
     """
-    return _scale(stats, features, np.empty(features.shape, order=order))
+    return _scale(stats, features, np.empty(features.shape, order="F"))
 
 
 def _scale(stats: ScalerStats, features: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -296,7 +300,7 @@ def run_experiment(
     t0 = time.perf_counter()
     train_x = features.values[:, rows[train_rows], cols[train_rows]].T.astype(np.float64)
     scaler = fit_scaler(train_x)
-    train_x = scale_matrix(scaler, train_x, order="F")
+    train_x = scale_matrix(scaler, train_x)
     timings["scale"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -343,7 +347,8 @@ def predict_scene(
     scaler: ScalerStats,
 ) -> tuple[LabelMask, MetricsReport | None]:
     """Predict every feature-valid pixel; score against the mask if given. A raster
-    without the model's features, by name and in order, raises DimensionMismatchError.
+    without the model's features, by name and in order, or a mask of another
+    height or width raises DimensionMismatchError.
 
     The one full-size array is the float64 matrix of the valid pixels,
     row-major, the layout routing reads fastest: it is gathered into a block
@@ -357,6 +362,11 @@ def predict_scene(
         )
         raise DimensionMismatchError(
             f"model expects {len(expected)} features but extraction produced {len(got)}{detail}"
+        )
+    if mask is not None and (mask.height, mask.width) != (features.height, features.width):
+        raise DimensionMismatchError(
+            f"mask is {mask.width}x{mask.height} but the features are "
+            f"{features.width}x{features.height}"
         )
     pixels = np.flatnonzero(features.valid)
     planes = features.values.reshape(len(expected), -1)
@@ -437,14 +447,6 @@ PIPELINE_VERSION = 3
 _PACKED = dict(  # CcTree's arrays in field order and the type of their packed values
     feature="<i8", projection="<f8", threshold="<f8", left="<i8", right="<i8", class_counts="<i8"
 )
-# The JSON type of each value save_pipeline writes, in _typed's terms; _trees checks the trees.
-_GLCM = dict(levels=int, window=int, directions=[int], bands=[str], measures=[str])
-_TRAINING = dict(n_trees=int, n_candidate_features=int, min_node_size=int, master_seed=int)
-_PIPELINE = dict(
-    format=str, version=int, technique=str, glcm_params=object,  # None or _GLCM
-    scaler={"means": [float], "stds": [float]}, feature_names=[str], training_params=_TRAINING,
-    tree_sizes=[int], arrays={key: str for key in _PACKED},
-)
 
 
 class ModelFormatError(ValueError):
@@ -467,9 +469,14 @@ class Pipeline:
             raise ValueError("glcm_params must be given for glcm and only for glcm")
 
 
-def save_pipeline(pipeline: Pipeline, path: str | Path) -> None:
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _header(pipeline: Pipeline) -> dict:
+    """The model document of a pipeline, less its packed tree ``arrays``."""
     model = pipeline.model
-    doc = {
+    return {
         "format": PIPELINE_FORMAT,
         "version": PIPELINE_VERSION,
         "technique": pipeline.technique,
@@ -478,35 +485,17 @@ def save_pipeline(pipeline: Pipeline, path: str | Path) -> None:
         "feature_names": list(model.feature_names),
         "training_params": model.training_params,
         "tree_sizes": [len(tree.threshold) for tree in model.trees],
-        "arrays": {
-            k: binascii.b2a_base64(np.concatenate([getattr(t, k) for t in model.trees], dtype=kind),
-                                   newline=False).decode("ascii") for k, kind in _PACKED.items()
-        },
     }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
 
 
-def _typed(value, kind, what: str):
-    """value, if it has the JSON type kind; ModelFormatError if not. kind is int
-    or str, matched by ``type(value) is kind`` (True is no int), float for a
-    finite float, [kind] for a list, {key: kind} for an object with exactly
-    those keys, or object for any value."""
-    if type(kind) is list:
-        for item in _typed(value, list, what):
-            _typed(item, kind[0], what)
-    elif type(kind) is dict:
-        if _typed(value, dict, what).keys() != kind.keys():
-            raise ModelFormatError(f"{what} must hold exactly the keys {sorted(kind)}")
-        for key, item_kind in kind.items():
-            _typed(value[key], item_kind, key)
-    elif kind is not object and (
-        type(value) is not kind or (kind is float and not math.isfinite(value))
-    ):
-        expected = "a finite float" if kind is float else f"of type {kind.__name__}"
-        raise ModelFormatError(f"{what} must be {expected}, not {value!r:.40}")
-    return value
+def save_pipeline(pipeline: Pipeline, path: str | Path) -> None:
+    trees = pipeline.model.trees
+    doc = _header(pipeline)
+    doc["arrays"] = {
+        k: binascii.b2a_base64(np.concatenate([getattr(t, k) for t in trees], dtype=kind),
+                               newline=False).decode("ascii") for k, kind in _PACKED.items()
+    }
+    Path(path).write_text(_canonical(doc) + "\n", encoding="utf-8")
 
 
 def _unpack(text: str, kind: str, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -526,7 +515,13 @@ def _unpack(text: str, kind: str, shape: tuple[int, ...], what: str) -> np.ndarr
 
 
 def _trees(sizes: list[int], packed: dict[str, str], lam: int, d: int) -> list[CcTree]:
-    """The packed trees, each array decoded and checked once over all trees joined."""
+    """The packed trees, each array decoded and checked once over all trees joined.
+
+    Child indices lie after their split and inside its tree (so routing
+    terminates), feature indices in [0, d) and strictly increasing along a
+    split's subset, as grow_tree draws them; a leaf holds counts >= 0, not both
+    0, whose sum fits int64, and zero split fields, and a split zero counts.
+    """
     widths = dict(feature=(lam,), projection=(lam,), class_counts=(2,))
     joined = {k: _unpack(packed[k], kind, (sum(sizes), *widths.get(k, ())), k)
               for k, kind in _PACKED.items()}
@@ -547,57 +542,64 @@ def _trees(sizes: list[int], packed: dict[str, str], lam: int, d: int) -> list[C
     at_leaves = (joined["feature"][leaf], joined["projection"][leaf], joined["threshold"][leaf])
     if counts[~leaf].any() or any(a.any() or np.signbit(a).any() for a in at_leaves):
         raise ModelFormatError("a leaf's split fields and a split's counts must be 0")
-    cuts = np.cumsum(sizes)[:-1]
-    columns = [np.split(joined[k], cuts) for k in _PACKED]
-    return [CcTree(**dict(zip(_PACKED, tree))) for tree in zip(*columns)]
+    ends = np.cumsum(sizes).tolist()
+    return [CcTree(**{k: joined[k][end - size : end] for k in _PACKED})
+            for size, end in zip(sizes, ends)]
 
 
 def load_pipeline(path: str | Path) -> Pipeline:
-    """Read a file save_pipeline wrote, which saves back to the same bytes.
+    """Read a file save_pipeline wrote; anything else raises ModelFormatError.
 
-    Anything else raises ModelFormatError, a version 1 or 2 file included. The
-    training_params are valid ForestParams with master_seed in [0, 2**64 - 1].
-    There are training_params["n_trees"] trees of at least one node, each of
-    whose feature subsets is n_candidate_features wide, in [1, len(feature_names)],
-    and each array holds exactly the bytes the node counts imply. Child indices lie
-    after their split and inside the tree (so routing terminates), feature
-    indices in [0, len(feature_names)) and strictly increasing along a split's
-    subset, as grow_tree draws them; a leaf holds counts >= 0, not both 0,
-    whose sum fits int64, and zero split fields, and a split zero counts;
-    glcm_params is in the canonical form GlcmParams gives it.
+    The Pipeline built from the document must write back the same document,
+    less ``arrays``, value for value (spacing and key order may differ).
+    Building it checks what a write-back cannot see: the version (1 and 2
+    need a retrain); the ForestParams, GlcmParams, ScalerStats and Pipeline
+    constructors; master_seed, an int in [0, 2**64 - 1]; n_trees tree sizes
+    >= 1; string feature names; one finite scaler mean and std per feature;
+    exactly the six ``arrays``, each the canonical base64 of exactly the
+    bytes the node counts imply, its floats finite, and its trees as _trees
+    checks them.
     """
     try:
-        doc = _typed(json.loads(Path(path).read_text(encoding="utf-8")), dict, "document")
-        if doc.get("format") != PIPELINE_FORMAT or type(doc.get("version")) is not int:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        version = doc.get("version") if type(doc) is dict else None
+        if type(version) is not int or doc.get("format") != PIPELINE_FORMAT:
             raise ModelFormatError(f"not a {PIPELINE_FORMAT} document")
-        if doc["version"] != PIPELINE_VERSION:
+        if version != PIPELINE_VERSION:
             raise ModelFormatError(
-                f"version {doc['version']} files are no longer read (this slummap reads "
+                f"version {version} files are no longer read (this slummap reads "
                 f"version {PIPELINE_VERSION}); retrain the model"
             )
-        _typed(doc, _PIPELINE, "document")
-        names, params = doc["feature_names"], doc["training_params"]
-        d, lam = len(names), params["n_candidate_features"]
-        ForestParams(params["n_trees"], params["min_node_size"], lam)
-        if lam > d:
-            raise ModelFormatError(f"n_candidate_features must lie in [1, {d}]")
-        if not 0 <= params["master_seed"] < 2**64:
-            raise ModelFormatError("master_seed must lie in [0, 2**64 - 1]")
-        if len(doc["tree_sizes"]) != params["n_trees"] or min(doc["tree_sizes"]) < 1:
-            raise ModelFormatError(f"tree_sizes must hold n_trees = {params['n_trees']} sizes >= 1")
-        model = CcfModel(_trees(doc["tree_sizes"], doc["arrays"], lam, d), names, params)
-        means, stds = np.array(doc["scaler"]["means"]), np.array(doc["scaler"]["stds"])
-        if means.shape != (d,) or stds.shape != (d,):
-            raise ModelFormatError(f"scaler must hold {d} means and stds")
-        glcm_params = None
-        if doc["glcm_params"] is not None:
-            glcm_doc = _typed(doc["glcm_params"], _GLCM, "glcm_params")
-            written = {k: tuple(v) if type(v) is list else v for k, v in glcm_doc.items()}
-            glcm_params = GlcmParams(**written)
-            if asdict(glcm_params) != written:
-                raise ModelFormatError("glcm_params must list directions and measures canonically")
-        return Pipeline(doc["technique"], glcm_params, ScalerStats(means, stds), model)
-    except (RecursionError, ValueError) as exc:
-        # Also invalid UTF-8, JSON or nesting too deep to parse; and the
-        # ModelFormatErrors above, to add the path.
+        names, sizes, written = doc["feature_names"], doc["tree_sizes"], doc["training_params"]
+        d, seed = len(names), written["master_seed"]
+        if not all(type(name) is str for name in names):
+            raise ModelFormatError("feature_names must be strings")
+        if type(seed) is not int or not 0 <= seed < 2**64:
+            raise ModelFormatError("master_seed must be an int in [0, 2**64 - 1]")
+        forest = ForestParams(
+            written["n_trees"], written["min_node_size"], written["n_candidate_features"]
+        )
+        if len(sizes) != forest.n_trees or min(sizes) < 1:
+            raise ModelFormatError(f"tree_sizes must hold n_trees = {forest.n_trees} sizes >= 1")
+        if type(doc["arrays"]) is not dict or doc["arrays"].keys() != _PACKED.keys():
+            raise ModelFormatError(f"arrays must hold exactly the keys {sorted(_PACKED)}")
+        params = training_params(forest, d, seed)
+        trees = _trees(sizes, doc["arrays"], params["n_candidate_features"], d)
+        scaler = ScalerStats(doc["scaler"]["means"], doc["scaler"]["stds"])
+        if scaler.means.shape != (d,) or scaler.stds.shape != (d,) or not (
+                np.isfinite(scaler.means).all() and np.isfinite(scaler.stds).all()):
+            raise ModelFormatError(f"scaler must hold {d} finite means and stds")
+        glcm = None if doc["glcm_params"] is None else GlcmParams(**doc["glcm_params"])
+        pipeline = Pipeline(doc["technique"], glcm, scaler, CcfModel(trees, names, params))
+        header, built = {k: v for k, v in doc.items() if k != "arrays"}, _header(pipeline)
+        if _canonical(header) != _canonical(built):
+            differ = [k for k in sorted(header.keys() | built.keys())
+                      if _canonical(header.get(k)) != _canonical(built.get(k))]
+            raise ModelFormatError(f"not as save_pipeline writes it: {', '.join(differ)}")
+        return pipeline
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: unreadable model file: no key {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+        # Also invalid UTF-8, JSON or nesting too deep to parse, a value of a type
+        # the code above cannot read, and the ModelFormatErrors above, to add the path.
         raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc

@@ -35,13 +35,10 @@ for only a chunk of rows and the window above it (_RANK_BYTES), and int64
 sums for only the output rows. The table holds at most _TABLE_CELLS cells
 unless one image's K alone is more, and the other temporaries are blocks of
 _BLOCK_CELLS pairs, reused down the image. So a default 64² extract peaks
-lower with two passes of eight band-directions than it did with four passes
-of four bands: 2.43 against 2.87 MB traced. On noisy scenes (2-core Xeon,
-numpy 2.4.6) the median four-band extract took, against one pass per
-direction: 16 against 21 ms at 64² and the defaults; 9 against 13 ms at
-window 5; 15 against 19 ms at 300 levels and window 5; 20 against 24 ms at
-300 levels and window 13; 0.26 against 0.32 s at 256², which goes one band,
-two directions, per pass.
+lower with two passes of eight band-directions than with four passes of four
+bands: 2.43 against 2.87 MB traced. At this size the kernel's cost is the
+number of numpy calls a pass makes, not its band-directions, so fewer and
+larger passes are faster too.
 """
 
 from __future__ import annotations
@@ -122,6 +119,8 @@ class GlcmParams:
                 )
         if not self.bands:
             raise ValueError("bands must not be empty")
+        if not all(isinstance(band, str) for band in self.bands):
+            raise ValueError(f"bands must be names, got {self.bands}")
         if len(set(self.bands)) < len(self.bands):
             raise ValueError(f"bands must be distinct, got {self.bands}")
         if not self.measures:

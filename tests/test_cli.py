@@ -662,7 +662,21 @@ def _craft_model(case: str, doc: dict) -> bytes:
         sizes[:2] = [0, sizes[0] + sizes[1]]
     elif case == "tree-sizes-disagree-with-n-trees":
         sizes[-2:] = [sizes[-2] + sizes[-1]]
-    elif case == "non-canonical-padding":
+    elif case == "number-as-feature-name":
+        doc["feature_names"][0] = 7
+    elif case == "float-master-seed":
+        doc["training_params"]["master_seed"] = float(doc["training_params"]["master_seed"])
+    elif case == "null-n-candidate-features":
+        doc["training_params"]["n_candidate_features"] = None
+    elif case.startswith("extra-key-in-") and case != "extra-key-in-arrays":
+        doc[case.removeprefix("extra-key-in-")]["note"] = 0
+    elif case == "number-as-band-name":
+        doc["glcm_params"]["bands"][0] = 2
+    elif case == "integer-scaler-mean":
+        doc["scaler"]["means"][0] = 0
+    elif case == "directions-out-of-order":
+        doc["glcm_params"]["directions"].reverse()
+    elif case in ("non-canonical-padding", "true-tree-size"):
         # The first tree becomes one leaf, a valid model whose node total is not
         # a multiple of 3, so threshold's base64 ends in padding.
         keep = np.ones(len(left), dtype=bool)
@@ -672,7 +686,7 @@ def _craft_model(case: str, doc: dict) -> bytes:
             arrays[key][0] = 0
         arrays["left"][0] = arrays["right"][0] = -1
         arrays["class_counts"][0] = [1, 1]
-        sizes[0] = 1
+        sizes[0] = True if case == "true-tree-size" else 1  # JSON true, which equals 1
     if "arrays" in doc:
         doc["arrays"] = _packed(arrays)
     packed = doc.get("arrays", {})
@@ -680,6 +694,8 @@ def _craft_model(case: str, doc: dict) -> bytes:
         packed["threshold"] = packed["threshold"][:-4]
     elif case == "one-byte-too-many":
         packed["left"] = base64.b64encode(base64.b64decode(packed["left"]) + b"\0").decode()
+    elif case == "extra-key-in-arrays":
+        packed["note"] = packed["left"]
     elif case == "non-alphabet-character":
         packed["projection"] = "-" + packed["projection"][1:]  # URL-safe base64's 62
     elif case == "non-canonical-padding":
@@ -734,6 +750,17 @@ _PACKED_LAYER_ERRORS = {
         "min-node-size-0",
         "subset-repeating-a-feature",
         "unsorted-subset",
+        "number-as-feature-name",
+        "float-master-seed",
+        "null-n-candidate-features",
+        "extra-key-in-training_params",
+        "extra-key-in-scaler",
+        "extra-key-in-glcm_params",
+        "extra-key-in-arrays",
+        "number-as-band-name",
+        "integer-scaler-mean",
+        "true-tree-size",
+        "directions-out-of-order",
         *_PACKED_LAYER_ERRORS,
     ],
 )
@@ -753,6 +780,25 @@ def test_crafted_model_exits_three(case, demo, experiment_out, tmp_path):
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert _PACKED_LAYER_ERRORS.get(case, "") in proc.stderr
+
+
+def _reversed_keys(value):
+    """A JSON value with every object's keys in reverse order."""
+    if type(value) is dict:
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    return [_reversed_keys(item) for item in value] if type(value) is list else value
+
+
+def test_model_respaced_and_reordered_predicts_the_same_map(demo, experiment_out, tmp_path):
+    # The model file is compared by value, not by bytes.
+    doc = json.loads((experiment_out / "two-texture_glcm_model.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_reversed_keys(doc), indent=1), encoding="utf-8")
+    args = ["--model", str(model), "--image", str(demo["root"] / "scene.hdr")]
+    proc = run_cli("predict", *args, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    map_bytes = (tmp_path / "o" / "map.pgm").read_bytes()
+    assert map_bytes == (experiment_out / "two-texture_glcm_map.pgm").read_bytes()
 
 
 def test_padding_row_is_a_valid_model_until_its_padding_bits_change(

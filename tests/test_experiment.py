@@ -184,8 +184,7 @@ def test_test_set_outliers_never_touch_scaler():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layout", ["C", "F"])
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_scale_matrix_is_bit_equal_to_the_plain_expression(dtype, layout, order):
+def test_scale_matrix_is_bit_equal_to_the_plain_expression(dtype, layout):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(257, 6)) * [1.0, 1e-3, 5e4, 1.0, 1.0, 3.0]
     x = np.asarray(x, dtype=dtype, order=layout)
@@ -193,10 +192,10 @@ def test_scale_matrix_is_bit_equal_to_the_plain_expression(dtype, layout, order)
     x[:, 5] = -0.0  # a constant column of -0.0, which still scales to +0.0
     stats = fit_scaler(x.astype(np.float64))
     before = x.copy()
-    scaled = scale_matrix(stats, x, order=order)
+    scaled = scale_matrix(stats, x)
     expected = (x.astype(np.float64) - stats.means) / np.where(stats.stds > 0, stats.stds, 1.0)
     expected[:, stats.constant_columns] = 0.0
-    assert scaled.dtype == np.float64 and scaled.flags[f"{order}_CONTIGUOUS"]
+    assert scaled.dtype == np.float64 and scaled.flags.f_contiguous
     assert np.ascontiguousarray(scaled).tobytes() == np.ascontiguousarray(expected).tobytes()
     assert np.array_equal(x, before) and x.flags[f"{layout}_CONTIGUOUS"]
 
@@ -447,6 +446,14 @@ def test_predict_scene_rejects_features_that_are_not_the_models(small_scene, spe
     four = extract_features(BandStack(stack.band_names[:4], stack.samples[:4]), "spectral")
     with pytest.raises(DimensionMismatchError, match="expects 10 features but .* produced 4"):
         predict_scene(four, None, model, scaler)
+
+
+def test_predict_scene_rejects_a_mask_of_another_size(spectral_result):
+    # Checked before any pixel is routed, not left to the scoring's broadcast.
+    features = extract_features(make_two_texture_scene(24)[0], "spectral")
+    mask = LabelMask(labels=np.zeros((24, 22), dtype=np.uint8))
+    with pytest.raises(DimensionMismatchError, match="mask is 22x24 but the features are 24x24"):
+        predict_scene(features, mask, spectral_result.model, spectral_result.scaler)
 
 
 def test_predict_scene_without_a_valid_pixel_maps_nothing(small_scene, spectral_result):
