@@ -53,6 +53,22 @@ class DimensionMismatchError(ValueError):
     """A raster lacks a band, a size or a feature that its consumer needs."""
 
 
+def _stored_as(values, dtype, field: str) -> np.ndarray:
+    """values as a C-contiguous array of dtype, without a pass over them if
+    they have that type already; ValueError naming the field if one of them
+    does not fit it exactly (a cast would wrap or truncate it)."""
+    values = np.asarray(values)
+    if values.dtype == dtype:
+        return np.ascontiguousarray(values)
+    with np.errstate(invalid="ignore"):
+        stored = np.ascontiguousarray(values, dtype=dtype)
+    wrong = stored != values
+    if wrong.any():
+        value = values[wrong].flat[0].item()
+        raise ValueError(f"{field} must be {np.dtype(dtype).name} values, got {value!r}")
+    return stored
+
+
 @dataclass
 class BandStack:
     """Multi-band image: ``samples[b, r, c]`` are u16 sensor digital numbers."""
@@ -61,7 +77,7 @@ class BandStack:
     samples: np.ndarray  # (bands, height, width) uint16
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.uint16)
+        self.samples = _stored_as(self.samples, np.uint16, "samples")
         if self.samples.ndim != 3:
             raise ValueError("samples must be a (bands, height, width) grid")
         if self.samples.shape[0] != len(self.band_names):
@@ -91,7 +107,7 @@ class LabelMask:
     valid: np.ndarray | None = None  # (height, width) bool
 
     def __post_init__(self):
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.uint8)
+        self.labels = _stored_as(self.labels, np.uint8, "labels")
         if self.labels.ndim != 2:
             raise ValueError("labels must be a (height, width) grid")
         if self.labels.max(initial=0) > 1:

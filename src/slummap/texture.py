@@ -16,29 +16,30 @@ co-occurrence matrix are int64 box sums, homogeneity's in units of 2**-40:
 sums of a + b and of a^2 + b^2 from two pixel integral images that every
 direction shares, and per direction those of a * b and of homogeneity.
 Second moment and entropy come from one kernel for any number K of distinct
-pair keys, _key_sums: a (windows x K) count table moves down the image,
-adding the entering key row and subtracting the leaving one (a running
-histogram, as in Huang, Yang & Tang's 1979 median filter), and every pair
-that enters or leaves steps its window's sums of squared cells and of c ln c,
-the latter in fixed point.
+pair keys, _key_sums: a (windows x K) count table takes the top window of
+each column at once, and its sums of squared cells and of c ln c (in fixed
+point) are read off the table. It then moves down the image, adding the
+entering key row and subtracting the leaving one (a running histogram, as
+in Huang, Yang & Tang's 1979 median filter), and each pair that enters or
+leaves steps its window's sums.
 
 One kernel pass serves a stack of key images of one shape: the bands of a
 group at every direction whose key image and window have that shape (see
 _passes). 45 and 135 degrees always share a pass; 90 degrees, transposed,
 shares 0 degrees' window (19 x 18 at the defaults), and on square scenes its
-key image too. Each image keeps its own K key ids, and each key-row step of
-the table, each block step and each box sum runs once for the whole stack.
-A pass holds at most _GROUP_PIXELS band-direction pixels, and few bytes for
-each: table counts in the smallest type that holds 2n + width (16 bits at
-the defaults), key ids in 16 bits up to 65,536 pairs an image, 8-bit ranks
-for only a chunk of rows and the window above it (_RANK_BYTES), and int64
-sums for only the output rows. The table holds at most _TABLE_CELLS cells
-unless one image's K alone is more, and the other temporaries are blocks of
-_BLOCK_CELLS pairs, reused down the image. So a default 64² extract peaks
-lower with two passes of eight band-directions than with four passes of four
-bands: 2.43 against 2.87 MB traced. At this size the kernel's cost is the
-number of numpy calls a pass makes, not its band-directions, so fewer and
-larger passes are faster too.
+key image too. Each image keeps its own K key ids, numbered by one sort, and
+each key-row step of the table, each block step and each box sum runs once
+for the whole stack. A pass holds at most _GROUP_PIXELS band-direction
+pixels, and few bytes for each: table counts in the smallest type that holds
+2n + width (16 bits at the defaults), key ids in 16 bits up to 65,536 pairs
+an image, 8-bit ranks for only a chunk of rows and the window above it
+(_RANK_BYTES), and int64 sums for only the output rows. The table holds at
+most _TABLE_CELLS cells unless one image's K alone is more, and the other
+temporaries are blocks of _BLOCK_CELLS pairs, reused down the image. A
+default 64² extract peaks at 2.41 MB traced (2.87 MB with one pass per
+direction). At this size the kernel's cost is the number of numpy calls a
+pass makes, not its band-directions, so fewer and larger passes are faster
+too.
 """
 
 from __future__ import annotations
@@ -204,17 +205,25 @@ def _pair_box_sums(a: np.ndarray, b: np.ndarray, height: int, width: int) -> np.
 
 
 def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Each key's index among its band's distinct keys, and each band's
-    distinct keys in ascending order. One argsort; np.unique and searchsorted
-    took 3-4x longer."""
-    flat = keys.reshape(len(keys), -1)
-    order = np.argsort(flat, axis=1, kind="stable")
-    ordered = np.take_along_axis(flat, order, axis=1)
-    first = np.ones(flat.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
-    ids = np.empty(flat.shape, dtype=np.min_scalar_type(flat.shape[1] - 1))
-    np.put_along_axis(ids, order, np.cumsum(first, axis=1, dtype=ids.dtype) - 1, axis=1)
-    return ids.reshape(keys.shape), [row[new] for row, new in zip(ordered, first)]
+    """Each key's index among its image's distinct keys, and each image's
+    distinct keys in ascending order. One row-wise stable argsort, then flat
+    indexing: each run of equal sorted keys gets its index in its image, and
+    one assignment scatters those back. np.unique took 3-4x longer."""
+    stack, size = len(keys), keys[0].size
+    order = np.argsort(keys.reshape(stack, size), axis=1, kind="stable")
+    order += np.arange(0, stack * size, size)[:, np.newaxis]
+    ordered = keys.ravel().take(order.ravel())
+    new = np.empty(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    new[::size] = True
+    # Where each run of equal keys starts, and which run opens each image.
+    starts = np.flatnonzero(new)
+    opens = np.searchsorted(starts, np.arange(0, ordered.size, size))
+    within = np.arange(starts.size) - np.repeat(opens, np.diff(opens, append=starts.size))
+    ids = np.empty(keys.shape, dtype=np.min_scalar_type(size - 1))
+    within = within.astype(ids.dtype)
+    ids.ravel()[order.ravel()] = np.repeat(within, np.diff(starts, append=ordered.size))
+    return ids, np.split(ordered[starts], opens[1:])
 
 
 def _entropy_shift(n: int) -> int:
@@ -259,17 +268,18 @@ def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndar
     (2, stack, rows - height + 1, columns - width + 1) int64.
 
     The count table holds a key's count plus n + 1 if it is diagonal, so a
-    cell's value indexes ``steps``, each sum's change as a count moves from u
-    to u + 1, then the same negated for a pair that leaves. One take per key
-    row reads the leaving cells after their subtraction and the entering cells
-    before their addition; a pair's step sits at that value plus its rank
-    among the equal keys of its window row. Steps are summed per window in
-    blocks of rows, then down the image: only the output rows are kept, and
-    the rows above the first one sum into it. Each image keeps its own K_b
-    dense key ids, and one table holds K_b cells per window column of each of
-    its images, so every step of a key row serves all images of a slab (see
-    _slabs) at once. Table counts are in the smallest type that holds 2n +
-    width: 16 bits for windows up to 181 wide.
+    cell's value indexes its two sums in _key_terms, and ``steps``, each
+    sum's change as a count moves from u to u + 1, then the same negated for
+    a pair that leaves. The first window's key rows enter the table at once,
+    and the first output row sums its cells' terms over the keys. After it,
+    one take per key row reads the leaving cells after their subtraction and
+    the entering cells before their addition; a pair's step sits at that
+    value plus its rank among the equal keys of its window row. Steps are
+    summed per window in blocks of rows, then down the image. Each image
+    keeps its own K_b dense key ids, and one table holds K_b cells per window
+    column of each of its images, so every step of a key row serves all
+    images of a slab (see _slabs) at once. Table counts are in the smallest
+    type that holds 2n + width: 16 bits for windows up to 181 wide.
 
     The ranks are made a chunk of key rows at a time, and held only for the
     chunk and the ``height`` rows before it, which are the rows that leave
@@ -287,8 +297,6 @@ def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndar
     out_w = wk - width + 1
     sizes = np.array([d.size for d in distinct])
     sums = np.empty((hk - height + 1, stack, out_w, 2), dtype=np.int64)
-    # What the key rows above the first window's last row add to its sums.
-    carry = np.zeros((stack, out_w, 2), dtype=np.int64)
     slabs = list(_slabs(sizes, out_w))
     # One table buffer serves every slab; each image holds its columns in turn.
     cells_needed = max(sizes[b0:b1].sum() * (c1 - c0) for b0, b1, c0, c1 in slabs)
@@ -313,10 +321,8 @@ def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndar
         chunk = min(hk, max(height, rows, _RANK_BYTES // row_bytes - height))
         # pairs[k, s, o, b, c]: the id of pair o of window row k + s * height
         # of (b, c), which leaves (s = 0) or enters (s = 1) at step k + height.
-        # Steps before row `height` evict nothing: first[k] reads row k twice.
         slab_ids = ids[b0:b1, :, c0 : c1 + width - 1]
         sb, sr, sc = slab_ids.strides
-        first = as_strided(slab_ids, (height, 2, width, images, cols), (sr, 0, sc, sb, sc))
         pairs = as_strided(
             slab_ids, (hk - height, 2, width, images, cols), (sr, height * sr, sc, sb, sc)
         )
@@ -332,13 +338,32 @@ def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndar
             equal, (chunk, 2, width, images, cols), (e0, height * e0, e1 + e3, e2, e3)
         )
         # Per step the leaving row's cells, then the entering row's, and
-        # their values in the table.
-        cells = np.empty((rows, 2, width, images, cols), dtype=np.intp)
+        # their values in the table; the steps that the pairs read, side
+        # first, so that each side's take writes one block and one reduction
+        # sums both sides of a window row. The cells and the gathered steps
+        # also hold each key's terms in some window columns of one image.
+        block_cells = rows * 2 * width * images * cols
+        room = max(block_cells, sizes[b0:b1].max())
+        cells_buffer, gathered_buffer = np.empty(room, np.intp), np.empty(2 * room, np.int64)
+        cells = cells_buffer[:block_cells].reshape(rows, 2, width, images, cols)
         values = np.empty(cells.shape, dtype=buffer.dtype)
-        # The steps that the pairs read, side first, so that each side's take
-        # writes one block and one reduction sums both sides of a window row.
         index = np.empty((2, width, rows, images, cols), dtype=np.intp)
-        gathered = np.empty(index.shape + (2,), dtype=np.int64)
+        gathered = gathered_buffer[: 2 * block_cells].reshape(index.shape + (2,))
+        # The first window's key rows enter 2 * rows at a time, and the first
+        # output row sums its cells' terms.
+        first = as_strided(slab_ids, (height, width, images, cols), (sr, sc, sb, sc))
+        for i0 in range(0, height, 2 * rows):
+            entering = cells.reshape(2 * rows, width, images, cols)[: height - i0]
+            np.add(first[i0 : i0 + 2 * rows], offsets, out=entering)
+            np.add.at(table, entering, one)
+        for b, s0, s1 in zip(range(b0, b1), starts, starts[1:]):
+            for c in range(0, cols, room // sizes[b]):
+                part = table[s0:s1].reshape(cols, -1)[c : c + room // sizes[b]]
+                at = cells_buffer[: part.size].reshape(part.shape)
+                at[:] = part  # as intp, which take would otherwise allocate
+                found = gathered_buffer[: 2 * part.size].reshape((2,) + part.shape)
+                np.take(key_terms.reshape(2, -1), at, axis=1, out=found, mode="clip")
+                np.add.reduce(found, axis=2, out=sums[0, b, c0 + c : c0 + c + len(part)].T)
         for j0 in range(0, hk, chunk):
             j1 = min(hk, j0 + chunk)
             equal[:height] = equal[chunk:]
@@ -347,33 +372,22 @@ def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndar
             for d in range(1, width):
                 np.equal(rows_keys[..., d:], rows_keys[..., :-d], out=new[:, d, :, d:])
                 new[:, d, :, d:] += new[:, d - 1, :, d:]
-            # Blocks stay inside a chunk, and the first window's last row and
-            # the first row that evicts each start one.
-            bounds = {*range(j0, j1, rows), j1} | ({height - 1, height} & set(range(j0, j1)))
-            bounds = sorted(bounds)
-            for i0, i1 in zip(bounds, bounds[1:]):
+            # Blocks stay inside a chunk and start from the first row that evicts.
+            for i0 in range(max(j0, height), j1, rows):
+                i1 = min(j1, i0 + rows)
                 m = i1 - i0
-                evicts = i0 >= height
-                source = pairs[i0 - height : i1 - height] if evicts else first[i0:i1]
-                np.add(source, offsets, out=cells[:m])
+                np.add(pairs[i0 - height : i1 - height], offsets, out=cells[:m])
                 for k in range(m):
-                    if evicts:
-                        np.subtract.at(table, cells[k, 0], one)
+                    np.subtract.at(table, cells[k, 0], one)
                     # mode="clip" because every cell is in range, and "raise" buffers out.
                     np.take(table, cells[k], out=values[k], mode="clip")
                     np.add.at(table, cells[k, 1], one)
                 block = index[:, :, :m]
                 np.add(values[:m], rank[i0 - j0 : i1 - j0], out=block.transpose(2, 0, 1, 3, 4))
-                if not evicts:
-                    block[0] = n  # a zero step
                 np.take(leaving_steps, block[0], axis=0, out=gathered[0, :, :m], mode="clip")
                 np.take(steps, block[1], axis=0, out=gathered[1, :, :m], mode="clip")
-                if i1 < height:
-                    carry[b0:b1, c0:c1] += np.add.reduce(gathered[:, :, :m], axis=(0, 1, 2))
-                else:
-                    out = sums[i0 - height + 1 : i1 - height + 1, b0:b1, c0:c1]
-                    np.add.reduce(gathered[:, :, :m], axis=(0, 1), out=out)
-    sums[0] += carry
+                out = sums[i0 - height + 1 : i1 - height + 1, b0:b1, c0:c1]
+                np.add.reduce(gathered[:, :, :m], axis=(0, 1), out=out)
     np.cumsum(sums, axis=0, out=sums)
     return sums.transpose(3, 1, 0, 2)
 
@@ -491,7 +505,8 @@ def _direction_planes(
         yield selected["homogeneity"], homogeneity / (_HOMOGENEITY_UNIT * n)
     mean = pair_sums / total
     variance = np.maximum(pair_squares / total - mean * mean, 0.0)
-    cross = cross_sums / n - mean * mean
+    cross = cross_sums / n
+    cross -= mean * mean  # in place: one temporary more here was the extract's peak
     del pair_sums, pair_squares, cross_sums, homogeneity
     if "mean" in selected:
         yield selected["mean"], mean

@@ -166,12 +166,13 @@ def test_scale_runs_agree_only_on_one_map_digest_across_both_sides():
 
 
 def test_scale_document_summarizes_every_stage_and_peak():
-    args = Namespace(scale=512, technique="glcm", jobs=1, seed=1, pairs=3)
+    args = Namespace(scale=(512, 512), technique="glcm", jobs=1, seed=1, pairs=3)
     same = "ab" * 32
     doc = ab.scale_document(args, "a" * 40, "b" * 40, _scale_runs([same] * 3, [same] * 3))
     assert json.loads(json.dumps(doc)) == doc
     assert set(doc) == {"scale", "technique", "jobs", "seed", "pairs", "base", "change",
                         "map_digests", "correct", "metrics", "runs"}
+    assert doc["scale"] == 512
     assert doc["correct"] is True and doc["map_digests"] == {"base": [same], "change": [same]}
     assert set(doc["metrics"]) == {"extract_s", "assemble_s", "balance_s", "split_s", "scale_s",
                                    "train_s", "map_s", "predict_s", "total_s", "peak_rss_mb",
@@ -184,23 +185,55 @@ def test_scale_document_summarizes_every_stage_and_peak():
     assert other["map_digests"] == {"base": [same], "change": ["cd" * 32]}
 
 
+@pytest.mark.parametrize(
+    ("text", "shape", "name"),
+    [("64", (64, 64), 64), ("512x510", (512, 510), "512x510"), ("126x128", (126, 128), "126x128"),
+     ("128x128", (128, 128), 128)],
+)
+def test_scale_takes_a_side_or_height_x_width(text, shape, name):
+    assert ab.parse_scale(text) == shape
+    assert ab.scale_name(shape) == name
+
+
+@pytest.mark.parametrize("text", ["", "0", "64x0", "x64", "64x", "64X64", "64x64x2", "-8", "8.0", " 8"])
+def test_scale_rejects_what_is_not_a_side_or_height_x_width(text, capsys):
+    with pytest.raises(ab.argparse.ArgumentTypeError, match="SIDE or HxW"):
+        ab.parse_scale(text)
+    with pytest.raises(SystemExit):
+        ab.main(["--base", "HEAD", "--scale", text])
+    assert "SIDE or HxW" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change_digest, status", [("ab" * 32, 0), ("cd" * 32, 1)])
 def test_scale_mode_exits_one_when_the_maps_differ(tmp_path, monkeypatch, change_digest, status):
+    calls = _scale_main(tmp_path, monkeypatch, change_digest, "64")
+    assert calls[0] == status
+    assert calls[1:] == [(False, (64, 64), "glcm", 2, 1), (True, (64, 64), "glcm", 2, 1),
+                         (True, (64, 64), "glcm", 2, 1), (False, (64, 64), "glcm", 2, 1)]
+    doc = json.loads((tmp_path / "bench" / "SCALE_glcm-64-jobs2.json").read_text())
+    assert doc["correct"] is (status == 0) and len(doc["runs"]) == 4
+
+
+def test_scale_mode_names_a_non_square_scene_height_x_width(tmp_path, monkeypatch):
+    calls = _scale_main(tmp_path, monkeypatch, "ab" * 32, "64x62")
+    assert calls == [0] + [(tree, (64, 62), "glcm", 2, 1) for tree in (False, True, True, False)]
+    doc = json.loads((tmp_path / "bench" / "SCALE_glcm-64x62-jobs2.json").read_text())
+    assert doc["scale"] == "64x62" and doc["correct"] is True
+
+
+def _scale_main(tmp_path, monkeypatch, change_digest, scale) -> list:
+    """main's exit status, then each run_scale call of a two-pair --scale run."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
     monkeypatch.setattr(ab, "ROOT", tmp_path)
     monkeypatch.setattr(ab, "git", lambda *args: "" if args[0] == "status" else "f" * 40)
     monkeypatch.setattr(ab, "export", lambda rev, into: None)
     calls = []
 
-    def run_scale(tree, side, technique, jobs, seed):
-        calls.append((tree == tmp_path, side, technique, jobs, seed))
+    def run_scale(tree, shape, technique, jobs, seed):
+        calls.append((tree == tmp_path, shape, technique, jobs, seed))
         digest = change_digest if tree == tmp_path else "ab" * 32
         return ab.parse_scale_run(canned_scale_stdout(digest))
 
     monkeypatch.setattr(ab, "run_scale", run_scale)
-    argv = ["--base", "HEAD", "--scale", "64", "--technique", "glcm", "--jobs", "2", "--pairs", "2"]
-    assert ab.main(argv) == status
-    assert calls == [(False, 64, "glcm", 2, 1), (True, 64, "glcm", 2, 1),
-                     (True, 64, "glcm", 2, 1), (False, 64, "glcm", 2, 1)]
-    doc = json.loads((tmp_path / "bench" / "SCALE_glcm-64-jobs2.json").read_text())
-    assert doc["correct"] is (status == 0) and len(doc["runs"]) == 4
+    argv = ["--base", "HEAD", "--scale", scale, "--technique", "glcm", "--jobs", "2", "--pairs", "2"]
+    return [ab.main(argv), *calls]

@@ -136,6 +136,33 @@ def test_label_mask_rejects_values_above_one(tmp_path):
         load_label_mask(tmp_path / "m.hdr")
 
 
+@pytest.mark.parametrize(
+    ("make", "field", "value"),
+    [
+        (lambda v: BandStack(["B2"], np.full((1, 2, 2), v)), "samples", 70000),
+        (lambda v: BandStack(["B2"], np.full((1, 2, 2), v)), "samples", -1),
+        (lambda v: BandStack(["B2"], np.full((1, 2, 2), v)), "samples", 2.7),
+        (lambda v: LabelMask(np.full((2, 2), v)), "labels", 256),
+        (lambda v: LabelMask(np.full((2, 2), v)), "labels", 0.6),
+    ],
+    ids=["samples-70000", "samples-minus-one", "samples-2.7", "labels-256", "labels-0.6"],
+)
+def test_in_memory_rasters_reject_values_their_type_cannot_hold(make, field, value):
+    # A cast would have wrapped or truncated them: 70000 to 4464, -1 to
+    # 65535, 2.7 to 2, and 256 and 0.6 to a non-slum 0.
+    with pytest.raises(ValueError, match=rf"^{field} must be uint(8|16) values, got {value}$"):
+        make(value)
+
+
+def test_in_memory_rasters_keep_exact_values_and_stored_arrays():
+    assert BandStack(["B2"], np.full((1, 2, 2), 65535.0)).samples.dtype == np.uint16
+    assert LabelMask(np.ones((2, 2), dtype=bool)).labels.tolist() == [[1, 1], [1, 1]]
+    samples = np.zeros((1, 2, 2), dtype=np.uint16)
+    labels = np.zeros((2, 2), dtype=np.uint8)
+    assert BandStack(["B2"], samples).samples is samples
+    assert LabelMask(labels).labels is labels
+
+
 def test_label_mask_22_percent_scene(tmp_path):
     labels = np.zeros(100, dtype=np.uint8)
     labels[:22] = 1

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +17,7 @@ from slummap.texture import (
     GlcmParams,
     MAX_WINDOW,
     _band_measures,
+    _dense_ids,
     _key_sums,
     _key_terms,
     _pair_images,
@@ -375,6 +376,16 @@ def _noisy_scene(side: int, seed: int) -> BandStack:
     return BandStack(band_names=stack.band_names, samples=samples)
 
 
+class _Draws:
+    """Stands in for st.data() in an @example: returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     data=st.data(),
@@ -382,8 +393,15 @@ def _noisy_scene(side: int, seed: int) -> BandStack:
     direction=st.sampled_from(sorted(DIRECTION_OFFSETS)),
     window=st.sampled_from([3, 5, 7]),
 )
+# Key images exactly one window tall, so no row evicts: 7 x 6 at 0 degrees,
+# 6 x 6 at 45, 6 x 7 at 90.
+@example(data=None, levels=32, direction=0, window=7)
+@example(data=None, levels=32, direction=45, window=7)
+@example(data=None, levels=2, direction=90, window=7)
 def test_key_sums_equal_bruteforce_counts(data, levels, direction, window):
     """Every window's int64 sums against np.unique counts of its keys, exactly."""
+    if data is None:  # an explicit example: a 7 x 7 image of seeded noise
+        data = _Draws((7, 7), 2024)
     shape = data.draw(st.tuples(st.integers(window, 14), st.integers(window, 14)))
     # Seeded noise gives many distinct keys; 2 levels repeat keys in every row.
     seed = data.draw(st.integers(0, 2**32 - 1))
@@ -400,6 +418,32 @@ def test_key_sums_equal_bruteforce_counts(data, levels, direction, window):
             key, count = np.unique(keys[r : r + height, c : c + width], return_counts=True)
             expected[:, r, c] = terms[:, (key < levels).astype(int), count].sum(axis=1)
     assert np.array_equal(sums, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    levels=st.sampled_from([2, 32, 300]),
+    picks=hnp.arrays(
+        np.uint8, hnp.array_shapes(min_dims=3, max_dims=3, max_side=9), elements=st.integers(0, 5)
+    ),
+    pool=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+)
+# One image; one distinct key in every image; one pair a row.
+@example(levels=32, picks=np.zeros((1, 4, 5), np.uint8), pool=[3, 9])
+@example(levels=300, picks=np.zeros((3, 2, 2), np.uint8), pool=[89_999])
+@example(levels=2, picks=np.arange(12, dtype=np.uint8).reshape(2, 6, 1) % 4, pool=[0, 1, 2, 3])
+def test_dense_ids_number_each_image_as_np_unique(levels, picks, pool):
+    """Image by image, the ids and distinct keys are np.unique's inverse and
+    values, for the uint8, uint16 and uint32 keys of 2, 32 and 300 levels."""
+    dtype = np.min_scalar_type(levels * levels - 1)
+    keys = (np.array(pool) % (levels * levels))[picks % len(pool)].astype(dtype)
+    ids, distinct = _dense_ids(keys)
+    assert ids.shape == keys.shape and ids.dtype == np.min_scalar_type(keys[0].size - 1)
+    assert len(distinct) == len(keys)
+    for image, image_ids, image_distinct in zip(keys, ids, distinct):
+        unique, inverse = np.unique(image, return_inverse=True)
+        assert image_distinct.dtype == dtype and np.array_equal(image_distinct, unique)
+        assert np.array_equal(image_ids, inverse.reshape(image.shape))
 
 
 @pytest.mark.parametrize(("levels", "window"), [(32, 19), (300, 5), (4, 19)])
@@ -566,12 +610,13 @@ def test_grouped_passes_equal_one_pass_per_direction_and_band(
     assert got.values.tobytes() == expected.reshape(got.values.shape).tobytes()
 
 
-# tracemalloc's peak for the same call when each direction had its own kernel
-# pass, measured on numpy 2.4.6, which reports its buffers to tracemalloc.
-ONE_PASS_PER_DIRECTION_PEAK = 2_866_831
+# tracemalloc's peak for the same call when the kernel stepped its first
+# window's rows like every other, measured on numpy 2.4.6, which reports its
+# buffers to tracemalloc.
+STEPPED_FIRST_WINDOW_PEAK = 2_430_979
 
 
-def test_extract_peak_memory_is_no_more_than_with_one_pass_per_direction():
+def test_extract_peak_memory_is_no_more_than_with_a_stepped_first_window():
     stack = _noisy_scene(64, 1)
     extract_texture(stack, GlcmParams())
     tracemalloc.start()
@@ -580,7 +625,7 @@ def test_extract_peak_memory_is_no_more_than_with_one_pass_per_direction():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ONE_PASS_PER_DIRECTION_PEAK
+    assert peak <= STEPPED_FIRST_WINDOW_PEAK
 
 
 def test_extract_spectral_identity_and_dimension():

@@ -2,6 +2,7 @@
 
     python tools/ab.py --base HEAD~1 --workload glcm-noisy --pairs 10 --seconds 6
     python tools/ab.py --base HEAD~1 --scale 512 --technique glcm --jobs 1 --pairs 3
+    python tools/ab.py --base HEAD~1 --scale 512x510 --technique glcm --jobs 1 --pairs 3
 
 The base revision's committed files are exported (``git archive``) into a
 temporary directory. Each pair then runs once in the base tree and once in
@@ -16,12 +17,15 @@ spread and whether the gain clears it; the ``env`` line of each side; and
 every run with its ``correct`` flag. Exits 1 unless every run read
 ``correct: true`` with no failed operation.
 
-With ``--scale SIDE`` a run is one ``run_experiment`` in a fresh process on
-``perfbench/workloads.noisy_scene(SIDE, seed)``, which it imports. It records
-each stage's seconds from ``timings``, the peak RSS (``ru_maxrss``) of the
-process and of its forked children, and the sha256 of the map file. Writes
-``bench/SCALE_<technique>-<SIDE>-jobs<jobs>.json`` with the same statistics
-per measure. Exits 1 unless every run finished and all maps are the same.
+With ``--scale SIDE`` or ``--scale HxW`` a run is one ``run_experiment`` in
+a fresh process on ``perfbench/workloads.noisy_scene(S, seed)``, which it
+imports, with S the next even side >= max(H, W), cropped to H x W rows and
+columns; a scene that is not square takes the kernel's three-pass path. It
+records each stage's seconds from ``timings``, the peak RSS (``ru_maxrss``) of
+the process and of its forked children, and the sha256 of the map file.
+Writes ``bench/SCALE_<technique>-<SIDE or HxW>-jobs<jobs>.json`` with the same
+statistics per measure. Exits 1 unless every run finished and all maps are
+the same.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import io
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
@@ -70,15 +75,20 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return run
 
 
-# One scale run: argv is side, technique, jobs, seed; the last line printed is JSON.
+# One scale run: argv is height, width, technique, jobs, seed; the last line
+# printed is JSON.
 SCALE_RUN = """
 import hashlib, json, os, platform, resource, sys, tempfile
 sys.path[:0] = ["src", "perfbench"]
 import numpy as np
 from slummap import experiment, raster
 from workloads import noisy_scene
-side, technique, jobs, seed = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+height, width, technique = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+jobs, seed = int(sys.argv[4]), int(sys.argv[5])
+side = max(height, width) + max(height, width) % 2
 stack, mask = noisy_scene(side, seed)
+stack = raster.BandStack(band_names=stack.band_names, samples=stack.samples[:, :height, :width])
+mask = raster.LabelMask(labels=mask.labels[:height, :width])
 result = experiment.run_experiment(stack, mask, technique=technique, jobs=jobs)
 with tempfile.TemporaryDirectory() as tmp:
     raster.save_prediction_map(result.prediction, os.path.join(tmp, "map.pgm"))
@@ -86,12 +96,28 @@ with tempfile.TemporaryDirectory() as tmp:
 peak = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who)).ru_maxrss / 1024
         for who in ("SELF", "CHILDREN")}
 print(json.dumps({
-    "env": {"python": platform.python_version(), "numpy": np.__version__, "nproc": os.cpu_count()},
+    "env": {"python": platform.python_version(), "numpy": np.__version__,
+            "nproc": len(os.sched_getaffinity(0))},
     "map_sha256": digest,
     "metrics": {**{stage + "_s": t for stage, t in result.timings.items()},
                 "peak_rss_mb": peak["SELF"], "children_peak_rss_mb": peak["CHILDREN"]},
 }))
 """
+
+
+def parse_scale(text: str) -> tuple[int, int]:
+    """``SIDE`` or ``HxW``, as the scene's (height, width)."""
+    found = re.fullmatch(r"([0-9]+)(?:x([0-9]+))?", text)
+    shape = (int(found[1]), int(found[2] or found[1])) if found else (0, 0)
+    if min(shape) < 1:
+        raise argparse.ArgumentTypeError(f"expected SIDE or HxW, each at least 1, got {text!r}")
+    return shape
+
+
+def scale_name(shape: tuple[int, int]) -> int | str:
+    """How a scale file names its scene: SIDE if it is square, else HxW."""
+    height, width = shape
+    return height if height == width else f"{height}x{width}"
 
 
 def parse_scale_run(stdout: str) -> dict:
@@ -106,8 +132,8 @@ def parse_scale_run(stdout: str) -> dict:
     }
 
 
-def run_scale(tree: Path, side: int, technique: str, jobs: int, seed: int) -> dict:
-    command = [sys.executable, "-c", SCALE_RUN, str(side), technique, str(jobs), str(seed)]
+def run_scale(tree: Path, shape: tuple[int, int], technique: str, jobs: int, seed: int) -> dict:
+    command = [sys.executable, "-c", SCALE_RUN, *map(str, shape), technique, str(jobs), str(seed)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     try:
         run = parse_scale_run(done.stdout)
@@ -140,7 +166,7 @@ def scale_document(args, base_rev: str, change_rev: str, runs: list[dict]) -> di
 
     names = list(dict.fromkeys(n for r in runs for n in r["metrics"]))
     return {
-        "scale": args.scale,
+        "scale": scale_name(args.scale),
         "technique": args.technique,
         "jobs": args.jobs,
         "seed": args.seed,
@@ -240,7 +266,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare against")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--workload", help="a perfbench workload to run")
-    mode.add_argument("--scale", type=int, metavar="SIDE", help="scene side of a scale run")
+    mode.add_argument("--scale", type=parse_scale, metavar="SIDE|HxW",
+                      help="scene side, or height x width, of a scale run")
     parser.add_argument("--technique", choices=("glcm", "spectral"), default="glcm",
                         help="with --scale")
     parser.add_argument("--jobs", type=int, default=1, help="with --scale")
@@ -250,8 +277,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    if args.scale is not None and (args.scale < 1 or args.jobs < 1):
-        parser.error("--scale and --jobs must be >= 1")
+    if args.scale is not None and args.jobs < 1:
+        parser.error("--jobs must be >= 1")
 
     base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     change_rev = git("rev-parse", "HEAD") + (" + uncommitted changes" if git("status", "--porcelain") else "")
@@ -279,7 +306,7 @@ def main(argv=None) -> int:
         filename = f"BENCH_{args.workload}-seed{args.seed}.json"
     else:
         doc = scale_document(args, base_rev, change_rev, runs)
-        filename = f"SCALE_{args.technique}-{args.scale}-jobs{args.jobs}.json"
+        filename = f"SCALE_{args.technique}-{scale_name(args.scale)}-jobs{args.jobs}.json"
     path = ROOT / "bench" / filename
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(doc, indent=1) + "\n")
