@@ -43,22 +43,21 @@ _NodeView = namedtuple("_NodeView", "is_leaf")  # a node, as CcTree.nodes shows 
 @dataclass
 class CcTree:
     """One tree as arrays over its N nodes in preorder. At a split i, a row x
-    goes to child left[i] if x[feature[i]] @ projection[i] <= threshold[i],
-    else to right[i]; both come after i. A leaf has left = right = -1 and the
-    class counts of its training rows. Split fields are zero at leaves and
-    counts zero at splits, so a tree has exactly one encoding."""
+    goes to the left child i + 1 if x[feature[i]] @ projection[i] <=
+    threshold[i], else to right[i], past i's left subtree. A leaf has right -1
+    and the class counts of its training rows. Split fields are zero at leaves
+    and counts zero at splits, so a tree has exactly one encoding."""
 
     feature: np.ndarray  # (N, lambda) int64
     projection: np.ndarray  # (N, lambda) float64
     threshold: np.ndarray  # (N,) float64
-    left: np.ndarray  # (N,) int64
     right: np.ndarray  # (N,) int64
     class_counts: np.ndarray  # (N, 2) int64
 
     @property
     def nodes(self) -> list[_NodeView]:
         # Read only by perfbench's node and leaf counts; ROADMAP item 7 deletes it.
-        return [_NodeView(child < 0) for child in self.left.tolist()]
+        return [_NodeView(child < 0) for child in self.right.tolist()]
 
 
 @dataclass
@@ -280,17 +279,17 @@ def grow_tree(
     # One row per node in preorder, in CcTree's field order.
     nodes: list[list] = []
     no_feature, no_projection = np.zeros(lam, dtype=np.int64), np.zeros(lam)
-    # (row indices, parent node index, attach as left child?)
-    stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(n_rows), -1, False)]
+    # (row indices, the split whose right child they are, or -1 for a left child)
+    stack: list[tuple[np.ndarray, int]] = [(np.arange(n_rows), -1)]
     while stack:
-        idx, parent, is_left = stack.pop()
+        idx, parent = stack.pop()
         node = len(nodes)
         if parent >= 0:
-            nodes[parent][3 if is_left else 4] = node  # its left or right child
+            nodes[parent][3] = node  # its right child
         y_node = y[idx]
         n = idx.shape[0]
         n1 = int(y_node.sum())
-        nodes.append([no_feature, no_projection, 0.0, -1, -1, (n - n1, n1)])  # a leaf
+        nodes.append([no_feature, no_projection, 0.0, -1, (n - n1, n1)])  # a leaf
         if n1 in (0, n) or n < params.min_node_size or _rows_identical(xt, idx):
             continue
 
@@ -309,18 +308,18 @@ def grow_tree(
         if split is None:
             continue
         mask = z <= split
-        nodes[node] = [subset, w, split, -1, -1, (0, 0)]
-        stack.append((idx[~mask], node, False))  # right, processed second
-        stack.append((idx[mask], node, True))  # left, processed first
+        nodes[node] = [subset, w, split, -1, (0, 0)]
+        stack.append((idx[~mask], node))  # right, processed second
+        stack.append((idx[mask], -1))  # left, processed first: node + 1
     return CcTree(*(np.array(column) for column in zip(*nodes)))
 
 
 def tree_depth(tree: CcTree) -> int:
     # Read only by perfbench's depth count; ROADMAP item 7 deletes it.
-    depth = [0] * len(tree.left)
-    for i, (lo, hi) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
-        if lo >= 0:
-            depth[lo] = depth[hi] = depth[i] + 1
+    depth = [0] * len(tree.right)
+    for i, right in enumerate(tree.right.tolist()):
+        if right >= 0:
+            depth[i + 1] = depth[right] = depth[i] + 1
     return max(depth)
 
 
@@ -338,14 +337,14 @@ def apply_tree(tree: CcTree, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     few = n * tree.feature.shape[1] // d  # up to this many rows, rows first copies less
-    left, right, threshold = tree.left.tolist(), tree.right.tolist(), tree.threshold.tolist()
+    right, threshold = tree.right.tolist(), tree.threshold.tolist()
     out = np.empty(n, dtype=np.int64)
     stack = [(0, np.arange(n))]
     while stack:
         node, rows = stack.pop()
         if rows.size == 0:
             continue
-        if left[node] < 0:
+        if right[node] < 0:
             out[rows] = node
             continue
         if rows.size <= few:
@@ -356,7 +355,7 @@ def apply_tree(tree: CcTree, x: np.ndarray) -> np.ndarray:
             block = x[:, tree.feature[node]]
         z = block @ tree.projection[node]
         mask = z <= threshold[node]
-        stack.append((left[node], rows[mask]))
+        stack.append((node + 1, rows[mask]))
         stack.append((right[node], rows[~mask]))
     return out
 

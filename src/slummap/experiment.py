@@ -13,14 +13,14 @@ sub-streams (see :mod:`slummap.rng`): balancing uses BALANCE_STREAM, the
 partition SPLIT_STREAM and tree induction FOREST_STREAM.
 
 The model file is this module's alone: save_pipeline writes a Pipeline as one
-canonical JSON document (version 3), and load_pipeline reads only what it writes.
+canonical JSON document (version 4), and load_pipeline reads only what it writes.
 Its trees are ``tree_sizes``, the node counts, and ``arrays``: each CcTree array
 joined over the trees, as standard base64 of its little-endian int64 or float64
 bytes. The writer is the one definition of the document: load_pipeline builds a
 Pipeline through the checks that carry meaning (the parameter constructors, the
 seed range, the tree arrays' bytes and structure; see load_pipeline) and rejects
 the file unless that Pipeline writes back the same document less ``arrays``.
-Version 1 and 2 files need a retrain.
+Version 1, 2 and 3 files need a retrain.
 """
 
 from __future__ import annotations
@@ -442,11 +442,10 @@ def result_to_dict(result: ExperimentResult) -> dict:
 # ---------------------------------------------------------------------------
 
 PIPELINE_FORMAT = "slummap-pipeline"
-PIPELINE_VERSION = 3
+PIPELINE_VERSION = 4
 
-_PACKED = dict(  # CcTree's arrays in field order and the type of their packed values
-    feature="<i8", projection="<f8", threshold="<f8", left="<i8", right="<i8", class_counts="<i8"
-)
+# CcTree's arrays in field order and the type of their packed values
+_PACKED = dict(feature="<i8", projection="<f8", threshold="<f8", right="<i8", class_counts="<i8")
 
 
 class ModelFormatError(ValueError):
@@ -467,6 +466,8 @@ class Pipeline:
             raise ValueError(f"unknown technique {self.technique!r}")
         if (self.technique == "glcm") != (self.glcm_params is not None):
             raise ValueError("glcm_params must be given for glcm and only for glcm")
+        if self.glcm_params and self.model.feature_names != self.glcm_params.feature_names():
+            raise ValueError("a glcm model's feature_names must be its glcm_params' features")
 
 
 def _canonical(value) -> str:
@@ -517,20 +518,20 @@ def _unpack(text: str, kind: str, shape: tuple[int, ...], what: str) -> np.ndarr
 def _trees(sizes: list[int], packed: dict[str, str], lam: int, d: int) -> list[CcTree]:
     """The packed trees, each array decoded and checked once over all trees joined.
 
-    Child indices lie after their split and inside its tree (so routing
-    terminates), feature indices in [0, d) and strictly increasing along a
-    split's subset, as grow_tree draws them; a leaf holds counts >= 0, not both
-    0, whose sum fits int64, and zero split fields, and a split zero counts.
+    A split's right child lies past its left one, the next node, and inside its
+    tree (so routing terminates), feature indices in [0, d) and strictly rising
+    along a split's subset, as grow_tree draws them; a leaf (right -1) holds
+    counts >= 0, not both 0, summing in int64, zero split fields; a split zero counts.
     """
     widths = dict(feature=(lam,), projection=(lam,), class_counts=(2,))
     joined = {k: _unpack(packed[k], kind, (sum(sizes), *widths.get(k, ())), k)
               for k, kind in _PACKED.items()}
     n = np.repeat(sizes, sizes)  # per node: the size of its tree and its index there
     node = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    left, right = joined["left"], joined["right"]
-    leaf = (left == -1) & (right == -1)
-    if not (leaf | ((node < left) & (left < n) & (node < right) & (right < n))).all():
-        raise ModelFormatError("a split's children must come after it in its tree, a leaf's be -1")
+    right = joined["right"]
+    leaf = right == -1
+    if not (leaf | ((node + 1 < right) & (right < n))).all():
+        raise ModelFormatError("a split's right child must lie past node + 1 in its tree")
     if not ((0 <= joined["feature"]) & (joined["feature"] < d)).all():
         raise ModelFormatError(f"feature index outside [0, {d})")
     if (np.diff(joined["feature"][~leaf], axis=1) <= 0).any():
@@ -552,11 +553,11 @@ def load_pipeline(path: str | Path) -> Pipeline:
 
     The Pipeline built from the document must write back the same document,
     less ``arrays``, value for value (spacing and key order may differ).
-    Building it checks what a write-back cannot see: the version (1 and 2
+    Building it checks what a write-back cannot see: the version (1 to 3
     need a retrain); the ForestParams, GlcmParams, ScalerStats and Pipeline
     constructors; master_seed, an int in [0, 2**64 - 1]; n_trees tree sizes
     >= 1; string feature names; one finite scaler mean and std per feature;
-    exactly the six ``arrays``, each the canonical base64 of exactly the
+    exactly the five ``arrays``, each the canonical base64 of exactly the
     bytes the node counts imply, its floats finite, and its trees as _trees
     checks them.
     """

@@ -232,6 +232,21 @@ def split_oracle(rng, n: int) -> tuple[list[int], list[int]]:
     return sorted(order[:n_train]), sorted(order[n_train:])
 
 
+def version_3_document(doc: dict) -> dict:
+    """The version 3 model file of a version 4 document: the same pipeline, with
+    each split's left child stored as its own packed ``left`` array, i + 1 at
+    split i of a tree and -1 at a leaf."""
+    doc = dict(doc, arrays=dict(doc["arrays"]), version=3)
+    raw = base64.b64decode(doc["arrays"]["right"])
+    right = struct.unpack(f"<{len(raw) // 8}q", raw)
+    left, start = [], 0
+    for size in doc["tree_sizes"]:
+        left += [-1 if r == -1 else i + 1 for i, r in enumerate(right[start : start + size])]
+        start += size
+    doc["arrays"]["left"] = base64.b64encode(struct.pack(f"<{len(left)}q", *left)).decode("ascii")
+    return doc
+
+
 def version_2_document(doc: dict) -> dict:
     """The version 2 model file of a version 3 document: the same pipeline, with
     each tree as its six arrays spelled out as JSON numbers, rows as lists."""
@@ -296,8 +311,9 @@ def grow_tree_oracle(x, y, lam: int, min_node_size: int, rng) -> list:
     all features; its lambda columns and bootstrap sample are gathered from
     those rows (column-major, as grow_tree keeps them); CCA builds and averages
     the one-hot label block; the split search sorts stably and takes c ln c
-    per call; every draw is made by the scalar loops above. Returns CcTree's
-    six arrays in field order.
+    per call; every draw is made by the scalar loops above. Returns six arrays:
+    CcTree's five in field order, with each split's explicit left child index
+    (-1 at a leaf) fourth, before right.
     """
     import numpy as np
 
@@ -396,11 +412,11 @@ def apply_tree_oracle(tree, x):
         node, rows = stack.pop()
         if rows.size == 0:
             continue
-        if tree.left[node] < 0:
+        if tree.right[node] < 0:
             out[rows] = node
             continue
         z = x[rows][:, tree.feature[node]] @ tree.projection[node]
         mask = z <= tree.threshold[node]
-        stack.append((tree.left[node], rows[mask]))
+        stack.append((node + 1, rows[mask]))
         stack.append((tree.right[node], rows[~mask]))
     return out

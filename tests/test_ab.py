@@ -1,11 +1,13 @@
 """tools/ab.py on canned output: statistics, the BENCH and SCALE file schemas
 and the map digest check of scale runs.
 
-No test here launches a run: subprocess.run is replaced by a function that fails.
+No test here launches a run: subprocess.run is replaced by a function that
+fails, or, to export a scratch repository, by one that runs git alone.
 """
 
 import importlib.util
 import json
+import subprocess
 from argparse import Namespace
 from pathlib import Path
 
@@ -18,6 +20,7 @@ _spec.loader.exec_module(ab)
 
 BETTER = {"wall_s": "lower", "peak_rss_mb": "lower", "miou_pct": "higher"}
 ENV = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "noise_seed": 1}
+_RUN = subprocess.run  # kept before the fixture below replaces it
 
 
 @pytest.fixture(autouse=True)
@@ -227,13 +230,49 @@ def _scale_main(tmp_path, monkeypatch, change_digest, scale) -> list:
     monkeypatch.setattr(ab, "ROOT", tmp_path)
     monkeypatch.setattr(ab, "git", lambda *args: "" if args[0] == "status" else "f" * 40)
     monkeypatch.setattr(ab, "export", lambda rev, into: None)
+    change = []
+    monkeypatch.setattr(ab, "export_worktree", lambda root, into: change.append((root, into)))
     calls = []
 
     def run_scale(tree, shape, technique, jobs, seed):
-        calls.append((tree == tmp_path, shape, technique, jobs, seed))
-        digest = change_digest if tree == tmp_path else "ab" * 32
+        assert change[0][0] == tmp_path  # the working tree of ROOT is exported for the change
+        calls.append((tree == change[0][1], shape, technique, jobs, seed))
+        digest = change_digest if tree == change[0][1] else "ab" * 32
         return ab.parse_scale_run(canned_scale_stdout(digest))
 
     monkeypatch.setattr(ab, "run_scale", run_scale)
     argv = ["--base", "HEAD", "--scale", scale, "--technique", "glcm", "--jobs", "2", "--pairs", "2"]
     return [ab.main(argv), *calls]
+
+
+def test_working_tree_export_holds_uncommitted_edits_and_new_files_and_no_bytecode(
+    tmp_path, monkeypatch
+):
+    repo, out = tmp_path / "repo", tmp_path / "out"
+    (repo / "src" / "__pycache__").mkdir(parents=True)
+
+    def git(*args):
+        command = ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.invalid", *args]
+        _RUN(command, cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src" / "kept.py").write_text("committed\n")
+    (repo / "src" / "deleted.py").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "src" / "kept.py").write_text("edited\n")
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "src" / "deleted.py").unlink()
+    (repo / "src" / "__pycache__" / "kept.cpython-311.pyc").write_bytes(b"stale")
+
+    def git_only(command, **kwargs):
+        assert command[0] == "git", command
+        return _RUN(command, **kwargs)
+
+    monkeypatch.setattr(ab.subprocess, "run", git_only)
+    ab.export_worktree(repo, out)
+    files = sorted(path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file())
+    assert files == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (out / "src" / "kept.py").read_text() == "edited\n"
+    assert not (out / "src" / "__pycache__").exists()

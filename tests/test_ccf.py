@@ -184,10 +184,10 @@ def _distribution(tree: CcTree, node: int) -> tuple[float, float]:
 
 
 def _depth(tree: CcTree) -> int:
-    depth = [0] * len(tree.left)
-    for i, (left, right) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
-        if left >= 0:
-            depth[left] = depth[right] = depth[i] + 1
+    depth = [0] * len(tree.right)
+    for i, right in enumerate(tree.right.tolist()):
+        if right >= 0:
+            depth[i + 1] = depth[right] = depth[i] + 1
     return max(depth)
 
 
@@ -315,7 +315,12 @@ def _assert_tree_equals_oracle(x, y, params=ForestParams(), key=(0, 0)):
     tree = grow_tree(x, y, params, stream(key[0], FOREST_STREAM, key[1]))
     lam = params.resolve_lambda(x.shape[1])
     expected = grow_tree_oracle(x, y, lam, params.min_node_size, stream(key[0], FOREST_STREAM, key[1]))
+    # The reference grower places each child itself; the preorder must put
+    # every split's left child right after it, which is why CcTree stores none.
+    left, right = expected.pop(3), expected[3]
+    assert left.tolist() == [-1 if r == -1 else i + 1 for i, r in enumerate(right.tolist())]
     got = [getattr(tree, f.name) for f in fields(tree)]
+    assert len(got) == len(expected) == 5
     for field, a, b in zip(fields(tree), got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape, field.name
         assert a.tobytes() == b.tobytes(), field.name
@@ -339,7 +344,7 @@ def test_rows_equal_in_leading_columns_still_split_as_the_reference_grower():
     x[20:, 2] = 2.0
     y = np.repeat(np.array([0, 1], dtype=np.uint8), 20)
     tree = _assert_tree_equals_oracle(x, y, ForestParams(n_candidate_features=3))
-    assert tree.left[0] >= 0
+    assert tree.right[0] >= 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -364,7 +369,7 @@ def test_identical_rows_with_mixed_labels_are_one_leaf_and_draw_nothing():
     y = np.array([0, 1] * 15, dtype=np.uint8)
     rng = stream(0, FOREST_STREAM, 0)
     tree = grow_tree(x, y, ForestParams(), rng)
-    assert tree.left.tolist() == [-1]
+    assert tree.right.tolist() == [-1]
     assert tree.class_counts.tolist() == [[15, 15]]
     assert rng.next_u32() == stream(0, FOREST_STREAM, 0).next_u32()
 
@@ -374,13 +379,13 @@ def test_information_gain_positive_at_every_split():
     x = rng.normal(size=(100, 4))
     y = (x[:, 0] * x[:, 1] > 0).astype(np.uint8)
     tree = grow_tree(x, y, ForestParams(), stream(3, FOREST_STREAM, 1))
-    for i, (left, right) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
-        if left == -1:
+    for i, right in enumerate(tree.right.tolist()):
+        if right == -1:
             total = int(tree.class_counts[i].sum())
             assert sum(_distribution(tree, i)) == pytest.approx(1.0, abs=1e-12)
             assert total > 0
         else:
-            assert left != -1 and right != -1
+            assert i + 1 < right < len(tree.right)
 
 
 @pytest.mark.parametrize("data_seed", [0, 1, 2, 3, 4])
@@ -410,7 +415,7 @@ def _tree_with_ties(x: np.ndarray, lam: int, depth: int, rng) -> CcTree:
 
     def grow(rows, level):
         node = len(nodes)
-        nodes.append([np.zeros(lam, dtype=np.int64), np.zeros(lam), 0.0, -1, -1, (1, 1)])
+        nodes.append([np.zeros(lam, dtype=np.int64), np.zeros(lam), 0.0, -1, (1, 1)])
         if level == depth or rows.size == 0 or rng.random() < 0.15:
             return node
         feature = np.sort(rng.choice(x.shape[1], lam, replace=False))
@@ -418,8 +423,8 @@ def _tree_with_ties(x: np.ndarray, lam: int, depth: int, rng) -> CcTree:
         z = x[rows][:, feature] @ w
         threshold = float(z[rng.integers(z.size)])
         mask = z <= threshold
-        left = grow(rows[mask], level + 1)
-        nodes[node] = [feature, w, threshold, left, grow(rows[~mask], level + 1), (0, 0)]
+        grow(rows[mask], level + 1)  # the left child, node + 1
+        nodes[node] = [feature, w, threshold, grow(rows[~mask], level + 1), (0, 0)]
         return node
 
     grow(np.arange(x.shape[0]), 0)
@@ -537,7 +542,6 @@ def test_tie_breaks_toward_class_zero():
         feature=np.zeros((1, 1), dtype=np.int64),
         projection=np.zeros((1, 1)),
         threshold=np.zeros(1),
-        left=np.full(1, -1),
         right=np.full(1, -1),
         class_counts=np.array([[1, 1]]),
     )
@@ -584,7 +588,7 @@ def test_model_metadata_records_parameters(tmp_path):
     model = train_forest(x, y, ForestParams(n_trees=10), master_seed=0)
     _save(model, tmp_path / "m.json")
     doc = json.loads((tmp_path / "m.json").read_text())
-    assert (doc["format"], doc["version"]) == ("slummap-pipeline", 3)
+    assert (doc["format"], doc["version"]) == ("slummap-pipeline", 4)
     assert doc["training_params"]["n_trees"] == 10
     assert doc["training_params"]["master_seed"] == 0
     assert doc["training_params"]["n_candidate_features"] == 2  # ceil(sqrt(2))

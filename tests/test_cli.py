@@ -35,7 +35,7 @@ from slummap.raster import (
 )
 from slummap.texture import MEASURES, GlcmParams
 
-from .oracles import version_1_document, version_2_document
+from .oracles import version_1_document, version_2_document, version_3_document
 
 
 def run_cli(*args: str, cwd=None):
@@ -596,17 +596,21 @@ def _craft_model(case: str, doc: dict) -> bytes:
     if case == "deeply-nested":
         return b"[" * 100_000 + b"]" * 100_000
     arrays = _unpacked(doc)
-    split = int(np.flatnonzero(arrays["left"] == 1)[0])  # the first tree's root
-    leaf = int(np.flatnonzero(arrays["left"] == -1)[0])
+    split = int(np.flatnonzero(arrays["right"] != -1)[0])  # the first tree's root
+    leaf = int(np.flatnonzero(arrays["right"] == -1)[0])
     feature, projection, threshold = arrays["feature"], arrays["projection"], arrays["threshold"]
-    left, right, counts = arrays["left"], arrays["right"], arrays["class_counts"]
+    right, counts = arrays["right"], arrays["class_counts"]
     sizes = doc["tree_sizes"]
     if case == "even-window":
         doc["glcm_params"]["window"] = 4
     elif case == "short-scaler":
         doc["scaler"]["means"].pop()
     elif case == "self-loop-child":
-        left[split] = split
+        right[split] = split
+    elif case == "right-child-is-the-left-child":
+        right[split] = split + 1
+    elif case == "right-child-past-its-tree":
+        right[split] = sizes[0]  # one past the first tree's last node
     elif case == "negative-feature":
         feature[split, 0] = -1
     elif case == "nested-format":
@@ -646,7 +650,7 @@ def _craft_model(case: str, doc: dict) -> bytes:
     elif case == "leaf-with-a-negative-zero-projection":
         projection[leaf, 0] = -0.0
     elif case == "one-child":
-        right[split] = -1
+        right[split] = -1  # which makes it a leaf that keeps its split fields
     elif case == "negative-master-seed":
         doc["training_params"]["master_seed"] = -1
     elif case == "master-seed-past-uint64":
@@ -664,6 +668,9 @@ def _craft_model(case: str, doc: dict) -> bytes:
         sizes[-2:] = [sizes[-2] + sizes[-1]]
     elif case == "number-as-feature-name":
         doc["feature_names"][0] = 7
+    elif case == "feature-names-not-the-glcm-params-features":
+        names = doc["feature_names"]
+        names[0], names[21] = names[21], names[0]
     elif case == "float-master-seed":
         doc["training_params"]["master_seed"] = float(doc["training_params"]["master_seed"])
     elif case == "null-n-candidate-features":
@@ -679,12 +686,12 @@ def _craft_model(case: str, doc: dict) -> bytes:
     elif case in ("non-canonical-padding", "true-tree-size"):
         # The first tree becomes one leaf, a valid model whose node total is not
         # a multiple of 3, so threshold's base64 ends in padding.
-        keep = np.ones(len(left), dtype=bool)
+        keep = np.ones(len(right), dtype=bool)
         keep[1 : sizes[0]] = False
         arrays = {key: a[keep] for key, a in arrays.items()}
         for key in ("feature", "projection", "threshold"):
             arrays[key][0] = 0
-        arrays["left"][0] = arrays["right"][0] = -1
+        arrays["right"][0] = -1
         arrays["class_counts"][0] = [1, 1]
         sizes[0] = True if case == "true-tree-size" else 1  # JSON true, which equals 1
     if "arrays" in doc:
@@ -693,9 +700,9 @@ def _craft_model(case: str, doc: dict) -> bytes:
     if case == "truncated-block":
         packed["threshold"] = packed["threshold"][:-4]
     elif case == "one-byte-too-many":
-        packed["left"] = base64.b64encode(base64.b64decode(packed["left"]) + b"\0").decode()
+        packed["right"] = base64.b64encode(base64.b64decode(packed["right"]) + b"\0").decode()
     elif case == "extra-key-in-arrays":
-        packed["note"] = packed["left"]
+        packed["note"] = packed["right"]
     elif case == "non-alphabet-character":
         packed["projection"] = "-" + packed["projection"][1:]  # URL-safe base64's 62
     elif case == "non-canonical-padding":
@@ -709,7 +716,7 @@ def _craft_model(case: str, doc: dict) -> bytes:
 # The packed-layer rows, with the part of the error each must give.
 _PACKED_LAYER_ERRORS = {
     "truncated-block": "threshold must hold 240 bytes, not 237",
-    "one-byte-too-many": "left must hold 240 bytes, not 241",
+    "one-byte-too-many": "right must hold 240 bytes, not 241",
     "non-alphabet-character": "projection must be canonical base64",
     "non-canonical-padding": "threshold must be canonical base64",
     "zero-tree-size": "tree_sizes must hold n_trees = 10 sizes >= 1",
@@ -725,6 +732,8 @@ _PACKED_LAYER_ERRORS = {
         "even-window",
         "short-scaler",
         "self-loop-child",
+        "right-child-is-the-left-child",
+        "right-child-past-its-tree",
         "negative-feature",
         "nested-format",
         "unknown-technique",
@@ -751,6 +760,7 @@ _PACKED_LAYER_ERRORS = {
         "subset-repeating-a-feature",
         "unsorted-subset",
         "number-as-feature-name",
+        "feature-names-not-the-glcm-params-features",
         "float-master-seed",
         "null-n-candidate-features",
         "extra-key-in-training_params",
@@ -820,10 +830,12 @@ def test_padding_row_is_a_valid_model_until_its_padding_bits_change(
 
 
 def test_version_1_model_exits_three_and_asks_to_retrain(demo, experiment_out, tmp_path):
-    # Also version 2: both spelled out every tree value as a JSON number.
+    # Also version 2, which spelled out every tree value as a JSON number, and
+    # version 3, which stored each split's left child as an array of its own.
     doc = json.loads((experiment_out / "two-texture_glcm_model.json").read_text())
-    version_2 = version_2_document(doc)
-    for version, old in ((1, version_1_document(version_2)), (2, version_2)):
+    version_3 = version_3_document(doc)
+    version_2 = version_2_document(version_3)
+    for version, old in ((1, version_1_document(version_2)), (2, version_2), (3, version_3)):
         model = tmp_path / f"model-v{version}.json"
         model.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")))
         args = ["--model", str(model), "--image", str(demo["root"] / "scene.hdr")]

@@ -44,6 +44,7 @@ from .oracles import (
     split_oracle,
     version_1_document,
     version_2_document,
+    version_3_document,
 )
 
 
@@ -562,16 +563,18 @@ def test_model_file_loads_only_what_saves_back_to_the_same_bytes(
     assert path.read_text(encoding="utf-8") == _dump(doc)
 
 
-# sha256 of a small noisy model's file as saved (version 3), and of the same
-# document in the version 2 and version 1 layouts, which is what those writers
-# gave for it: a one-ulp drift of any projection or threshold changes all three.
+# sha256 of a small noisy model's file as saved (version 4), and of the same
+# document in the version 3, 2 and 1 layouts, which is what those writers gave
+# for it: a one-ulp drift of any projection or threshold changes all four.
 _MODEL_SHA256 = {
     "glcm": (
+        "357ec3e5945c19bf79b7e5331c5c81e97f3b16b2758425d08b13480691a9fc53",
         "b151fdd3f272ff95a78b579355b4699d06ffccafbaec85981197187a9539ac30",
         "ec0389c35171115aeedf03ab3d019498f0579c94de36a4da2bcd53190a343643",
         "45a4c5375ee8f9df23c04ca7666505f1b87f65af7151e63857536b2ce738a9b1",
     ),
     "spectral": (
+        "a5fe3f7c4212ebd691dbbd1653e3d75836edf75fffcb33e9f9571f1f7aac627e",
         "536cfb7195eff483b1fcf3703c3f1d0021e62a6e6f5a51198b7815ed0606f339",
         "663e649582437782bbb76d318acf36681969a2368e204917e98e798f012ccd22",
         "9894359d708c461914af910b6f30e569f4cdd1b928d6f230ca7a0e8bb3f58d08",
@@ -589,8 +592,10 @@ def test_saved_model_bytes_are_pinned(technique, tmp_path):
     path = tmp_path / "model.json"
     save_pipeline(Pipeline(technique, params, result.scaler, result.model), path)
     raw = path.read_bytes()
-    saved, version_2, version_1 = _MODEL_SHA256[technique]
-    as_version_2 = version_2_document(json.loads(raw))
+    saved, version_3, version_2, version_1 = _MODEL_SHA256[technique]
+    as_version_3 = version_3_document(json.loads(raw))
+    assert hashlib.sha256(_dump(as_version_3).encode()).hexdigest() == version_3
+    as_version_2 = version_2_document(as_version_3)
     assert hashlib.sha256(_dump(as_version_2).encode()).hexdigest() == version_2
     as_version_1 = _dump(version_1_document(as_version_2)).encode()
     assert hashlib.sha256(as_version_1).hexdigest() == version_1

@@ -4,11 +4,14 @@
     python tools/ab.py --base HEAD~1 --scale 512 --technique glcm --jobs 1 --pairs 3
     python tools/ab.py --base HEAD~1 --scale 512x510 --technique glcm --jobs 1 --pairs 3
 
-The base revision's committed files are exported (``git archive``) into a
-temporary directory. Each pair then runs once in the base tree and once in
-the working tree, each against its own ``src/``; even pairs run the base
-first, odd pairs the change first, so a drift of the host over the session
-falls on both sides alike. Nothing under ``perfbench/`` is edited.
+Both sides run from exports in a temporary directory: the base revision's
+committed files (``git archive``), and the working tree's files as they stand,
+tracked ones with their uncommitted edits and untracked ones that are not
+ignored. So neither side imports a bytecode cache or build output the other
+lacks. Each pair then runs once in each tree, against its own ``src/``; even
+pairs run the base first, odd pairs the change first, so a drift of the host
+over the session falls on both sides alike. Nothing under ``perfbench/`` is
+edited.
 
 With ``--workload`` a run is ``perfbench/run.py --trace 0``. Writes
 ``bench/BENCH_<workload>-seed<seed>.json``: for each end-to-end metric the medians
@@ -35,6 +38,7 @@ import io
 import json
 import math
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -261,6 +265,17 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
+def export_worktree(root: Path, into: Path) -> None:
+    """The working tree of the repository at root, as it stands, under into:
+    tracked files that still exist and untracked files that are not ignored."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        if (root / name).is_file():  # not a tracked file deleted in the working tree
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, into / name)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -284,9 +299,10 @@ def main(argv=None) -> int:
     change_rev = git("rev-parse", "HEAD") + (" + uncommitted changes" if git("status", "--porcelain") else "")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
-        export(base_rev, Path(tmp))
-        trees = {"base": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        export(base_rev, trees["base"])
+        export_worktree(ROOT, trees["change"])
 
         def run_side(side):
             if args.scale is None:
