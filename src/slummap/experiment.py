@@ -13,14 +13,14 @@ sub-streams (see :mod:`slummap.rng`): balancing uses BALANCE_STREAM, the
 partition SPLIT_STREAM and tree induction FOREST_STREAM.
 
 The model file is this module's alone: save_pipeline writes a Pipeline as one
-canonical JSON document (version 4), and load_pipeline reads only what it writes.
+canonical JSON document (version 5), and load_pipeline reads only what it writes.
 Its trees are ``tree_sizes``, the node counts, and ``arrays``: each CcTree array
-joined over the trees, as standard base64 of its little-endian int64 or float64
-bytes. The writer is the one definition of the document: load_pipeline builds a
-Pipeline through the checks that carry meaning (the parameter constructors, the
-seed range, the tree arrays' bytes and structure; see load_pipeline) and rejects
-the file unless that Pipeline writes back the same document less ``arrays``.
-Version 1, 2 and 3 files need a retrain.
+but ``right``, which the leaves (nodes with counts) imply, joined over the trees as
+standard base64 of its little-endian int64 or float64 bytes. The writer is the one
+definition of the document: load_pipeline builds a Pipeline through the checks that
+carry meaning (the parameter constructors, the seed range, the tree arrays' bytes
+and shape; see load_pipeline) and rejects the file unless that Pipeline writes back
+the same document less ``arrays``. Version 1 to 4 files need a retrain.
 """
 
 from __future__ import annotations
@@ -442,10 +442,10 @@ def result_to_dict(result: ExperimentResult) -> dict:
 # ---------------------------------------------------------------------------
 
 PIPELINE_FORMAT = "slummap-pipeline"
-PIPELINE_VERSION = 4
+PIPELINE_VERSION = 5
 
-# CcTree's arrays in field order and the type of their packed values
-_PACKED = dict(feature="<i8", projection="<f8", threshold="<f8", right="<i8", class_counts="<i8")
+# CcTree's arrays but right, which the leaves imply, and the type of their packed values
+_PACKED = dict(feature="<i8", projection="<f8", threshold="<f8", class_counts="<i8")
 
 
 class ModelFormatError(ValueError):
@@ -515,36 +515,49 @@ def _unpack(text: str, kind: str, shape: tuple[int, ...], what: str) -> np.ndarr
     return array
 
 
+def _right_children(leaf: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Each node's right child in its tree, -1 at a leaf, from the leaf flags of trees of
+    these sizes joined in preorder. With a split +1 and a leaf -1, a tree is one full
+    binary tree iff its running sum stays >= 0 until its last node takes it to -1 (else
+    ModelFormatError); a split's right child is the next node starting at the split's sum."""
+    step = np.where(leaf, -1, 1)
+    before = np.cumsum(step) - step  # over all trees joined, so each starts one lower
+    starts = np.cumsum(sizes) - sizes
+    in_tree = before + step - np.repeat(before[starts], sizes)
+    if not np.array_equal(np.flatnonzero(in_tree < 0), starts + sizes - 1):
+        raise ModelFormatError("each tree's leaves must close one full binary tree in preorder")
+    order = np.argsort(before, kind="stable")  # equal sums in node order; the last is a leaf
+    successor = np.empty_like(order)
+    successor[order[:-1]] = order[1:]
+    return np.where(leaf, -1, successor - np.repeat(starts, sizes))
+
+
 def _trees(sizes: list[int], packed: dict[str, str], lam: int, d: int) -> list[CcTree]:
     """The packed trees, each array decoded and checked once over all trees joined.
 
-    A split's right child lies past its left one, the next node, and inside its
-    tree (so routing terminates), feature indices in [0, d) and strictly rising
-    along a split's subset, as grow_tree draws them; a leaf (right -1) holds
-    counts >= 0, not both 0, summing in int64, zero split fields; a split zero counts.
+    A leaf, a node whose counts are not both 0, holds counts >= 0 summing in
+    int64 and zero split fields. The leaves close one full binary tree per size
+    (_right_children), and a split's feature indices lie in [0, d) and rise
+    strictly along its subset, as grow_tree draws them.
     """
     widths = dict(feature=(lam,), projection=(lam,), class_counts=(2,))
     joined = {k: _unpack(packed[k], kind, (sum(sizes), *widths.get(k, ())), k)
               for k, kind in _PACKED.items()}
-    n = np.repeat(sizes, sizes)  # per node: the size of its tree and its index there
-    node = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    right = joined["right"]
-    leaf = right == -1
-    if not (leaf | ((node + 1 < right) & (right < n))).all():
-        raise ModelFormatError("a split's right child must lie past node + 1 in its tree")
+    counts = joined["class_counts"]
+    leaf = counts.any(axis=1)
+    # A sum past int64 wraps to a negative one.
+    if (counts < 0).any() or (counts[leaf].sum(axis=1) <= 0).any():
+        raise ModelFormatError("a leaf's counts must be >= 0 and sum in int64")
+    at_leaves = (joined["feature"][leaf], joined["projection"][leaf], joined["threshold"][leaf])
+    if any(a.any() or np.signbit(a).any() for a in at_leaves):
+        raise ModelFormatError("a leaf's split fields must be 0")
+    joined["right"] = _right_children(leaf, sizes)
     if not ((0 <= joined["feature"]) & (joined["feature"] < d)).all():
         raise ModelFormatError(f"feature index outside [0, {d})")
     if (np.diff(joined["feature"][~leaf], axis=1) <= 0).any():
         raise ModelFormatError("a split's feature subset must be strictly increasing")
-    counts = joined["class_counts"]
-    # A sum past int64 wraps to a negative one.
-    if (counts[leaf] < 0).any() or (counts[leaf].sum(axis=1) <= 0).any():
-        raise ModelFormatError("a leaf needs two counts >= 0, not both 0, summing in int64")
-    at_leaves = (joined["feature"][leaf], joined["projection"][leaf], joined["threshold"][leaf])
-    if counts[~leaf].any() or any(a.any() or np.signbit(a).any() for a in at_leaves):
-        raise ModelFormatError("a leaf's split fields and a split's counts must be 0")
     ends = np.cumsum(sizes).tolist()
-    return [CcTree(**{k: joined[k][end - size : end] for k in _PACKED})
+    return [CcTree(**{k: a[end - size : end] for k, a in joined.items()})
             for size, end in zip(sizes, ends)]
 
 
@@ -553,13 +566,13 @@ def load_pipeline(path: str | Path) -> Pipeline:
 
     The Pipeline built from the document must write back the same document,
     less ``arrays``, value for value (spacing and key order may differ).
-    Building it checks what a write-back cannot see: the version (1 to 3
+    Building it checks what a write-back cannot see: the version (1 to 4
     need a retrain); the ForestParams, GlcmParams, ScalerStats and Pipeline
     constructors; master_seed, an int in [0, 2**64 - 1]; n_trees tree sizes
     >= 1; string feature names; one finite scaler mean and std per feature;
-    exactly the five ``arrays``, each the canonical base64 of exactly the
+    exactly the four ``arrays``, each the canonical base64 of exactly the
     bytes the node counts imply, its floats finite, and its trees as _trees
-    checks them.
+    checks them, one full binary preorder tree per size.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -270,7 +270,8 @@ def _load_planes(header_path: str | Path, expect_dtype: str) -> tuple[list[str],
     return names, planes
 
 
-def _write_planes(header_path: str | Path, names: list[str], planes: np.ndarray, dtype: str) -> None:
+def _write_planes(header_path: str | Path, names: list[str], planes: np.ndarray, dtype: str,
+                  invalid: np.ndarray | None = None) -> None:
     header_path = Path(header_path)
     header = {
         "width": planes.shape[2],
@@ -281,9 +282,10 @@ def _write_planes(header_path: str | Path, names: list[str], planes: np.ndarray,
         "layout": LAYOUT,
     }
     header_path.write_text(format_key_values([(None, header)]), encoding="utf-8")
-    _payload_path(header_path).write_bytes(
-        np.ascontiguousarray(planes, dtype=_DTYPES[dtype]).tobytes()
-    )
+    with _payload_path(header_path).open("wb") as payload:
+        for plane in planes:  # one at a time, NaN where invalid: no full-size copy
+            plane = plane if invalid is None else np.where(invalid, np.float32(np.nan), plane)
+            payload.write(np.ascontiguousarray(plane, dtype=_DTYPES[dtype]).data)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -326,9 +328,7 @@ def save_label_mask(mask: LabelMask, header_path: str | Path) -> None:
 
 
 def save_feature_raster(raster: FeatureRaster, header_path: str | Path) -> None:
-    values = raster.values.copy()
-    values[:, ~raster.valid] = np.float32(np.nan)
-    _write_planes(header_path, raster.feature_names, values, "f32")
+    _write_planes(header_path, raster.feature_names, raster.values, "f32", ~raster.valid)
 
 
 def save_prediction_map(mask: LabelMask, path: str | Path) -> None:

@@ -103,6 +103,11 @@ class GlcmParams:
     measures: tuple[str, ...] = MEASURES
 
     def __post_init__(self):
+        # a bare string would split into its characters, and a scalar fail to iterate
+        for name in ("directions", "bands", "measures"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple, set, frozenset)) or not value:
+                raise ValueError(f"{name} must be a non-empty list, tuple or set, got {value!r}")
         self.bands = tuple(self.bands)
         # ints, as the model file holds them: a float window would fail in slicing
         for name in ("levels", "window"):
@@ -111,21 +116,15 @@ class GlcmParams:
         _check_levels(self.levels)
         if not 3 <= self.window <= MAX_WINDOW or self.window % 2 == 0:
             raise ValueError(f"window must be odd and lie in [3, {MAX_WINDOW}], got {self.window}")
-        if not self.directions:
-            raise ValueError("directions must not be empty")
         for d in self.directions:
             if type(d) is not int or d not in DIRECTION_OFFSETS:
                 raise ValueError(
                     f"directions: unknown angle {d}; choose from {sorted(DIRECTION_OFFSETS)}"
                 )
-        if not self.bands:
-            raise ValueError("bands must not be empty")
         if not all(isinstance(band, str) for band in self.bands):
             raise ValueError(f"bands must be names, got {self.bands}")
         if len(set(self.bands)) < len(self.bands):
             raise ValueError(f"bands must be distinct, got {self.bands}")
-        if not self.measures:
-            raise ValueError("measures must not be empty")
         for m in self.measures:
             if m not in MEASURES:
                 raise ValueError(f"measures: unknown measure {m!r}; choose from {MEASURES}")

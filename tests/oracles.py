@@ -232,6 +232,42 @@ def split_oracle(rng, n: int) -> tuple[list[int], list[int]]:
     return sorted(order[:n_train]), sorted(order[n_train:])
 
 
+def preorder_right(leaf) -> list[int] | None:
+    """The right child of each node, -1 at a leaf, of the one full binary tree
+    whose preorder these leaf flags are; None if they are not exactly one."""
+    right = [-1] * len(leaf)
+
+    def end(node):  # one past the subtree rooted at node, or None if it runs out
+        if node >= len(leaf):
+            return None
+        if leaf[node]:
+            return node + 1
+        left_end = end(node + 1)
+        if left_end is None:
+            return None
+        right[node] = left_end
+        return end(left_end)
+
+    return right if end(0) == len(leaf) else None
+
+
+def version_4_document(doc: dict) -> dict:
+    """The version 4 model file of a version 5 document: the same pipeline, with
+    each split's right child stored as a packed ``right`` array, -1 at a leaf,
+    parsed from the leaves, the nodes whose class counts are not both 0."""
+    doc = dict(doc, arrays=dict(doc["arrays"]), version=4)
+    raw = base64.b64decode(doc["arrays"]["class_counts"])
+    counts = struct.unpack(f"<{len(raw) // 8}q", raw)
+    right, start = [], 0
+    for size in doc["tree_sizes"]:
+        right += preorder_right([counts[2 * i] or counts[2 * i + 1]
+                                 for i in range(start, start + size)])
+        start += size
+    packed = struct.pack(f"<{len(right)}q", *right)
+    doc["arrays"]["right"] = base64.b64encode(packed).decode("ascii")
+    return doc
+
+
 def version_3_document(doc: dict) -> dict:
     """The version 3 model file of a version 4 document: the same pipeline, with
     each split's left child stored as its own packed ``left`` array, i + 1 at

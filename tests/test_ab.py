@@ -134,7 +134,9 @@ def canned_scale_stdout(digest="ab" * 32, total=5.0, peak=205.7, children=0.0) -
               "train": 1.2, "map": 0.6, "predict": 0.001, "total": total}
     result = {"env": {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}, "map_sha256": digest,
               "metrics": {**{k + "_s": v for k, v in stages.items()},
-                          "peak_rss_mb": peak, "children_peak_rss_mb": children}}
+                          "peak_rss_mb": peak, "children_peak_rss_mb": children,
+                          "model_bytes": 2052010, "save_pipeline_s": 0.011,
+                          "load_pipeline_s": 0.012}}
     return "some warning on stdout\n" + json.dumps(result) + "\n"
 
 
@@ -154,6 +156,7 @@ def test_parse_scale_run_reads_stages_peaks_and_the_map_digest():
     assert run["metrics"]["total_s"] == 4.5 and run["metrics"]["map_s"] == 0.6
     assert run["metrics"]["peak_rss_mb"] == 210.0
     assert run["metrics"]["children_peak_rss_mb"] == 160.5
+    assert run["metrics"]["model_bytes"] == 2052010
     assert ab.parse_scale_run("")["correct"] is False
 
 
@@ -179,7 +182,8 @@ def test_scale_document_summarizes_every_stage_and_peak():
     assert doc["correct"] is True and doc["map_digests"] == {"base": [same], "change": [same]}
     assert set(doc["metrics"]) == {"extract_s", "assemble_s", "balance_s", "split_s", "scale_s",
                                    "train_s", "map_s", "predict_s", "total_s", "peak_rss_mb",
-                                   "children_peak_rss_mb"}
+                                   "children_peak_rss_mb", "model_bytes", "save_pipeline_s",
+                                   "load_pipeline_s"}
     peak = doc["metrics"]["peak_rss_mb"]
     assert peak["better"] == "lower" and peak["pairs_won"] == 3
     assert peak["base"]["median"] == 285.7 and peak["change"]["median"] == 206.7

@@ -588,7 +588,7 @@ def test_model_metadata_records_parameters(tmp_path):
     model = train_forest(x, y, ForestParams(n_trees=10), master_seed=0)
     _save(model, tmp_path / "m.json")
     doc = json.loads((tmp_path / "m.json").read_text())
-    assert (doc["format"], doc["version"]) == ("slummap-pipeline", 4)
+    assert (doc["format"], doc["version"]) == ("slummap-pipeline", 5)
     assert doc["training_params"]["n_trees"] == 10
     assert doc["training_params"]["master_seed"] == 0
     assert doc["training_params"]["n_candidate_features"] == 2  # ceil(sqrt(2))

@@ -35,7 +35,12 @@ from slummap.raster import (
 )
 from slummap.texture import MEASURES, GlcmParams
 
-from .oracles import version_1_document, version_2_document, version_3_document
+from .oracles import (
+    version_1_document,
+    version_2_document,
+    version_3_document,
+    version_4_document,
+)
 
 
 def run_cli(*args: str, cwd=None):
@@ -596,21 +601,26 @@ def _craft_model(case: str, doc: dict) -> bytes:
     if case == "deeply-nested":
         return b"[" * 100_000 + b"]" * 100_000
     arrays = _unpacked(doc)
-    split = int(np.flatnonzero(arrays["right"] != -1)[0])  # the first tree's root
-    leaf = int(np.flatnonzero(arrays["right"] == -1)[0])
     feature, projection, threshold = arrays["feature"], arrays["projection"], arrays["threshold"]
-    right, counts = arrays["right"], arrays["class_counts"]
+    counts = arrays["class_counts"]
+    split = int(np.flatnonzero(~counts.any(axis=1))[0])  # the first tree's root
+    leaf = int(np.flatnonzero(counts.any(axis=1))[0])
     sizes = doc["tree_sizes"]
     if case == "even-window":
         doc["glcm_params"]["window"] = 4
     elif case == "short-scaler":
         doc["scaler"]["means"].pop()
-    elif case == "self-loop-child":
-        right[split] = split
-    elif case == "right-child-is-the-left-child":
-        right[split] = split + 1
-    elif case == "right-child-past-its-tree":
-        right[split] = sizes[0]  # one past the first tree's last node
+    elif case == "tree-closes-early":
+        # a split becomes a leaf, so the first tree ends before its last node
+        feature[split], projection[split], threshold[split] = 0, 0.0, 0.0
+        counts[split] = [1, 0]
+    elif case == "tree-never-closes":
+        # a leaf becomes a split, so the first tree needs nodes past its size
+        feature[leaf] = np.arange(feature.shape[1])
+        projection[leaf], threshold[leaf] = 1.0, 0.5
+        counts[leaf] = [0, 0]
+    elif case == "sizes-cross-trees":
+        sizes[:2] = [sizes[0] + 2, sizes[1] - 2]
     elif case == "negative-feature":
         feature[split, 0] = -1
     elif case == "nested-format":
@@ -646,11 +656,9 @@ def _craft_model(case: str, doc: dict) -> bytes:
     elif case == "leaf-with-a-threshold":
         threshold[leaf] = 1.0
     elif case == "split-with-counts":
-        counts[split] = [0, 1]
+        counts[split] = [0, 1]  # which makes it a leaf that keeps its split fields
     elif case == "leaf-with-a-negative-zero-projection":
         projection[leaf, 0] = -0.0
-    elif case == "one-child":
-        right[split] = -1  # which makes it a leaf that keeps its split fields
     elif case == "negative-master-seed":
         doc["training_params"]["master_seed"] = -1
     elif case == "master-seed-past-uint64":
@@ -686,12 +694,11 @@ def _craft_model(case: str, doc: dict) -> bytes:
     elif case in ("non-canonical-padding", "true-tree-size"):
         # The first tree becomes one leaf, a valid model whose node total is not
         # a multiple of 3, so threshold's base64 ends in padding.
-        keep = np.ones(len(right), dtype=bool)
+        keep = np.ones(len(threshold), dtype=bool)
         keep[1 : sizes[0]] = False
         arrays = {key: a[keep] for key, a in arrays.items()}
         for key in ("feature", "projection", "threshold"):
             arrays[key][0] = 0
-        arrays["right"][0] = -1
         arrays["class_counts"][0] = [1, 1]
         sizes[0] = True if case == "true-tree-size" else 1  # JSON true, which equals 1
     if "arrays" in doc:
@@ -700,9 +707,10 @@ def _craft_model(case: str, doc: dict) -> bytes:
     if case == "truncated-block":
         packed["threshold"] = packed["threshold"][:-4]
     elif case == "one-byte-too-many":
-        packed["right"] = base64.b64encode(base64.b64decode(packed["right"]) + b"\0").decode()
+        raw = base64.b64decode(packed["class_counts"]) + b"\0"
+        packed["class_counts"] = base64.b64encode(raw).decode()
     elif case == "extra-key-in-arrays":
-        packed["note"] = packed["right"]
+        packed["note"] = packed["class_counts"]
     elif case == "non-alphabet-character":
         packed["projection"] = "-" + packed["projection"][1:]  # URL-safe base64's 62
     elif case == "non-canonical-padding":
@@ -713,14 +721,17 @@ def _craft_model(case: str, doc: dict) -> bytes:
     return json.dumps(doc).encode()
 
 
-# The packed-layer rows, with the part of the error each must give.
+# The packed-layer and tree-shape rows, with the part of the error each must give.
 _PACKED_LAYER_ERRORS = {
     "truncated-block": "threshold must hold 240 bytes, not 237",
-    "one-byte-too-many": "right must hold 240 bytes, not 241",
+    "one-byte-too-many": "class_counts must hold 480 bytes, not 481",
     "non-alphabet-character": "projection must be canonical base64",
     "non-canonical-padding": "threshold must be canonical base64",
     "zero-tree-size": "tree_sizes must hold n_trees = 10 sizes >= 1",
     "tree-sizes-disagree-with-n-trees": "tree_sizes must hold n_trees = 10 sizes >= 1",
+    "tree-closes-early": "leaves must close one full binary tree",
+    "tree-never-closes": "leaves must close one full binary tree",
+    "sizes-cross-trees": "leaves must close one full binary tree",
 }
 
 
@@ -731,9 +742,6 @@ _PACKED_LAYER_ERRORS = {
         "not-utf8",
         "even-window",
         "short-scaler",
-        "self-loop-child",
-        "right-child-is-the-left-child",
-        "right-child-past-its-tree",
         "negative-feature",
         "nested-format",
         "unknown-technique",
@@ -753,7 +761,6 @@ _PACKED_LAYER_ERRORS = {
         "leaf-with-a-threshold",
         "split-with-counts",
         "leaf-with-a-negative-zero-projection",
-        "one-child",
         "negative-master-seed",
         "master-seed-past-uint64",
         "min-node-size-0",
@@ -830,12 +837,15 @@ def test_padding_row_is_a_valid_model_until_its_padding_bits_change(
 
 
 def test_version_1_model_exits_three_and_asks_to_retrain(demo, experiment_out, tmp_path):
-    # Also version 2, which spelled out every tree value as a JSON number, and
-    # version 3, which stored each split's left child as an array of its own.
+    # Also version 2, which spelled out every tree value as a JSON number,
+    # version 3, which stored each split's left child as an array of its own,
+    # and version 4, which stored each split's right child.
     doc = json.loads((experiment_out / "two-texture_glcm_model.json").read_text())
-    version_3 = version_3_document(doc)
+    version_4 = version_4_document(doc)
+    version_3 = version_3_document(version_4)
     version_2 = version_2_document(version_3)
-    for version, old in ((1, version_1_document(version_2)), (2, version_2), (3, version_3)):
+    olds = {1: version_1_document(version_2), 2: version_2, 3: version_3, 4: version_4}
+    for version, old in olds.items():
         model = tmp_path / f"model-v{version}.json"
         model.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")))
         args = ["--model", str(model), "--image", str(demo["root"] / "scene.hdr")]

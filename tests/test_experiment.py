@@ -41,10 +41,12 @@ from slummap.texture import GlcmParams
 from .oracles import (
     balance_oracle,
     confusion_oracle,
+    preorder_right,
     split_oracle,
     version_1_document,
     version_2_document,
     version_3_document,
+    version_4_document,
 )
 
 
@@ -563,17 +565,80 @@ def test_model_file_loads_only_what_saves_back_to_the_same_bytes(
     assert path.read_text(encoding="utf-8") == _dump(doc)
 
 
-# sha256 of a small noisy model's file as saved (version 4), and of the same
-# document in the version 3, 2 and 1 layouts, which is what those writers gave
-# for it: a one-ulp drift of any projection or threshold changes all four.
+@settings(max_examples=500, deadline=None)
+@given(
+    trees=st.lists(st.lists(st.booleans(), max_size=12), min_size=1, max_size=4),
+    flip=st.integers(-1, 40),
+    data=st.data(),
+)
+def test_right_children_exist_exactly_when_the_leaves_parse_as_one_tree_per_size(
+    trees, flip, data
+):
+    # Each list of draws spells one preorder tree: while a subtree is open a
+    # draw makes the next node a leaf (True) or a split, and leaves close the
+    # rest. One flag may then flip, and the sizes may be cut anywhere.
+    flags, sizes = [], []
+    for draws in trees:
+        tree, open_subtrees = [], 1
+        for leaf in draws + [True] * (len(draws) + 1):
+            if not open_subtrees:
+                break
+            tree.append(leaf)
+            open_subtrees += -1 if leaf else 1
+        flags += tree
+        sizes.append(len(tree))
+    if flip < len(flags):
+        flags[flip] = not flags[flip]
+    if len(flags) > 1 and data.draw(st.booleans(), label="recut"):
+        cuts = data.draw(st.sets(st.integers(1, len(flags) - 1), max_size=4), label="cuts")
+        sizes = np.diff([0, *sorted(cuts), len(flags)]).tolist()
+    expected, start = [], 0
+    for size in sizes:
+        parsed = preorder_right(flags[start : start + size])
+        start += size
+        if parsed is None:
+            with pytest.raises(ModelFormatError, match="one full binary tree"):
+                experiment._right_children(np.array(flags), sizes)
+            return
+        expected += parsed
+    assert experiment._right_children(np.array(flags), sizes).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 120),
+    d=st.integers(1, 4),
+    levels=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_right_children_of_grown_trees_are_the_ones_the_grower_placed(n, d, levels, seed):
+    # grow_tree places each right child itself; the loader derives it from
+    # the leaves, the nodes with counts, and the two must agree.
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+    y = rng.integers(0, 2, size=n).astype(np.uint8)
+    y[:2] = [0, 1]
+    trees = ccf.train_forest(x, y, ForestParams(n_trees=3), master_seed=seed).trees
+    right = np.concatenate([tree.right for tree in trees])
+    leaf = np.concatenate([tree.class_counts.any(axis=1) for tree in trees])
+    assert (leaf == (right == -1)).all()
+    sizes = [len(tree.right) for tree in trees]
+    assert experiment._right_children(leaf, sizes).tolist() == right.tolist()
+
+
+# sha256 of a small noisy model's file as saved (version 5), and of the same
+# document in the version 4, 3, 2 and 1 layouts, which is what those writers gave
+# for it: a one-ulp drift of any projection or threshold changes all five.
 _MODEL_SHA256 = {
     "glcm": (
+        "e4a3f27d3155c9dd283b840ef5b878d63128c8a14a3ef406644316079942aefa",
         "357ec3e5945c19bf79b7e5331c5c81e97f3b16b2758425d08b13480691a9fc53",
         "b151fdd3f272ff95a78b579355b4699d06ffccafbaec85981197187a9539ac30",
         "ec0389c35171115aeedf03ab3d019498f0579c94de36a4da2bcd53190a343643",
         "45a4c5375ee8f9df23c04ca7666505f1b87f65af7151e63857536b2ce738a9b1",
     ),
     "spectral": (
+        "b39442c0a70297de21f8315c8fa28535f9b296bf294ccafc65f28a7003f1a7e0",
         "a5fe3f7c4212ebd691dbbd1653e3d75836edf75fffcb33e9f9571f1f7aac627e",
         "536cfb7195eff483b1fcf3703c3f1d0021e62a6e6f5a51198b7815ed0606f339",
         "663e649582437782bbb76d318acf36681969a2368e204917e98e798f012ccd22",
@@ -592,8 +657,10 @@ def test_saved_model_bytes_are_pinned(technique, tmp_path):
     path = tmp_path / "model.json"
     save_pipeline(Pipeline(technique, params, result.scaler, result.model), path)
     raw = path.read_bytes()
-    saved, version_3, version_2, version_1 = _MODEL_SHA256[technique]
-    as_version_3 = version_3_document(json.loads(raw))
+    saved, version_4, version_3, version_2, version_1 = _MODEL_SHA256[technique]
+    as_version_4 = version_4_document(json.loads(raw))
+    assert hashlib.sha256(_dump(as_version_4).encode()).hexdigest() == version_4
+    as_version_3 = version_3_document(as_version_4)
     assert hashlib.sha256(_dump(as_version_3).encode()).hexdigest() == version_3
     as_version_2 = version_2_document(as_version_3)
     assert hashlib.sha256(_dump(as_version_2).encode()).hexdigest() == version_2

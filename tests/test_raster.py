@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,25 @@ def test_feature_raster_round_trip_with_invalid_pixels(tmp_path):
     assert names == ["a", "b"]
     assert np.array_equal(planes[:, valid], values[:, valid])
     assert np.isnan(planes[:, ~valid]).all()
+
+
+def test_feature_raster_is_written_a_plane_at_a_time_as_the_whole_array_was(tmp_path):
+    # The bytes are those of the whole array with NaN at invalid pixels, but
+    # the writer holds no more than a plane or two of them at a time.
+    values = np.random.default_rng(0).normal(size=(28, 64, 64)).astype(np.float32)
+    valid = np.zeros((64, 64), dtype=bool)
+    valid[3:-3, 3:-3] = True  # a window's invalid border
+    fr = FeatureRaster(feature_names=[f"f{i}" for i in range(28)], values=values, valid=valid)
+    tracemalloc.start()
+    try:
+        save_feature_raster(fr, tmp_path / "f.hdr")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    filled = values.copy()
+    filled[:, ~valid] = np.float32(np.nan)
+    assert (tmp_path / "f.bin").read_bytes() == filled.astype("<f4").tobytes()
+    assert peak < 3 * values[0].nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

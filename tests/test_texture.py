@@ -684,5 +684,12 @@ def test_glcm_params_validation():
             GlcmParams(**{field: value})
     with pytest.raises(ValueError, match="directions"):
         GlcmParams(directions=(45.0,))
+    # A bare string would split into characters ("B2" into bands B and 2), and
+    # a bare angle would raise a TypeError.
+    rows = [("bands", "B2"), ("measures", "mean"), ("directions", 0), ("bands", None)]
+    for field, value in rows:
+        with pytest.raises(ValueError, match=f"{field} must be a non-empty list, tuple or set"):
+            GlcmParams(**{field: value})
+    assert GlcmParams(bands=["B2"], directions=[0], measures=["mean"]).bands == ("B2",)
     names = GlcmParams(bands=("B4", "B2"), measures=("contrast", "mean")).feature_names()
     assert names == ["B4_contrast", "B4_mean", "B2_contrast", "B2_mean"]

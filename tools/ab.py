@@ -25,7 +25,9 @@ a fresh process on ``perfbench/workloads.noisy_scene(S, seed)``, which it
 imports, with S the next even side >= max(H, W), cropped to H x W rows and
 columns; a scene that is not square takes the kernel's three-pass path. It
 records each stage's seconds from ``timings``, the peak RSS (``ru_maxrss``) of
-the process and of its forked children, and the sha256 of the map file.
+the process and of its forked children, and the sha256 of the map file. Then
+it saves the model file and loads it back, and records its bytes and the
+seconds of ``save_pipeline`` and ``load_pipeline``; the peaks are read before.
 Writes ``bench/SCALE_<technique>-<SIDE or HxW>-jobs<jobs>.json`` with the same
 statistics per measure. Exits 1 unless every run finished and all maps are
 the same.
@@ -82,10 +84,11 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 # One scale run: argv is height, width, technique, jobs, seed; the last line
 # printed is JSON.
 SCALE_RUN = """
-import hashlib, json, os, platform, resource, sys, tempfile
+import hashlib, json, os, platform, resource, sys, tempfile, time
 sys.path[:0] = ["src", "perfbench"]
 import numpy as np
 from slummap import experiment, raster
+from slummap.texture import GlcmParams
 from workloads import noisy_scene
 height, width, technique = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 jobs, seed = int(sys.argv[4]), int(sys.argv[5])
@@ -93,18 +96,30 @@ side = max(height, width) + max(height, width) % 2
 stack, mask = noisy_scene(side, seed)
 stack = raster.BandStack(band_names=stack.band_names, samples=stack.samples[:, :height, :width])
 mask = raster.LabelMask(labels=mask.labels[:height, :width])
-result = experiment.run_experiment(stack, mask, technique=technique, jobs=jobs)
+params = GlcmParams() if technique == "glcm" else None
+result = experiment.run_experiment(stack, mask, technique=technique, glcm_params=params, jobs=jobs)
+# the peaks before the model file is written, so they stay the experiment's own
+peak = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who)).ru_maxrss / 1024
+        for who in ("SELF", "CHILDREN")}
 with tempfile.TemporaryDirectory() as tmp:
     raster.save_prediction_map(result.prediction, os.path.join(tmp, "map.pgm"))
     digest = hashlib.sha256(open(os.path.join(tmp, "map.pgm"), "rb").read()).hexdigest()
-peak = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who)).ru_maxrss / 1024
-        for who in ("SELF", "CHILDREN")}
+    model = os.path.join(tmp, "model.json")
+    pipeline = experiment.Pipeline(technique, params, result.scaler, result.model)
+    t0 = time.perf_counter()
+    experiment.save_pipeline(pipeline, model)
+    t1 = time.perf_counter()
+    experiment.load_pipeline(model)
+    t2 = time.perf_counter()
+    model_bytes = os.path.getsize(model)
 print(json.dumps({
     "env": {"python": platform.python_version(), "numpy": np.__version__,
             "nproc": len(os.sched_getaffinity(0))},
     "map_sha256": digest,
     "metrics": {**{stage + "_s": t for stage, t in result.timings.items()},
-                "peak_rss_mb": peak["SELF"], "children_peak_rss_mb": peak["CHILDREN"]},
+                "peak_rss_mb": peak["SELF"], "children_peak_rss_mb": peak["CHILDREN"],
+                "model_bytes": model_bytes, "save_pipeline_s": t1 - t0,
+                "load_pipeline_s": t2 - t1},
 }))
 """
 
