@@ -20,14 +20,13 @@ reads the model file.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pool import fork_map
+from .pool import fork_map, release_free_heap
 from .rng import FOREST_STREAM, Pcg32, stream
 
 RIDGE = 1e-9
@@ -407,7 +406,7 @@ def train_forest(
     x = np.asfortranarray(x)  # grow_tree gathers from its transpose
     tasks = [(x, y, params, stream(master_seed, FOREST_STREAM, t)) for t in range(params.n_trees)]
     trees = list(fork_map(grow_tree, tasks, jobs))
-    _release_free_heap()
+    release_free_heap()
     return CcfModel(trees, list(feature_names), training_params(params, d, master_seed))
 
 
@@ -415,17 +414,6 @@ def training_params(params: ForestParams, d: int, master_seed: int) -> dict:
     """What a model records of its training on d features, as the model file holds it."""
     return dict(n_trees=params.n_trees, n_candidate_features=params.resolve_lambda(d),
                 min_node_size=params.min_node_size, master_seed=master_seed)
-
-
-def _release_free_heap() -> None:
-    """Return the C heap's free memory to the system, where glibc can (a no-op
-    elsewhere). Tree induction frees its node gathers, several MB each on large
-    training sets, below glibc's trim threshold; without this they stay
-    resident through the map stage, which sets the process's peak."""
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-        trim(0)
 
 
 def predict(model: CcfModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
-"""fork_map: a task list split between the calling process and children
-forked for one call, which inherit the function and its tasks through the
-fork and send their results back pickled through a pipe."""
+"""fork_map: a task list split between the calling process and children forked for
+one call, which inherit the function and its tasks through the fork and send their
+results back pickled through a pipe. Below it, all that slummap does to the C heap."""
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
@@ -75,3 +76,29 @@ def fork_map(fn: Callable, tasks: list[tuple], jobs: int = 1) -> Iterable:
             raise value
         results[s::k] = value
     return results
+
+
+def _glibc_heap():
+    """glibc's malloc_trim, or None elsewhere, once one 4 MiB block is freed:
+    glibc then starts its mmap and trim thresholds at 4 and 8 MiB, above a
+    warm 64² operation's 3-5 MB of temporaries, which would otherwise be
+    trimmed and faulted in again on every call (2 MiB was the least that left
+    perfbench predict-glcm no faults; 4 MiB doubles the margin)."""
+    try:
+        libc = ctypes.CDLL(None)
+        trim, malloc, free = libc.malloc_trim, libc.malloc, libc.free
+    except (OSError, TypeError, AttributeError):
+        return None
+    malloc.argtypes, malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
+    free.argtypes, trim.argtypes = [ctypes.c_void_p], [ctypes.c_size_t]
+    free(malloc(4 << 20))
+    return trim
+
+
+_MALLOC_TRIM = _glibc_heap()
+
+
+def release_free_heap() -> None:
+    """Trim the C heap (glibc only), so freed node gathers miss the map stage's peak."""
+    if _MALLOC_TRIM:
+        _MALLOC_TRIM(0)

@@ -361,7 +361,7 @@ def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndar
                 at = cells_buffer[: part.size].reshape(part.shape)
                 at[:] = part  # as intp, which take would otherwise allocate
                 found = gathered_buffer[: 2 * part.size].reshape((2,) + part.shape)
-                np.take(key_terms.reshape(2, -1), at, axis=1, out=found, mode="clip")
+                key_terms.reshape(2, -1).take(at, axis=1, out=found, mode="clip")
                 np.add.reduce(found, axis=2, out=sums[0, b, c0 + c : c0 + c + len(part)].T)
         for j0 in range(0, hk, chunk):
             j1 = min(hk, j0 + chunk)
@@ -379,12 +379,12 @@ def _key_sums(keys: np.ndarray, height: int, width: int, levels: int) -> np.ndar
                 for k in range(m):
                     np.subtract.at(table, cells[k, 0], one)
                     # mode="clip" because every cell is in range, and "raise" buffers out.
-                    np.take(table, cells[k], out=values[k], mode="clip")
+                    table.take(cells[k], out=values[k], mode="clip")
                     np.add.at(table, cells[k, 1], one)
                 block = index[:, :, :m]
                 np.add(values[:m], rank[i0 - j0 : i1 - j0], out=block.transpose(2, 0, 1, 3, 4))
-                np.take(leaving_steps, block[0], axis=0, out=gathered[0, :, :m], mode="clip")
-                np.take(steps, block[1], axis=0, out=gathered[1, :, :m], mode="clip")
+                leaving_steps.take(block[0], axis=0, out=gathered[0, :, :m], mode="clip")
+                steps.take(block[1], axis=0, out=gathered[1, :, :m], mode="clip")
                 out = sums[i0 - height + 1 : i1 - height + 1, b0:b1, c0:c1]
                 np.add.reduce(gathered[:, :, :m], axis=(0, 1), out=out)
     np.cumsum(sums, axis=0, out=sums)

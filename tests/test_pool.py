@@ -1,4 +1,5 @@
-"""fork_map, and --jobs invariance and child reaping of run_experiment.
+"""fork_map, --jobs invariance and child reaping of run_experiment, and the
+C heap helpers beside fork_map.
 
 Every check runs under a deadline: a child that never answers fails the test
 instead of hanging the suite, and fork_map kills its children when the
@@ -7,16 +8,22 @@ child of this process is left, running or unreaped. At most 3 processes, as
 elsewhere.
 """
 
+import ctypes
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slummap
+from slummap import pool
 from slummap.ccf import DegenerateDataError, ForestParams
 from slummap.experiment import result_to_dict, run_experiment
 from slummap.fixtures import make_two_texture_scene
@@ -258,3 +265,114 @@ def test_run_experiment_joins_its_workers_when_it_raises(noisy_scene, forks):
         run_experiment(stack, single_class, "glcm", GlcmParams(window=5), jobs=2)
     assert len(forks) == 1
     assert_no_child()
+
+
+# ---------------------------------------------------------------------------
+# The C heap
+# ---------------------------------------------------------------------------
+
+
+def _python(script: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports slummap from this checkout,
+    without the caller's glibc heap settings (MALLOC_*), which would switch
+    glibc's adaptive thresholds off."""
+    paths = [str(Path(slummap.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=DEADLINE_S)
+
+
+def _is_glibc() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "gnu_get_libc_version")
+    except (OSError, TypeError):
+        return False
+
+
+class _NoHeap:
+    """A C library without malloc_trim, malloc and free."""
+
+    def __init__(self, name):
+        pass
+
+
+def _cdll_raising(error):
+    def cdll(name):
+        raise error("no C library under that name")
+
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [_cdll_raising(OSError), _cdll_raising(TypeError), _NoHeap],
+                         ids=["oserror", "typeerror", "no-heap-functions"])
+def test_without_the_c_librarys_heap_functions_the_heap_helpers_do_nothing(cdll, monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert pool._glibc_heap() is None
+    monkeypatch.setattr(pool, "_MALLOC_TRIM", None)
+    pool.release_free_heap()
+
+
+_TRAIN_WITHOUT_HEAP = """
+import ctypes
+import numpy as np
+{cdll}
+ctypes.CDLL = CDLL
+import slummap
+from slummap import pool
+assert pool._MALLOC_TRIM is None
+x = np.random.default_rng(0).normal(size=(60, 3))
+slummap.train_forest(x, (x[:, 0] > 0).astype(np.uint8), slummap.ForestParams(n_trees=3))
+print("trained")
+"""
+
+
+@pytest.mark.parametrize("cdll", [
+    "def CDLL(name):\n    raise OSError('no C library under that name')",
+    "class CDLL:\n    def __init__(self, name):\n        pass",
+], ids=["cdll-raises", "no-heap-functions"])
+def test_slummap_imports_and_trains_without_the_c_librarys_heap_functions(cdll):
+    done = _python(_TRAIN_WITHOUT_HEAP.format(cdll=cdll))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["trained"]
+
+
+# A noisy 64² glcm model, then extract + predict as `slummap predict` does:
+# two calls to warm up, then the minor page faults per call over five more.
+_WARM_FAULTS = """
+import resource
+import numpy as np
+from slummap.experiment import extract_features, predict_scene, run_experiment
+from slummap.fixtures import make_two_texture_scene
+from slummap.raster import BandStack
+from slummap.texture import GlcmParams
+
+stack, mask = make_two_texture_scene(64)
+noise = np.random.default_rng(1).integers(-15000, 15000, size=stack.samples.shape)
+samples = np.clip(stack.samples.astype(np.int64) + noise, 0, 65535).astype(np.uint16)
+stack = BandStack(band_names=stack.band_names, samples=samples)
+result = run_experiment(stack, mask, technique="glcm", glcm_params=GlcmParams())
+
+
+def call():
+    features = extract_features(stack, "glcm", GlcmParams())
+    predict_scene(features, mask, result.model, result.scaler)
+
+
+for _ in range(2):
+    call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    call()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="glibc's adaptive heap thresholds only")
+def test_warm_extract_and_predict_calls_fault_in_no_fresh_pages():
+    # Without the 4 MiB block freed at import, glibc trims each call's few MB
+    # of temporaries and the next call faults them in again (about 900-1,200
+    # faults a call on a 2-core Xeon).
+    done = _python(_WARM_FAULTS)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.split()[-1]) <= 32
