@@ -41,22 +41,21 @@ _NodeView = namedtuple("_NodeView", "is_leaf")  # a node, as CcTree.nodes shows 
 
 @dataclass
 class CcTree:
-    """One tree as arrays over its N nodes in preorder. At a split i, a row x
-    goes to the left child i + 1 if x[feature[i]] @ projection[i] <=
-    threshold[i], else to right[i], past i's left subtree. A leaf has right -1
-    and the class counts of its training rows. Split fields are zero at leaves
-    and counts zero at splits, so a tree has exactly one encoding."""
+    """One tree as arrays over its N nodes in preorder. A split i sends a row x
+    to its left child, node i + 1, if x[feature[i]] @ projection[i] <=
+    threshold[i], else to its right child, past the left subtree. A leaf holds
+    the class counts of its training rows, not both 0, and zero split fields; a
+    split holds counts (0, 0). The leaves fix the shape: no child index is kept."""
 
     feature: np.ndarray  # (N, lambda) int64
     projection: np.ndarray  # (N, lambda) float64
     threshold: np.ndarray  # (N,) float64
-    right: np.ndarray  # (N,) int64
     class_counts: np.ndarray  # (N, 2) int64
 
     @property
     def nodes(self) -> list[_NodeView]:
         # Read only by perfbench's node and leaf counts; ROADMAP item 7 deletes it.
-        return [_NodeView(child < 0) for child in self.right.tolist()]
+        return [_NodeView(leaf) for leaf in self.class_counts.any(axis=1).tolist()]
 
 
 @dataclass
@@ -278,17 +277,13 @@ def grow_tree(
     # One row per node in preorder, in CcTree's field order.
     nodes: list[list] = []
     no_feature, no_projection = np.zeros(lam, dtype=np.int64), np.zeros(lam)
-    # (row indices, the split whose right child they are, or -1 for a left child)
-    stack: list[tuple[np.ndarray, int]] = [(np.arange(n_rows), -1)]
+    stack = [np.arange(n_rows)]  # the row indices of the nodes still to grow
     while stack:
-        idx, parent = stack.pop()
-        node = len(nodes)
-        if parent >= 0:
-            nodes[parent][3] = node  # its right child
+        idx = stack.pop()
         y_node = y[idx]
         n = idx.shape[0]
         n1 = int(y_node.sum())
-        nodes.append([no_feature, no_projection, 0.0, -1, (n - n1, n1)])  # a leaf
+        nodes.append([no_feature, no_projection, 0.0, (n - n1, n1)])  # a leaf
         if n1 in (0, n) or n < params.min_node_size or _rows_identical(xt, idx):
             continue
 
@@ -307,23 +302,27 @@ def grow_tree(
         if split is None:
             continue
         mask = z <= split
-        nodes[node] = [subset, w, split, -1, (0, 0)]
-        stack.append((idx[~mask], node))  # right, processed second
-        stack.append((idx[mask], -1))  # left, processed first: node + 1
+        nodes[-1] = [subset, w, split, (0, 0)]
+        stack += [idx[~mask], idx[mask]]  # right, then left, grown next as node + 1
     return CcTree(*(np.array(column) for column in zip(*nodes)))
 
 
 def tree_depth(tree: CcTree) -> int:
     # Read only by perfbench's depth count; ROADMAP item 7 deletes it.
-    depth = [0] * len(tree.right)
-    for i, right in enumerate(tree.right.tolist()):
-        if right >= 0:
-            depth[i + 1] = depth[right] = depth[i] + 1
-    return max(depth)
+    deepest, pending = 0, [0]  # the depths of the nodes to come, the next one last
+    for leaf in tree.class_counts.any(axis=1).tolist():
+        depth = pending.pop()
+        deepest = max(deepest, depth)
+        if not leaf:
+            pending += [depth + 1] * 2
+    return deepest
 
 
 def apply_tree(tree: CcTree, x: np.ndarray) -> np.ndarray:
     """Leaf node index reached by every row of x.
+
+    The walk takes the nodes in preorder, each popping its rows off a stack its
+    parent pushed, and counts its way past the subtrees of a split no row reaches.
 
     A split projects its rows' lambda columns as one (rows, lambda)
     column-major block, as indexing x along axis 1 gives it; the BLAS product
@@ -336,26 +335,28 @@ def apply_tree(tree: CcTree, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     few = n * tree.feature.shape[1] // d  # up to this many rows, rows first copies less
-    right, threshold = tree.right.tolist(), tree.threshold.tolist()
+    threshold = tree.threshold.tolist()
     out = np.empty(n, dtype=np.int64)
-    stack = [(0, np.arange(n))]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
+    pending, skip = [np.arange(n)], 0  # the rows of the nodes to come, the next one's last
+    for node, leaf in enumerate(tree.class_counts.any(axis=1).tolist()):
+        if skip:  # the subtrees still open below a split no row reaches
+            skip += -1 if leaf else 1
             continue
-        if right[node] < 0:
+        rows = pending.pop()
+        if leaf:
             out[rows] = node
-            continue
-        if rows.size <= few:
-            block = x[rows][:, tree.feature[node]]
-        elif rows.size < n:
-            block = x[:, tree.feature[node]].T.take(rows, axis=1).T
+        elif rows.size == 0:
+            skip = 2
         else:
-            block = x[:, tree.feature[node]]
-        z = block @ tree.projection[node]
-        mask = z <= threshold[node]
-        stack.append((node + 1, rows[mask]))
-        stack.append((right[node], rows[~mask]))
+            if rows.size <= few:
+                block = x[rows][:, tree.feature[node]]
+            elif rows.size < n:
+                block = x[:, tree.feature[node]].T.take(rows, axis=1).T
+            else:
+                block = x[:, tree.feature[node]]
+            z = block @ tree.projection[node]
+            mask = z <= threshold[node]
+            pending += [rows[~mask], rows[mask]]  # right, then left: node + 1
     return out
 
 

@@ -15,12 +15,13 @@ partition SPLIT_STREAM and tree induction FOREST_STREAM.
 The model file is this module's alone: save_pipeline writes a Pipeline as one
 canonical JSON document (version 5), and load_pipeline reads only what it writes.
 Its trees are ``tree_sizes``, the node counts, and ``arrays``: each CcTree array
-but ``right``, which the leaves (nodes with counts) imply, joined over the trees as
-standard base64 of its little-endian int64 or float64 bytes. The writer is the one
-definition of the document: load_pipeline builds a Pipeline through the checks that
-carry meaning (the parameter constructors, the seed range, the tree arrays' bytes
-and shape; see load_pipeline) and rejects the file unless that Pipeline writes back
-the same document less ``arrays``. Version 1 to 4 files need a retrain.
+joined over the trees as standard base64 of its little-endian int64 or float64
+bytes. The leaves (nodes with counts) fix each tree's shape; the loader checks it,
+and stores no child index. The writer is the one definition of the document:
+load_pipeline builds a Pipeline through the checks that carry meaning (the parameter
+constructors, the seed range, the tree arrays' bytes and shape; see load_pipeline)
+and rejects the file unless that Pipeline writes back the same document less
+``arrays``. Version 1 to 4 files need a retrain.
 """
 
 from __future__ import annotations
@@ -444,7 +445,7 @@ def result_to_dict(result: ExperimentResult) -> dict:
 PIPELINE_FORMAT = "slummap-pipeline"
 PIPELINE_VERSION = 5
 
-# CcTree's arrays but right, which the leaves imply, and the type of their packed values
+# Every CcTree array, and the type of its packed values
 _PACKED = dict(feature="<i8", projection="<f8", threshold="<f8", class_counts="<i8")
 
 
@@ -515,21 +516,15 @@ def _unpack(text: str, kind: str, shape: tuple[int, ...], what: str) -> np.ndarr
     return array
 
 
-def _right_children(leaf: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Each node's right child in its tree, -1 at a leaf, from the leaf flags of trees of
-    these sizes joined in preorder. With a split +1 and a leaf -1, a tree is one full
-    binary tree iff its running sum stays >= 0 until its last node takes it to -1 (else
-    ModelFormatError); a split's right child is the next node starting at the split's sum."""
+def _check_shape(leaf: np.ndarray, sizes: list[int]) -> None:
+    """Raise ModelFormatError unless the joined leaf flags spell one full binary tree per
+    size: with a split +1 and a leaf -1, a tree's running sum first drops below 0 at its end."""
     step = np.where(leaf, -1, 1)
     before = np.cumsum(step) - step  # over all trees joined, so each starts one lower
     starts = np.cumsum(sizes) - sizes
     in_tree = before + step - np.repeat(before[starts], sizes)
     if not np.array_equal(np.flatnonzero(in_tree < 0), starts + sizes - 1):
         raise ModelFormatError("each tree's leaves must close one full binary tree in preorder")
-    order = np.argsort(before, kind="stable")  # equal sums in node order; the last is a leaf
-    successor = np.empty_like(order)
-    successor[order[:-1]] = order[1:]
-    return np.where(leaf, -1, successor - np.repeat(starts, sizes))
 
 
 def _trees(sizes: list[int], packed: dict[str, str], lam: int, d: int) -> list[CcTree]:
@@ -537,7 +532,7 @@ def _trees(sizes: list[int], packed: dict[str, str], lam: int, d: int) -> list[C
 
     A leaf, a node whose counts are not both 0, holds counts >= 0 summing in
     int64 and zero split fields. The leaves close one full binary tree per size
-    (_right_children), and a split's feature indices lie in [0, d) and rise
+    (_check_shape), and a split's feature indices lie in [0, d) and rise
     strictly along its subset, as grow_tree draws them.
     """
     widths = dict(feature=(lam,), projection=(lam,), class_counts=(2,))
@@ -551,7 +546,7 @@ def _trees(sizes: list[int], packed: dict[str, str], lam: int, d: int) -> list[C
     at_leaves = (joined["feature"][leaf], joined["projection"][leaf], joined["threshold"][leaf])
     if any(a.any() or np.signbit(a).any() for a in at_leaves):
         raise ModelFormatError("a leaf's split fields must be 0")
-    joined["right"] = _right_children(leaf, sizes)
+    _check_shape(leaf, sizes)
     if not ((0 <= joined["feature"]) & (joined["feature"] < d)).all():
         raise ModelFormatError(f"feature index outside [0, {d})")
     if (np.diff(joined["feature"][~leaf], axis=1) <= 0).any():

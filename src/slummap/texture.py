@@ -10,18 +10,20 @@ Windows are never padded: pixels whose window overhangs the image border are
 marked invalid and excluded from sampling and scoring downstream.
 
 Every per-window sum is an exact integer, so a pixel's features depend only
-on its own window: not on its strip, the bands it is computed with, the
-scene's size or the order of summation. The five measures linear in the
-co-occurrence matrix are int64 box sums, homogeneity's in units of 2**-40:
-sums of a + b and of a^2 + b^2 from two pixel integral images that every
-direction shares, and per direction those of a * b and of homogeneity.
-Second moment and entropy come from one kernel for any number K of distinct
-pair keys, _key_sums: a (windows x K) count table takes the top window of
-each column at once, and its sums of squared cells and of c ln c (in fixed
-point) are read off the table. It then moves down the image, adding the
-entering key row and subtracting the leaving one (a running histogram, as
-in Huang, Yang & Tang's 1979 median filter), and each pair that enters or
-leaves steps its window's sums.
+on its own window and on its band's min..max over the scene (quantize): not
+on its strip, the bands it is computed with or the order of summation.
+Through that range a band's two most extreme samples move every pixel: one
+corner pixel at 65535 flips 50% of a clean 64 x 64 map (ROADMAP item 17).
+The five measures linear in the co-occurrence matrix are int64 box sums,
+homogeneity's in units of 2**-40: sums of a + b and of a^2 + b^2 from two
+pixel integral images that every direction shares, and per direction those
+of a * b and of homogeneity. Second moment and entropy come from one kernel
+for any number K of distinct pair keys, _key_sums: a (windows x K) count
+table takes the top window of each column at once, and its sums of squared
+cells and of c ln c (in fixed point) are read off the table. It then moves
+down the image, adding the entering key row and subtracting the leaving one
+(a running histogram, as in Huang, Yang & Tang's 1979 median filter), and
+each pair that enters or leaves steps its window's sums.
 
 One kernel pass serves a stack of key images of one shape: the bands of a
 group at every direction whose key image and window have that shape (see
@@ -145,7 +147,8 @@ def quantize(band: np.ndarray, levels: int) -> np.ndarray:
     """Equal-width binning over the band's global min..max.
 
     q(v) = min(levels-1, floor((v - min) * levels / (max - min + 1))).
-    A constant band quantizes to all zeros. Monotone in v.
+    A constant band quantizes to all zeros. Monotone in v. One extreme sample
+    widens every bin, and so moves every GLCM feature (ROADMAP item 17).
     """
     _check_levels(levels)
     band = np.asarray(band)

@@ -348,8 +348,8 @@ def grow_tree_oracle(x, y, lam: int, min_node_size: int, rng) -> list:
     those rows (column-major, as grow_tree keeps them); CCA builds and averages
     the one-hot label block; the split search sorts stably and takes c ln c
     per call; every draw is made by the scalar loops above. Returns six arrays:
-    CcTree's five in field order, with each split's explicit left child index
-    (-1 at a leaf) fourth, before right.
+    CcTree's four in field order, with each split's explicit left and right
+    child indices (-1 at a leaf) fourth and fifth, before class_counts.
     """
     import numpy as np
 
@@ -436,11 +436,13 @@ def grow_tree_oracle(x, y, lam: int, min_node_size: int, rng) -> list:
 
 
 def apply_tree_oracle(tree, x):
-    """The leaf each row of x reaches, routed the plain way: every split
-    gathers its rows' full feature vectors, then its lambda columns, and
-    projects that block. This is the router the pinned maps were made with."""
+    """The leaf each row of x reaches, routed the plain way: each split's right
+    child is parsed from the leaves (preorder_right), and every split gathers
+    its rows' full feature vectors, then its lambda columns, and projects that
+    block. This is the router the pinned maps were made with."""
     import numpy as np
 
+    right = preorder_right(tree.class_counts.any(axis=1).tolist())
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape[0], dtype=np.int64)
     stack = [(0, np.arange(x.shape[0]))]
@@ -448,11 +450,11 @@ def apply_tree_oracle(tree, x):
         node, rows = stack.pop()
         if rows.size == 0:
             continue
-        if tree.right[node] < 0:
+        if right[node] < 0:
             out[rows] = node
             continue
         z = x[rows][:, tree.feature[node]] @ tree.projection[node]
         mask = z <= tree.threshold[node]
         stack.append((node + 1, rows[mask]))
-        stack.append((tree.right[node], rows[~mask]))
+        stack.append((right[node], rows[~mask]))
     return out

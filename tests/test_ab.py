@@ -2,7 +2,8 @@
 and the map digest check of scale runs.
 
 No test here launches a run: subprocess.run is replaced by a function that
-fails, or, to export a scratch repository, by one that runs git alone.
+fails, or, to export a scratch repository, by one that runs git alone, or,
+to see both exports compile first, by one that records compileall alone.
 """
 
 import importlib.util
@@ -236,6 +237,7 @@ def _scale_main(tmp_path, monkeypatch, change_digest, scale) -> list:
     monkeypatch.setattr(ab, "export", lambda rev, into: None)
     change = []
     monkeypatch.setattr(ab, "export_worktree", lambda root, into: change.append((root, into)))
+    monkeypatch.setattr(ab, "compile_tree", lambda tree: None)
     calls = []
 
     def run_scale(tree, shape, technique, jobs, seed):
@@ -247,6 +249,39 @@ def _scale_main(tmp_path, monkeypatch, change_digest, scale) -> list:
     monkeypatch.setattr(ab, "run_scale", run_scale)
     argv = ["--base", "HEAD", "--scale", scale, "--technique", "glcm", "--jobs", "2", "--pairs", "2"]
     return [ab.main(argv), *calls]
+
+
+@pytest.mark.parametrize("mode", [["--workload", "glcm-noisy"], ["--scale", "64"]])
+def test_both_exports_compile_before_the_first_run(tmp_path, monkeypatch, mode):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s",
+                                                                         "better": "lower"}]}))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "git", lambda *args: "" if args[0] == "status" else "f" * 40)
+    trees, events = {}, []
+    monkeypatch.setattr(ab, "export", lambda rev, into: trees.setdefault("base", into))
+    monkeypatch.setattr(ab, "export_worktree", lambda root, into: trees.setdefault("change", into))
+
+    def compile_only(command, cwd, **kwargs):
+        assert command == [ab.sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+        assert kwargs.get("check") is True
+        events.append(("compile", cwd))
+        return subprocess.CompletedProcess(command, 0, b"", b"")
+
+    def run_perfbench(tree, workload, seed, seconds):
+        events.append(("run", tree))
+        return ab.parse_run(canned_stdout(0.05))
+
+    def run_scale(tree, shape, technique, jobs, seed):
+        events.append(("run", tree))
+        return ab.parse_scale_run(canned_scale_stdout())
+
+    monkeypatch.setattr(ab.subprocess, "run", compile_only)
+    monkeypatch.setattr(ab, "run_perfbench", run_perfbench)
+    monkeypatch.setattr(ab, "run_scale", run_scale)
+    assert ab.main(["--base", "HEAD", *mode, "--pairs", "2"]) == 0
+    assert sorted(events[:2]) == sorted(("compile", tree) for tree in trees.values())
+    assert len(trees) == 2 and trees["base"] != trees["change"]
+    assert events[2:] == [("run", trees[side]) for side in ("base", "change", "change", "base")]
 
 
 def test_working_tree_export_holds_uncommitted_edits_and_new_files_and_no_bytecode(

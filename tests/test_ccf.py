@@ -33,7 +33,7 @@ from slummap.experiment import (
 )
 from slummap.rng import FOREST_STREAM, stream
 
-from .oracles import apply_tree_oracle, grow_tree_oracle, lda_direction_oracle
+from .oracles import apply_tree_oracle, grow_tree_oracle, lda_direction_oracle, preorder_right
 
 
 def pearson(a, b):
@@ -183,12 +183,20 @@ def _distribution(tree: CcTree, node: int) -> tuple[float, float]:
     return n0 / (n0 + n1), n1 / (n0 + n1)
 
 
+def _parsed(tree: CcTree) -> tuple[list[int], list[int]]:
+    """Each node's right child (-1 at a leaf) as preorder_right parses it off the
+    leaves, and each node's depth along those explicit children."""
+    right = preorder_right(tree.class_counts.any(axis=1).tolist())
+    assert right is not None, "the leaves are not one preorder tree"
+    depth = [0] * len(right)
+    for i, child in enumerate(right):
+        if child >= 0:
+            depth[i + 1] = depth[child] = depth[i] + 1
+    return right, depth
+
+
 def _depth(tree: CcTree) -> int:
-    depth = [0] * len(tree.right)
-    for i, right in enumerate(tree.right.tolist()):
-        if right >= 0:
-            depth[i + 1] = depth[right] = depth[i] + 1
-    return max(depth)
+    return max(_parsed(tree)[1])
 
 
 def _trees(model: CcfModel) -> list[list[bytes]]:
@@ -316,11 +324,13 @@ def _assert_tree_equals_oracle(x, y, params=ForestParams(), key=(0, 0)):
     lam = params.resolve_lambda(x.shape[1])
     expected = grow_tree_oracle(x, y, lam, params.min_node_size, stream(key[0], FOREST_STREAM, key[1]))
     # The reference grower places each child itself; the preorder must put
-    # every split's left child right after it, which is why CcTree stores none.
-    left, right = expected.pop(3), expected[3]
+    # every split's left child right after it, and its right child where the
+    # leaves close the left subtree, which is why CcTree stores neither.
+    left, right = expected.pop(3), expected.pop(3)
     assert left.tolist() == [-1 if r == -1 else i + 1 for i, r in enumerate(right.tolist())]
+    assert right.tolist() == preorder_right(tree.class_counts.any(axis=1).tolist())
     got = [getattr(tree, f.name) for f in fields(tree)]
-    assert len(got) == len(expected) == 5
+    assert len(got) == len(expected) == 4
     for field, a, b in zip(fields(tree), got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape, field.name
         assert a.tobytes() == b.tobytes(), field.name
@@ -344,7 +354,7 @@ def test_rows_equal_in_leading_columns_still_split_as_the_reference_grower():
     x[20:, 2] = 2.0
     y = np.repeat(np.array([0, 1], dtype=np.uint8), 20)
     tree = _assert_tree_equals_oracle(x, y, ForestParams(n_candidate_features=3))
-    assert tree.right[0] >= 0
+    assert tree.class_counts[0].tolist() == [0, 0]  # the root splits
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,7 +379,7 @@ def test_identical_rows_with_mixed_labels_are_one_leaf_and_draw_nothing():
     y = np.array([0, 1] * 15, dtype=np.uint8)
     rng = stream(0, FOREST_STREAM, 0)
     tree = grow_tree(x, y, ForestParams(), rng)
-    assert tree.right.tolist() == [-1]
+    assert len(tree.threshold) == 1
     assert tree.class_counts.tolist() == [[15, 15]]
     assert rng.next_u32() == stream(0, FOREST_STREAM, 0).next_u32()
 
@@ -379,13 +389,13 @@ def test_information_gain_positive_at_every_split():
     x = rng.normal(size=(100, 4))
     y = (x[:, 0] * x[:, 1] > 0).astype(np.uint8)
     tree = grow_tree(x, y, ForestParams(), stream(3, FOREST_STREAM, 1))
-    for i, right in enumerate(tree.right.tolist()):
+    for i, right in enumerate(_parsed(tree)[0]):
         if right == -1:
             total = int(tree.class_counts[i].sum())
             assert sum(_distribution(tree, i)) == pytest.approx(1.0, abs=1e-12)
             assert total > 0
         else:
-            assert i + 1 < right < len(tree.right)
+            assert i + 1 < right < len(tree.threshold)
 
 
 @pytest.mark.parametrize("data_seed", [0, 1, 2, 3, 4])
@@ -410,22 +420,24 @@ def test_leaf_partition_invariant_under_positive_feature_scaling(data_seed):
 def _tree_with_ties(x: np.ndarray, lam: int, depth: int, rng) -> CcTree:
     """A random tree over x whose every threshold is the projection of one of
     the rows that reach its split, as apply_tree_oracle computes it: a router
-    that rounds any projection differently sends some row the other way."""
+    that rounds any projection differently sends some row the other way. It
+    grows on below nodes no row reaches, with thresholds drawn at random, so
+    a router must walk through subtrees that hold no rows."""
     nodes = []
 
     def grow(rows, level):
         node = len(nodes)
-        nodes.append([np.zeros(lam, dtype=np.int64), np.zeros(lam), 0.0, -1, (1, 1)])
-        if level == depth or rows.size == 0 or rng.random() < 0.15:
-            return node
+        nodes.append([np.zeros(lam, dtype=np.int64), np.zeros(lam), 0.0, (1, 1)])
+        if level == depth or rng.random() < 0.15:
+            return
         feature = np.sort(rng.choice(x.shape[1], lam, replace=False))
         w = rng.normal(size=lam)
         z = x[rows][:, feature] @ w
-        threshold = float(z[rng.integers(z.size)])
+        threshold = float(z[rng.integers(z.size)]) if z.size else float(rng.normal())
         mask = z <= threshold
+        nodes[node] = [feature, w, threshold, (0, 0)]
         grow(rows[mask], level + 1)  # the left child, node + 1
-        nodes[node] = [feature, w, threshold, grow(rows[~mask], level + 1), (0, 0)]
-        return node
+        grow(rows[~mask], level + 1)
 
     grow(np.arange(x.shape[0]), 0)
     return CcTree(*(np.array(column) for column in zip(*nodes)))
@@ -449,6 +461,55 @@ def test_apply_tree_equals_reference_router(n, d, lam_share, depth, seed):
     expected = apply_tree_oracle(tree, x)
     for layout in (x, np.asfortranarray(x)):
         assert apply_tree(tree, layout).tolist() == expected.tolist()
+
+
+def test_apply_tree_walks_through_subtrees_no_row_reaches():
+    # A split no row reaches, and its subtree, come in preorder before a leaf
+    # some row reaches: a router that loses its place in that subtree sends
+    # the row to the wrong leaf.
+    x = np.random.default_rng(8).normal(size=(6, 3))
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        tree = _tree_with_ties(x, 2, 5, rng)
+        right = _parsed(tree)[0]
+        parent = {}
+        for i, child in enumerate(right):
+            if child >= 0:
+                parent[i + 1] = parent[child] = i
+        leaves = apply_tree_oracle(tree, x).tolist()
+        reached = set(leaves)
+        for node in leaves:
+            while node in parent:
+                node = parent[node]
+                reached.add(node)
+        if any(child >= 0 and i not in reached for i, child in enumerate(right[: max(leaves)])):
+            break
+    else:
+        pytest.fail("no tree has an unreached split before a reached leaf")
+    for layout in (x, np.asfortranarray(x)):
+        assert apply_tree(tree, layout).tolist() == leaves
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    d=st.integers(1, 6),
+    levels=st.integers(1, 4),
+    depth=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_depth_and_leaves_equal_those_of_the_parsed_tree(n, d, levels, depth, seed):
+    # perfbench counts nodes, leaves and depth through CcTree.nodes and
+    # ccf.tree_depth; both must agree with the explicit children.
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+    y = rng.integers(0, 2, size=n).astype(np.uint8)
+    grown = grow_tree(x, y, ForestParams(min_node_size=1), stream(seed, FOREST_STREAM, 2))
+    tied = _tree_with_ties(x, 1 + int(rng.integers(d)), depth, rng)
+    for tree in (grown, tied):
+        right, depths = _parsed(tree)
+        assert [node.is_leaf for node in tree.nodes] == [child == -1 for child in right]
+        assert ccf.tree_depth(tree) == max(depths)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +603,6 @@ def test_tie_breaks_toward_class_zero():
         feature=np.zeros((1, 1), dtype=np.int64),
         projection=np.zeros((1, 1)),
         threshold=np.zeros(1),
-        right=np.full(1, -1),
         class_counts=np.array([[1, 1]]),
     )
     model = CcfModel(

@@ -39,6 +39,7 @@ from slummap.rng import BALANCE_STREAM, FOREST_STREAM, SPLIT_STREAM, derive_key,
 from slummap.texture import GlcmParams
 
 from .oracles import (
+    apply_tree_oracle,
     balance_oracle,
     confusion_oracle,
     preorder_right,
@@ -571,7 +572,7 @@ def test_model_file_loads_only_what_saves_back_to_the_same_bytes(
     flip=st.integers(-1, 40),
     data=st.data(),
 )
-def test_right_children_exist_exactly_when_the_leaves_parse_as_one_tree_per_size(
+def test_shape_check_accepts_exactly_the_leaves_that_parse_as_one_tree_per_size(
     trees, flip, data
 ):
     # Each list of draws spells one preorder tree: while a subtree is open a
@@ -592,16 +593,12 @@ def test_right_children_exist_exactly_when_the_leaves_parse_as_one_tree_per_size
     if len(flags) > 1 and data.draw(st.booleans(), label="recut"):
         cuts = data.draw(st.sets(st.integers(1, len(flags) - 1), max_size=4), label="cuts")
         sizes = np.diff([0, *sorted(cuts), len(flags)]).tolist()
-    expected, start = [], 0
-    for size in sizes:
-        parsed = preorder_right(flags[start : start + size])
-        start += size
-        if parsed is None:
-            with pytest.raises(ModelFormatError, match="one full binary tree"):
-                experiment._right_children(np.array(flags), sizes)
-            return
-        expected += parsed
-    assert experiment._right_children(np.array(flags), sizes).tolist() == expected
+    starts = np.cumsum(sizes) - sizes
+    if any(preorder_right(flags[start : start + size]) is None for start, size in zip(starts, sizes)):
+        with pytest.raises(ModelFormatError, match="one full binary tree"):
+            experiment._check_shape(np.array(flags), sizes)
+    else:
+        experiment._check_shape(np.array(flags), sizes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -611,19 +608,20 @@ def test_right_children_exist_exactly_when_the_leaves_parse_as_one_tree_per_size
     levels=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_right_children_of_grown_trees_are_the_ones_the_grower_placed(n, d, levels, seed):
-    # grow_tree places each right child itself; the loader derives it from
-    # the leaves, the nodes with counts, and the two must agree.
+def test_grown_trees_pass_the_shape_check_and_route_as_their_parsed_children(n, d, levels, seed):
+    # The grower stores no child index; its leaves, the nodes with counts,
+    # must spell one preorder tree each, the loader must accept them, and the
+    # router must send the training rows where the parsed children do.
     rng = np.random.default_rng(seed)
     x = rng.integers(0, levels, size=(n, d)).astype(np.float64)
     y = rng.integers(0, 2, size=n).astype(np.uint8)
     y[:2] = [0, 1]
     trees = ccf.train_forest(x, y, ForestParams(n_trees=3), master_seed=seed).trees
-    right = np.concatenate([tree.right for tree in trees])
-    leaf = np.concatenate([tree.class_counts.any(axis=1) for tree in trees])
-    assert (leaf == (right == -1)).all()
-    sizes = [len(tree.right) for tree in trees]
-    assert experiment._right_children(leaf, sizes).tolist() == right.tolist()
+    leaves = [tree.class_counts.any(axis=1) for tree in trees]
+    assert all(preorder_right(leaf.tolist()) is not None for leaf in leaves)
+    experiment._check_shape(np.concatenate(leaves), [len(leaf) for leaf in leaves])
+    for tree in trees:
+        assert ccf.apply_tree(tree, x).tolist() == apply_tree_oracle(tree, x).tolist()
 
 
 # sha256 of a small noisy model's file as saved (version 5), and of the same

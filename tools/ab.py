@@ -8,10 +8,12 @@ Both sides run from exports in a temporary directory: the base revision's
 committed files (``git archive``), and the working tree's files as they stand,
 tracked ones with their uncommitted edits and untracked ones that are not
 ignored. So neither side imports a bytecode cache or build output the other
-lacks. Each pair then runs once in each tree, against its own ``src/``; even
-pairs run the base first, odd pairs the change first, so a drift of the host
-over the session falls on both sides alike. Nothing under ``perfbench/`` is
-edited.
+lacks. Before the first run both exports compile ``src`` and ``perfbench``
+(``python -m compileall -q``), so that no timed run pays for compiling source
+text that differs between the sides. Each pair then runs once in each tree,
+against its own ``src/``; even pairs run the base first, odd pairs the change
+first, so a drift of the host over the session falls on both sides alike.
+Nothing under ``perfbench/`` is edited.
 
 With ``--workload`` a run is ``perfbench/run.py --trace 0``. Writes
 ``bench/BENCH_<workload>-seed<seed>.json``: for each end-to-end metric the medians
@@ -291,6 +293,12 @@ def export_worktree(root: Path, into: Path) -> None:
             shutil.copy2(root / name, into / name)
 
 
+def compile_tree(tree: Path) -> None:
+    """Byte-compile tree's ``src`` and ``perfbench``, as every run then imports them."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree,
+                   check=True, capture_output=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -318,6 +326,8 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         export(base_rev, trees["base"])
         export_worktree(ROOT, trees["change"])
+        for tree in trees.values():
+            compile_tree(tree)
 
         def run_side(side):
             if args.scale is None:
