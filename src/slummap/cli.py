@@ -117,10 +117,13 @@ def _no_nul(parse):
 
 def _location(text: str) -> str:
     """A scene's files are named after its location, so it is one path
-    component, and it fills one report.csv cell, so it holds no comma."""
-    for char in {",", "/", os.sep, os.altsep} - {None}:
+    component, and it fills one report.csv cell, so it holds no comma, no
+    line break and no quote, which CSV readers take to join fields."""
+    for char in {",", '"', "/", os.sep, os.altsep} - {None}:
         if char in text:
             raise ValueError(f"the location holds {char!r}")
+    if "".join(text.splitlines()) != text:
+        raise ValueError("the location holds a line break")
     return _no_nul(str)(text)
 
 
@@ -314,11 +317,11 @@ def cmd_experiment(config: RunConfig) -> None:
             out / f"{prefix}_timings.json",
             {stage: round(seconds, 6) for stage, seconds in result.timings.items()},
         )
-        csv_rows.append(report_csv_row(scene.location, config.technique, result.report))
+        seconds = result.timings["total"]
+        csv_rows.append(report_csv_row(scene.location, config.technique, result.report, seconds))
         print(
             f"{scene.location} ({config.technique}): "
-            f"mean IoU {format_percent(result.report.mean_iou)}%, "
-            f"{result.report.seconds:.1f}s"
+            f"mean IoU {format_percent(result.report.mean_iou)}%, {seconds:.1f}s"
         )
     (out / "report.csv").write_text("\n".join(csv_rows) + "\n", encoding="utf-8")
 
@@ -354,13 +357,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not scorable.any():
         raise DegenerateDataError("no pixel is valid in both prediction and truth")
     report = evaluate(prediction.labels[scorable], truth.labels[scorable])
-    report.seconds = time.perf_counter() - t0
+    row = report_csv_row(args.location, "map", report, time.perf_counter() - t0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(
-        CSV_HEADER + "\n" + report_csv_row(args.location, "map", report) + "\n",
-        encoding="utf-8",
-    )
+    (out / "report.csv").write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
     _write_json(out / "report.json", report_to_dict(report))
     print(f"mean IoU {format_percent(report.mean_iou)}% -> {out / 'report.csv'}")
     return EXIT_OK

@@ -52,8 +52,8 @@ from .texture import GlcmParams, extract_spectral, extract_texture
 TECHNIQUES = ("spectral", "glcm")
 
 TRAIN_FRACTION = 0.8  # the 80/20 train/test split of the protocol
-# Pixels predict_scene gathers at a time: every feature of a block of them,
-# so that each block of matrix rows is written whole.
+# Pixels _gather reads at a time: every feature of a block of them, so that
+# each block of matrix rows is written whole.
 _GATHER_PIXELS = 2**12
 
 CSV_HEADER = "location,technique,acc_slum,acc_non,iou_slum,iou_non,miou,seconds"
@@ -77,33 +77,46 @@ class ScalerStats:
         return self.stds == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsReport:
-    """Confusion counts and derived metrics; slum (1) is the positive class.
-
-    Per-class accuracy is recall. Metrics of a class absent from the truth
-    are None (absent), never zero. Fractions are kept at full precision;
-    rounding to one decimal happens only when formatting.
-    """
+    """The confusion counts of a binary labelling, slum (1) positive; every metric
+    is a read-only function of them. Per-class accuracy is recall. Metrics of a
+    class absent from the truth are None, never zero. Fractions are kept at full
+    precision; rounding to one decimal happens only when formatting. A report
+    holds no time: a run's is in ExperimentResult.timings."""
 
     true_positive: int
     false_positive: int
     false_negative: int
     true_negative: int
-    slum_accuracy: float | None
-    non_slum_accuracy: float | None
-    slum_iou: float | None
-    non_slum_iou: float | None
-    mean_iou: float | None
-    seconds: float = 0.0
+
+    @property
+    def slum_accuracy(self) -> float | None:
+        tp, fn = self.true_positive, self.false_negative
+        return tp / (tp + fn) if tp + fn > 0 else None
+
+    @property
+    def non_slum_accuracy(self) -> float | None:
+        tn, fp = self.true_negative, self.false_positive
+        return tn / (tn + fp) if tn + fp > 0 else None
+
+    @property
+    def slum_iou(self) -> float | None:
+        tp, fp, fn = self.true_positive, self.false_positive, self.false_negative
+        return tp / (tp + fp + fn) if tp + fn > 0 else None
+
+    @property
+    def non_slum_iou(self) -> float | None:
+        tn, fn, fp = self.true_negative, self.false_negative, self.false_positive
+        return tn / (tn + fn + fp) if tn + fp > 0 else None
+
+    @property
+    def mean_iou(self) -> float | None:
+        defined = [v for v in (self.slum_iou, self.non_slum_iou) if v is not None]
+        return sum(defined) / len(defined) if defined else None
 
     def counts(self) -> dict[str, int]:
-        return {
-            "true_positive": self.true_positive,
-            "false_positive": self.false_positive,
-            "false_negative": self.false_negative,
-            "true_negative": self.true_negative,
-        }
+        return asdict(self)
 
 
 def format_percent(fraction: float | None) -> str:
@@ -187,8 +200,20 @@ def _scale(stats: ScalerStats, features: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
+def _gather(features: FeatureRaster, pixels: np.ndarray) -> np.ndarray:
+    """The row-major (len(pixels), F) float64 matrix of the features at flat pixel
+    indices, the one way feature rows are built: _GATHER_PIXELS rows at a time,
+    each block widened exactly from float32, so no full-size float32 copy is made."""
+    planes = features.values.reshape(len(features.feature_names), -1)
+    matrix = np.empty((pixels.size, planes.shape[0]))
+    for start in range(0, pixels.size, _GATHER_PIXELS):
+        block = pixels[start : start + _GATHER_PIXELS]
+        matrix[start : start + block.size] = planes[:, block].T
+    return matrix
+
+
 def evaluate(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
-    """Per-class recall and IoU plus mean IoU from binary label vectors."""
+    """The confusion counts of binary label vectors, as a MetricsReport."""
     pred = np.asarray(pred).ravel()
     truth = np.asarray(truth).ravel()
     if pred.shape != truth.shape:
@@ -200,26 +225,7 @@ def evaluate(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
             raise ValueError(f"{name} labels must be binary")
     # bin 2*pred + truth: 0 true negative, 1 false negative, 2 false positive, 3 true positive
     tn, fn, fp, tp = map(int, np.bincount((2 * pred + truth).astype(np.intp), minlength=4))
-
-    slum_present = tp + fn > 0
-    non_present = tn + fp > 0
-    slum_accuracy = tp / (tp + fn) if slum_present else None
-    slum_iou = tp / (tp + fp + fn) if slum_present else None
-    non_slum_accuracy = tn / (tn + fp) if non_present else None
-    non_slum_iou = tn / (tn + fn + fp) if non_present else None
-    defined = [v for v in (slum_iou, non_slum_iou) if v is not None]
-    mean_iou = sum(defined) / len(defined) if defined else None
-    return MetricsReport(
-        true_positive=tp,
-        false_positive=fp,
-        false_negative=fn,
-        true_negative=tn,
-        slum_accuracy=slum_accuracy,
-        non_slum_accuracy=non_slum_accuracy,
-        slum_iou=slum_iou,
-        non_slum_iou=non_slum_iou,
-        mean_iou=mean_iou,
-    )
+    return MetricsReport(tp, fp, fn, tn)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +272,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full protocol on one scene and one technique.
 
+    A pixel set is one array of flat (row-major) pixel indices. The training
+    rows and the map's rows come from one block gather (_gather), and the test
+    split is scored from the map. Seconds per stage and in total are in ``timings``.
+
     Both parallel stages run in ``jobs`` processes, the caller and children
     forked for that stage alone: extraction splits the bands into groups and
     training whole trees.
@@ -277,14 +287,13 @@ def run_experiment(
     features = extract_features(stack, technique, glcm_params, jobs=jobs)
     timings["extract"] = time.perf_counter() - t0
 
-    # The pixels usable in both inputs, in row-major order; balancing and
-    # splitting only pick indices into them.
+    # The flat indices of the pixels usable in both inputs, in row-major
+    # order; balancing and splitting only pick positions into them.
     t0 = time.perf_counter()
-    usable = features.valid & mask.valid
-    if not usable.any():
+    usable = np.flatnonzero(features.valid & mask.valid)
+    if usable.size == 0:
         raise ValueError("no usable pixels: every pixel is invalid in one input")
-    rows, cols = np.nonzero(usable)
-    labels = mask.labels[rows, cols]
+    labels = mask.labels.ravel()[usable]
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -299,7 +308,7 @@ def run_experiment(
     # fit_scaler reads the row-major gather, as its axis-0 sums round by
     # layout; the forest reads a column-major matrix, so scaling writes one.
     t0 = time.perf_counter()
-    train_x = features.values[:, rows[train_rows], cols[train_rows]].T.astype(np.float64)
+    train_x = _gather(features, usable[train_rows])
     scaler = fit_scaler(train_x)
     train_x = scale_matrix(scaler, train_x)
     timings["scale"] = time.perf_counter() - t0
@@ -322,11 +331,10 @@ def run_experiment(
 
     # Scored from the map, not a second predict: BLAS can round another batch differently.
     t0 = time.perf_counter()
-    report = evaluate(prediction.labels[rows[test_rows], cols[test_rows]], labels[test_rows])
+    report = evaluate(prediction.labels.ravel()[usable[test_rows]], labels[test_rows])
     timings["predict"] = time.perf_counter() - t0
 
-    report.seconds = time.perf_counter() - t_start
-    timings["total"] = report.seconds
+    timings["total"] = time.perf_counter() - t_start
     return ExperimentResult(
         location=location,
         technique=technique,
@@ -352,9 +360,9 @@ def predict_scene(
     height or width raises DimensionMismatchError.
 
     The one full-size array is the float64 matrix of the valid pixels,
-    row-major, the layout routing reads fastest: it is gathered into a block
-    of _GATHER_PIXELS rows at a time, widened exactly from float32, and
-    scaled in place, bit-equal to scale_matrix."""
+    row-major, the layout routing reads fastest: _gather builds it as it
+    builds the training rows, and it is scaled in place, bit-equal to
+    scale_matrix."""
     expected, got = model.feature_names, features.feature_names
     if got != expected:
         first = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
@@ -370,11 +378,7 @@ def predict_scene(
             f"{features.width}x{features.height}"
         )
     pixels = np.flatnonzero(features.valid)
-    planes = features.values.reshape(len(expected), -1)
-    matrix = np.empty((pixels.size, len(expected)))
-    for start in range(0, pixels.size, _GATHER_PIXELS):
-        block = pixels[start : start + _GATHER_PIXELS]
-        matrix[start : start + block.size] = planes[:, block].T
+    matrix = _gather(features, pixels)
     labels, _ = predict(model, _scale(scaler, matrix, matrix))
     labels_grid = np.zeros((features.height, features.width), dtype=np.uint8)
     labels_grid.reshape(-1)[pixels] = labels
@@ -392,24 +396,18 @@ def predict_scene(
 # ---------------------------------------------------------------------------
 
 
-def report_csv_row(location: str, technique: str, report: MetricsReport) -> str:
+def report_csv_row(location: str, technique: str, report: MetricsReport, seconds: float) -> str:
     """One row of the comparison table (columns as in CSV_HEADER)."""
     percent = report_to_dict(report)["percent"].values()
-    return ",".join([location, technique, *percent, f"{report.seconds:.1f}"])
+    return ",".join([location, technique, *percent, f"{seconds:.1f}"])
 
 
 def report_to_dict(report: MetricsReport) -> dict:
     """Deterministic structured form of a report (no timing fields)."""
     return {
         "confusion": report.counts(),
-        "slum": {
-            "accuracy": report.slum_accuracy,
-            "iou": report.slum_iou,
-        },
-        "non_slum": {
-            "accuracy": report.non_slum_accuracy,
-            "iou": report.non_slum_iou,
-        },
+        "slum": {"accuracy": report.slum_accuracy, "iou": report.slum_iou},
+        "non_slum": {"accuracy": report.non_slum_accuracy, "iou": report.non_slum_iou},
         "mean_iou": report.mean_iou,
         # the CSV_HEADER columns between technique and seconds, in order
         "percent": {

@@ -109,6 +109,33 @@ def test_summary_counts_pairs_won_against_the_base_spread():
     assert ab.summarize(_runs(base, base), BETTER)["wall_s"]["pairs_won"] == 0
 
 
+def test_bound_flags_judge_the_median_and_the_spread_against_the_bound():
+    base = [0.100, 0.101, 0.102, 0.103, 0.104]  # median 0.102, spread 0.002 (2%)
+    bounds = {"wall_s": 0.10, "miou_pct": 0.05}
+
+    def flags(change, bounds=bounds, base=base, **miou):
+        m = ab.summarize(_runs(base, change, **miou), BETTER, bounds)
+        return {k: (m[k]["worse_than_bound"], m[k]["unresolved"]) for k in ("wall_s", "miou_pct")}
+
+    # Within the bound either way; a 2% spread resolves a 10% bound.
+    assert flags([w * 1.09 for w in base])["wall_s"] == (False, False)
+    assert flags([w * 0.5 for w in base])["wall_s"] == (False, False)
+    # Worse by more than 10% of the base median: 0.1123 against 0.102.
+    assert flags([w * 1.11 for w in base])["wall_s"] == (True, False)
+    # Higher is better for mIoU: 98 -> 92.9 is 5.2% worse; 98 -> 93.2 is not.
+    assert flags(base, base_miou=98.0, change_miou=92.9)["miou_pct"] == (True, False)
+    assert flags(base, base_miou=98.0, change_miou=93.2)["miou_pct"] == (False, False)
+    # A base spread of 20% is unresolved against a 10% bound ...
+    wide = [0.08, 0.09, 0.10, 0.11, 0.12]
+    assert flags([0.10] * 5, base=wide)["wall_s"] == (False, True)
+    assert flags([0.12, 0.13, 0.14, 0.15, 0.16], base=wide)["wall_s"] == (True, True)
+    # ... unless every change run beat every base run.
+    assert flags([0.07, 0.06, 0.05, 0.075, 0.065], base=wide)["wall_s"] == (False, False)
+    # A metric without a bound gets no flags.
+    m = ab.summarize(_runs(base, base), BETTER, {})["wall_s"]
+    assert (m["bound"], m["worse_than_bound"], m["unresolved"]) == (None, None, None)
+
+
 def test_bench_document_schema_and_correct_flag():
     args = Namespace(workload="glcm-noisy", seed=1, seconds=6.0, pairs=2)
     runs = _runs([0.06, 0.07], [0.05, 0.06])
@@ -122,22 +149,28 @@ def test_bench_document_schema_and_correct_flag():
     assert set(doc["metrics"]) == set(BETTER)
     assert set(doc["metrics"]["wall_s"]) == {
         "better", "base", "change", "change_pct", "pairs", "pairs_won",
-        "base_quartile_spread", "gain_clears_spread",
+        "base_quartile_spread", "gain_clears_spread", "bound", "worse_than_bound", "unresolved",
     }
+    assert doc["metrics"]["wall_s"]["bound"] is None  # no bound given
+    bounded = ab.bench_document(args, "a" * 40, "b" * 40, runs, BETTER, {"wall_s": 0.25})
+    assert bounded["metrics"]["wall_s"]["bound"] == 0.25
+    assert bounded["metrics"]["wall_s"]["worse_than_bound"] is False
     assert [r["correct"] for r in doc["runs"]] == [True] * 4
     runs[3]["correct"] = False
     assert ab.bench_document(args, "a" * 40, "b" * 40, runs, BETTER)["correct"] is False
     assert ab.bench_document(args, "a" * 40, "b" * 40, [], BETTER)["correct"] is False
 
 
-def canned_scale_stdout(digest="ab" * 32, total=5.0, peak=205.7, children=0.0) -> str:
+def canned_scale_stdout(digest="ab" * 32, total=5.0, peak=205.7, children=0.0, traced=True) -> str:
     stages = {"extract": 2.9, "assemble": 0.01, "balance": 0.001, "split": 0.12, "scale": 0.15,
               "train": 1.2, "map": 0.6, "predict": 0.001, "total": total}
     result = {"env": {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}, "map_sha256": digest,
               "metrics": {**{k + "_s": v for k, v in stages.items()},
                           "peak_rss_mb": peak, "children_peak_rss_mb": children,
-                          "model_bytes": 2052010, "save_pipeline_s": 0.011,
-                          "load_pipeline_s": 0.012}}
+                          "minor_faults": 51234, "model_bytes": 2052010,
+                          "save_pipeline_s": 0.011, "load_pipeline_s": 0.012}}
+    if traced:  # --jobs 1 runs alone
+        result["metrics"]["traced_peak_mb"] = 97.5
     return "some warning on stdout\n" + json.dumps(result) + "\n"
 
 
@@ -158,6 +191,9 @@ def test_parse_scale_run_reads_stages_peaks_and_the_map_digest():
     assert run["metrics"]["peak_rss_mb"] == 210.0
     assert run["metrics"]["children_peak_rss_mb"] == 160.5
     assert run["metrics"]["model_bytes"] == 2052010
+    assert run["metrics"]["minor_faults"] == 51234
+    assert run["metrics"]["traced_peak_mb"] == 97.5
+    assert "traced_peak_mb" not in ab.parse_scale_run(canned_scale_stdout(traced=False))["metrics"]
     assert ab.parse_scale_run("")["correct"] is False
 
 
@@ -183,11 +219,13 @@ def test_scale_document_summarizes_every_stage_and_peak():
     assert doc["correct"] is True and doc["map_digests"] == {"base": [same], "change": [same]}
     assert set(doc["metrics"]) == {"extract_s", "assemble_s", "balance_s", "split_s", "scale_s",
                                    "train_s", "map_s", "predict_s", "total_s", "peak_rss_mb",
-                                   "children_peak_rss_mb", "model_bytes", "save_pipeline_s",
-                                   "load_pipeline_s"}
+                                   "children_peak_rss_mb", "minor_faults", "traced_peak_mb",
+                                   "model_bytes", "save_pipeline_s", "load_pipeline_s"}
     peak = doc["metrics"]["peak_rss_mb"]
     assert peak["better"] == "lower" and peak["pairs_won"] == 3
     assert peak["base"]["median"] == 285.7 and peak["change"]["median"] == 206.7
+    assert doc["metrics"]["traced_peak_mb"]["better"] == "lower"
+    assert doc["metrics"]["minor_faults"]["base"]["median"] == 51234
     other = ab.scale_document(args, "a" * 40, "b" * 40, _scale_runs([same] * 3, ["cd" * 32] * 3))
     assert other["correct"] is False
     assert other["map_digests"] == {"base": [same], "change": ["cd" * 32]}

@@ -127,21 +127,33 @@ def test_location_with_a_path_separator_exits_two_before_any_output(
     assert list(tmp_path.iterdir()) == [config]
 
 
-@pytest.mark.parametrize("command", ["experiment", "evaluate"])
+@pytest.mark.parametrize(
+    "command, location",
+    [
+        pytest.param("experiment", "Rio, Brazil", id="experiment"),
+        pytest.param("evaluate", "a,b", id="evaluate"),
+        # A line break wrote a row holding only "city", then one for "fake".
+        pytest.param("evaluate", "city\nfake", id="evaluate-newline"),
+        pytest.param("evaluate", "city\r", id="evaluate-return"),
+        pytest.param("evaluate", "city\u2028fake", id="evaluate-line-separator"),
+        # A leading quote makes CSV readers join the fields up to the next one.
+        pytest.param("evaluate", '"city', id="evaluate-quote"),
+    ],
+)
 def test_location_with_a_comma_exits_two_before_any_output(
-    command, demo, experiment_out, tmp_path
+    command, location, demo, experiment_out, tmp_path
 ):
     # The location fills one report.csv cell: a comma used to write a ninth field.
     out = tmp_path / "o"
     if command == "experiment":
         config = tmp_path / "run.cfg"
         text = demo["config"].read_text()
-        config.write_text(text.replace("location = two-texture", "location = Rio, Brazil"))
+        config.write_text(text.replace("location = two-texture", f"location = {location}"))
         args = ["--config", str(config)]
     else:
         pred = experiment_out / "two-texture_glcm_map.pgm"
         truth = demo["root"] / "mask.hdr"
-        args = ["--pred", str(pred), "--truth", str(truth), "--location", "a,b"]
+        args = ["--pred", str(pred), "--truth", str(truth), "--location", location]
     proc = run_cli(command, *args, "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert "location" in proc.stderr and "Traceback" not in proc.stderr
@@ -994,7 +1006,7 @@ _BAD_VALUES = {
     ("forest", "n_trees"): ["0", "-1", "x"],
     ("forest", "min_node_size"): ["0", "-7"],
     ("forest", "n_candidate_features"): ["0", "-3", "Auto"],
-    ("scene", "location"): ["city\0a", "city/north", "../x", "Rio, Brazil"],
+    ("scene", "location"): ["city\0a", "city/north", "../x", "Rio, Brazil", '"Rio"'],
     ("scene", "image"): ["/nonexistent/scene.hdr"],
     ("scene", "mask"): ["/nonexistent/mask.hdr"],
 }

@@ -17,6 +17,7 @@ from slummap import ccf, experiment
 from slummap.ccf import DegenerateDataError, ForestParams, predict
 from slummap.experiment import (
     CSV_HEADER,
+    MetricsReport,
     ModelFormatError,
     Pipeline,
     evaluate,
@@ -246,11 +247,11 @@ def test_evaluate_report_shaped_like_the_medellin_glcm_row():
     assert format_percent(report.non_slum_accuracy) == "97.9"
     assert format_percent(report.slum_iou) == "93.2"
     assert format_percent(report.non_slum_iou) == "93.4"
-    row = report_csv_row("medellin", "glcm", report)
+    row = report_csv_row("medellin", "glcm", report, 12.34)
     assert row.startswith("medellin,glcm,95.2,97.9,")
     assert CSV_HEADER.split(",")[2:7] == ["acc_slum", "acc_non", "iou_slum", "iou_non", "miou"]
     assert list(report_to_dict(report)["percent"]) == CSV_HEADER.split(",")[2:7]
-    assert row == "medellin,glcm,95.2,97.9,93.2,93.4,93.3,0.0"
+    assert row == "medellin,glcm,95.2,97.9,93.2,93.4,93.3,12.3"
 
 
 def test_evaluate_absent_class_reports_none():
@@ -279,6 +280,31 @@ def test_evaluate_matches_confusion_oracle_randomized():
             assert report.slum_iou <= report.slum_accuracy + 1e-15
         if report.non_slum_iou is not None:
             assert report.non_slum_iou <= report.non_slum_accuracy + 1e-15
+
+
+_COUNT = st.just(0) | st.integers(0, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tp=_COUNT, fp=_COUNT, fn=_COUNT, tn=_COUNT)
+def test_report_metrics_are_their_definitions_over_the_four_counts(tp, fp, fn, tn):
+    # Recall is |pred & truth| / |truth| per class, IoU |pred & truth| / |pred | truth|,
+    # and a class absent from the truth has neither; mean IoU averages the defined ones.
+    report = MetricsReport(tp, fp, fn, tn)
+    assert [f.name for f in fields(report)] == list(report.counts())
+    per_class = {}
+    for name, hit, truth, pred in (
+        ("slum", tp, tp + fn, tp + fp),
+        ("non_slum", tn, tn + fp, tn + fn),
+    ):
+        union = truth + pred - hit
+        per_class[name] = (hit / truth, hit / union) if truth else (None, None)
+    assert (report.slum_accuracy, report.slum_iou) == per_class["slum"]
+    assert (report.non_slum_accuracy, report.non_slum_iou) == per_class["non_slum"]
+    ious = [iou for _, iou in per_class.values() if iou is not None]
+    assert report.mean_iou == (sum(ious) / len(ious) if ious else None)
+    with pytest.raises(AttributeError):
+        report.mean_iou = 1.0
 
 
 def test_evaluate_rejects_bad_inputs():
@@ -317,7 +343,7 @@ def test_run_experiment_glcm_beats_spectral_on_texture_scene(small_scene):
     assert spectral.report.mean_iou <= 0.60
     assert glcm.prediction.valid.sum() == 44 * 44
     assert set(glcm.timings) >= {"extract", "balance", "split", "scale", "train", "total"}
-    assert glcm.report.seconds > 0
+    assert glcm.timings["total"] > 0
 
 
 def test_run_experiment_is_deterministic(small_scene):
@@ -510,6 +536,53 @@ def test_run_experiment_trains_on_a_column_major_matrix_it_frees_before_the_map(
     monkeypatch.setattr(experiment, "predict_scene", spy_predict_scene)
     run_experiment(*small_scene, "glcm", glcm_params=GlcmParams(window=5))
     assert seen == {"column_major": True, "matrix": seen["matrix"], "alive_at_map": False}
+
+
+def _run_outputs(stack, mask, technique, path):
+    """The saved model bytes, map, scaler and both reports of one run."""
+    params = GlcmParams(window=5) if technique == "glcm" else None
+    result = run_experiment(stack, mask, technique, params)
+    save_pipeline(Pipeline(technique, params, result.scaler, result.model), path)
+    return (path.read_bytes(), result.prediction.labels.tobytes(),
+            result.prediction.valid.tobytes(), result.scaler.means.tobytes(),
+            result.scaler.stds.tobytes(), result.report, result.full_report)
+
+
+@pytest.mark.parametrize("technique", ["spectral", "glcm"])
+def test_the_gathers_block_size_moves_no_output(technique, monkeypatch, tmp_path):
+    # The README demo scene: about 12,300 training rows, three default blocks.
+    stack, mask = make_two_texture_scene(128)
+    default = _run_outputs(stack, mask, technique, tmp_path / "default.json")
+    for pixels in (1, 7):
+        monkeypatch.setattr(experiment, "_GATHER_PIXELS", pixels)
+        assert _run_outputs(stack, mask, technique, tmp_path / f"{pixels}.json") == default
+
+
+def test_an_irregular_pixel_set_is_scaled_and_scored_pixel_by_pixel():
+    # Holes in the mask, most of them on the slum side, leave unbalanced labels
+    # at scattered flat indices; a plain per-pixel gather of the same picks
+    # must give the same scaler, and the map at the test picks the same report.
+    stack, mask = make_two_texture_scene(48)
+    rng = np.random.default_rng(11)
+    valid = rng.random(mask.labels.shape) < np.where(mask.labels == 1, 0.5, 0.9)
+    mask = LabelMask(labels=mask.labels, valid=valid)
+    params = GlcmParams(window=5)
+    result = run_experiment(stack, mask, "glcm", params, master_seed=4)
+    features = extract_features(stack, "glcm", params)
+    usable = features.valid & mask.valid
+    pixels = [(r, c) for r in range(48) for c in range(48) if usable[r, c]]
+    x = np.array([[float(v) for v in features.values[:, r, c]] for r, c in pixels])
+    y = np.array([mask.labels[r, c] for r, c in pixels], dtype=np.uint8)
+    assert class_counts(y)[0] > 1.2 * class_counts(y)[1]
+    kept = undersample_balance(y, seed=4)
+    train_pos, test_pos = split_train_test(kept.shape[0], seed=4)
+    expected = fit_scaler(x[kept[train_pos]])
+    assert np.array_equal(result.scaler.means, expected.means)
+    assert np.array_equal(result.scaler.stds, expected.stds)
+    test = [pixels[i] for i in kept[test_pos]]
+    from_map = evaluate(np.array([result.prediction.labels[p] for p in test]),
+                        np.array([mask.labels[p] for p in test]))
+    assert result.report == from_map and result.test_size == len(test)
 
 
 # ---------------------------------------------------------------------------

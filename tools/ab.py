@@ -18,7 +18,11 @@ Nothing under ``perfbench/`` is edited.
 With ``--workload`` a run is ``perfbench/run.py --trace 0``. Writes
 ``bench/BENCH_<workload>-seed<seed>.json``: for each end-to-end metric the medians
 and quartiles of both sides, the pairs the change won, the base's quartile
-spread and whether the gain clears it; the ``env`` line of each side; and
+spread and whether the gain clears it; its ``BENCHMARK.json`` bound, whether
+the change's median is worse than the base's by more than the bound
+(``worse_than_bound``), and whether the runs spread too widely to tell
+(``unresolved``: the base quartile spread exceeds the bound, and not every
+change run beat every base run); the ``env`` line of each side; and
 every run with its ``correct`` flag. Exits 1 unless every run read
 ``correct: true`` with no failed operation.
 
@@ -27,9 +31,13 @@ a fresh process on ``perfbench/workloads.noisy_scene(S, seed)``, which it
 imports, with S the next even side >= max(H, W), cropped to H x W rows and
 columns; a scene that is not square takes the kernel's three-pass path. It
 records each stage's seconds from ``timings``, the peak RSS (``ru_maxrss``) of
-the process and of its forked children, and the sha256 of the map file. Then
-it saves the model file and loads it back, and records its bytes and the
-seconds of ``save_pipeline`` and ``load_pipeline``; the peaks are read before.
+the process and of its forked children, their minor page faults summed
+(``ru_minflt``), and the sha256 of the map file. At ``--jobs 1`` it then runs
+``run_experiment`` a second time, untimed, under ``tracemalloc`` and records
+its traced peak (``traced_peak_mb``), which does not depend on what the heap
+held before. Then it saves the model file and loads it back, and records its
+bytes and the seconds of ``save_pipeline`` and ``load_pipeline``; the peaks and
+faults are read before both.
 Writes ``bench/SCALE_<technique>-<SIDE or HxW>-jobs<jobs>.json`` with the same
 statistics per measure. Exits 1 unless every run finished and all maps are
 the same.
@@ -86,7 +94,7 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 # One scale run: argv is height, width, technique, jobs, seed; the last line
 # printed is JSON.
 SCALE_RUN = """
-import hashlib, json, os, platform, resource, sys, tempfile, time
+import hashlib, json, os, platform, resource, sys, tempfile, time, tracemalloc
 sys.path[:0] = ["src", "perfbench"]
 import numpy as np
 from slummap import experiment, raster
@@ -100,9 +108,16 @@ stack = raster.BandStack(band_names=stack.band_names, samples=stack.samples[:, :
 mask = raster.LabelMask(labels=mask.labels[:height, :width])
 params = GlcmParams() if technique == "glcm" else None
 result = experiment.run_experiment(stack, mask, technique=technique, glcm_params=params, jobs=jobs)
-# the peaks before the model file is written, so they stay the experiment's own
-peak = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who)).ru_maxrss / 1024
-        for who in ("SELF", "CHILDREN")}
+# the peaks and faults before the model file is written, so they stay the experiment's own
+usage = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who)) for who in ("SELF", "CHILDREN")}
+memory = {"peak_rss_mb": usage["SELF"].ru_maxrss / 1024,
+          "children_peak_rss_mb": usage["CHILDREN"].ru_maxrss / 1024,
+          "minor_faults": sum(u.ru_minflt for u in usage.values())}
+if jobs == 1:  # tracemalloc sees no forked child, so a pool's peak would read low
+    tracemalloc.start()
+    experiment.run_experiment(stack, mask, technique=technique, glcm_params=params, jobs=jobs)
+    memory["traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
 with tempfile.TemporaryDirectory() as tmp:
     raster.save_prediction_map(result.prediction, os.path.join(tmp, "map.pgm"))
     digest = hashlib.sha256(open(os.path.join(tmp, "map.pgm"), "rb").read()).hexdigest()
@@ -118,8 +133,7 @@ print(json.dumps({
     "env": {"python": platform.python_version(), "numpy": np.__version__,
             "nproc": len(os.sched_getaffinity(0))},
     "map_sha256": digest,
-    "metrics": {**{stage + "_s": t for stage, t in result.timings.items()},
-                "peak_rss_mb": peak["SELF"], "children_peak_rss_mb": peak["CHILDREN"],
+    "metrics": {**{stage + "_s": t for stage, t in result.timings.items()}, **memory,
                 "model_bytes": model_bytes, "save_pipeline_s": t1 - t0,
                 "load_pipeline_s": t2 - t1},
 }))
@@ -224,8 +238,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return at(0.25), statistics.median(v), at(0.75)
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric: both sides' quartiles, pairs the change won, the base spread."""
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict | None = None) -> dict[str, dict]:
+    """Per metric: both sides' quartiles, pairs the change won, the base spread,
+    and, for a metric with a bound (a fraction of the base median), whether the
+    change's median is worse by more than it, and whether the runs spread too
+    widely to tell: a base quartile spread above the bound, unless every change
+    run beat every base run. Both flags are None for a metric without a bound."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
@@ -240,6 +258,14 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict[str, dict]:
         won = sum((c < b) if lower else (c > b) for b, c in zip(values["base"], values["change"]))
         gain = (base_median - change_median) if lower else (change_median - base_median)
         spread = stats["base"]["q3"] - stats["base"]["q1"]
+        bound = (bounds or {}).get(name)
+        worse = unresolved = None
+        if bound is not None:
+            limit = bound * abs(base_median)
+            beat_all = (max(values["change"]) < min(values["base"]) if lower
+                        else min(values["change"]) > max(values["base"]))
+            worse = -gain > limit
+            unresolved = spread > limit and not beat_all
         out[name] = {
             "better": better[name],
             "base": stats["base"],
@@ -249,11 +275,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict[str, dict]:
             "pairs_won": won,
             "base_quartile_spread": spread,
             "gain_clears_spread": won >= math.ceil(WIN_SHARE * len(pairs)) and gain > spread,
+            "bound": bound,
+            "worse_than_bound": worse,
+            "unresolved": unresolved,
         }
     return out
 
 
-def bench_document(args, base_rev: str, change_rev: str, runs: list[dict], better: dict) -> dict:
+def bench_document(args, base_rev: str, change_rev: str, runs: list[dict], better: dict,
+                   bounds: dict | None = None) -> dict:
     def env(side):
         return next((r["env"] for r in runs if r["side"] == side and r["env"]), None)
 
@@ -265,7 +295,7 @@ def bench_document(args, base_rev: str, change_rev: str, runs: list[dict], bette
         "base": {"rev": base_rev, "env": env("base")},
         "change": {"rev": change_rev, "env": env("change")},
         "correct": bool(runs) and all(r["correct"] for r in runs),
-        "metrics": summarize(runs, better),
+        "metrics": summarize(runs, better, bounds),
         "runs": runs,
     }
 
@@ -322,6 +352,7 @@ def main(argv=None) -> int:
     change_rev = git("rev-parse", "HEAD") + (" + uncommitted changes" if git("status", "--porcelain") else "")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"] if "bound" in m}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         export(base_rev, trees["base"])
@@ -343,7 +374,7 @@ def main(argv=None) -> int:
         runs = alternate(args.pairs, run_side)
 
     if args.scale is None:
-        doc = bench_document(args, base_rev, change_rev, runs, better)
+        doc = bench_document(args, base_rev, change_rev, runs, better, bounds)
         filename = f"BENCH_{args.workload}-seed{args.seed}.json"
     else:
         doc = scale_document(args, base_rev, change_rev, runs)
@@ -353,8 +384,11 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for name, m in doc["metrics"].items():
         pct = "" if m["change_pct"] is None else f" ({m['change_pct']:+.1f}%)"
+        flags = "" if m["bound"] is None else (
+            f", bound {m['bound']:.0%}: worse_than_bound {m['worse_than_bound']}, "
+            f"unresolved {m['unresolved']}")
         print(f"{name}: {m['base']['median']:.6g} -> {m['change']['median']:.6g}{pct}, "
-              f"won {m['pairs_won']}/{m['pairs']}, base spread {m['base_quartile_spread']:.3g}")
+              f"won {m['pairs_won']}/{m['pairs']}, base spread {m['base_quartile_spread']:.3g}{flags}")
     if args.scale is not None and not doc["correct"]:
         print(f"map digests: {doc['map_digests']}")
     print(f"wrote {path}; correct: {doc['correct']}")
