@@ -56,7 +56,15 @@ TRAIN_FRACTION = 0.8  # the 80/20 train/test split of the protocol
 # each block of matrix rows is written whole.
 _GATHER_PIXELS = 2**12
 
-CSV_HEADER = "location,technique,acc_slum,acc_non,iou_slum,iou_non,miou,seconds"
+# The comparison table's percent columns, each with the MetricsReport metric it shows.
+PERCENT_COLUMNS = (
+    ("acc_slum", "slum_accuracy"),
+    ("acc_non", "non_slum_accuracy"),
+    ("iou_slum", "slum_iou"),
+    ("iou_non", "non_slum_iou"),
+    ("miou", "mean_iou"),
+)
+CSV_HEADER = ",".join(["location", "technique", *(c for c, _ in PERCENT_COLUMNS), "seconds"])
 
 
 @dataclass
@@ -409,14 +417,7 @@ def report_to_dict(report: MetricsReport) -> dict:
         "slum": {"accuracy": report.slum_accuracy, "iou": report.slum_iou},
         "non_slum": {"accuracy": report.non_slum_accuracy, "iou": report.non_slum_iou},
         "mean_iou": report.mean_iou,
-        # the CSV_HEADER columns between technique and seconds, in order
-        "percent": {
-            "acc_slum": format_percent(report.slum_accuracy),
-            "acc_non": format_percent(report.non_slum_accuracy),
-            "iou_slum": format_percent(report.slum_iou),
-            "iou_non": format_percent(report.non_slum_iou),
-            "miou": format_percent(report.mean_iou),
-        },
+        "percent": {c: format_percent(getattr(report, metric)) for c, metric in PERCENT_COLUMNS},
     }
 
 

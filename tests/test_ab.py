@@ -1,20 +1,23 @@
-"""tools/ab.py on canned output: statistics, the BENCH and SCALE file schemas
-and the map digest check of scale runs.
+"""tools/ab.py on canned output: the one run parser, statistics, the BENCH and
+SCALE file schemas, the map digest check and the exit status.
 
-No test here launches a run: subprocess.run is replaced by a function that
+No test here launches a process: subprocess.run is replaced by a function that
 fails, or, to export a scratch repository, by one that runs git alone, or,
-to see both exports compile first, by one that records compileall alone.
+to see both exports compile first, by one that records compileall alone. One
+test runs the scale script itself, in the test's own process, on a 24 x 22
+scene.
 """
 
 import importlib.util
 import json
+import shutil
 import subprocess
-from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+_REPO = Path(__file__).resolve().parent.parent
+_PATH = _REPO / "tools" / "ab.py"
 _spec = importlib.util.spec_from_file_location("ab", _PATH)
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
@@ -51,11 +54,26 @@ def test_parse_run_reads_the_env_line_metrics_and_correct_flag():
         "failed": 0,
         "attempted": 12,
         "env": ENV,
+        "map_sha256": None,
         "metrics": {"wall_s": 0.0625, "cpu_s": 0.0625, "peak_rss_mb": 48.0, "miou_pct": 98.78,
                     "setup_s": 0.07},
     }
     assert ab.parse_run(canned_stdout(0.06, correct=False))["correct"] is False
     assert ab.parse_run(canned_stdout(0.06, failed=1))["correct"] is False
+    assert ab.parse_run("")["correct"] is False
+
+
+@pytest.mark.parametrize(("returncode", "stdout"), [(1, canned_stdout(0.05)), (0, "Traceback\n"),
+                                                   (0, "[1]\n"), (0, "")])
+def test_a_run_that_exits_nonzero_or_prints_no_result_is_not_correct(monkeypatch, returncode, stdout):
+    def finished(command, cwd, **kwargs):
+        assert command == ["python", "x.py"] and cwd == Path("tree")
+        return subprocess.CompletedProcess(command, returncode, stdout, "a\nb\nlast error\n")
+
+    monkeypatch.setattr(ab.subprocess, "run", finished)
+    run = ab.run(Path("tree"), ["python", "x.py"])
+    assert run["correct"] is False and run["stderr_tail"] == ["a", "b", "last error"]
+    assert set(run) == {"correct", "failed", "attempted", "env", "map_sha256", "metrics", "stderr_tail"}
 
 
 def test_pairs_alternate_which_side_runs_first():
@@ -136,42 +154,52 @@ def test_bound_flags_judge_the_median_and_the_spread_against_the_bound():
     assert (m["bound"], m["worse_than_bound"], m["unresolved"]) == (None, None, None)
 
 
+BENCH_LEAD = {"workload": "glcm-noisy", "seed": 1, "seconds": 15.0, "pairs": 2}
+
+
 def test_bench_document_schema_and_correct_flag():
-    args = Namespace(workload="glcm-noisy", seed=1, seconds=6.0, pairs=2)
     runs = _runs([0.06, 0.07], [0.05, 0.06])
-    doc = ab.bench_document(args, "a" * 40, "b" * 40, runs, BETTER)
+    doc = ab.document(BENCH_LEAD, "a" * 40, "b" * 40, runs, BETTER)
     assert json.loads(json.dumps(doc)) == doc
-    assert set(doc) == {"workload", "seed", "seconds", "pairs", "base", "change", "correct",
-                        "metrics", "runs"}
+    assert set(doc) == {"workload", "seed", "seconds", "pairs", "base", "change", "map_digests",
+                        "correct", "metrics", "runs"}
     assert doc["base"] == {"rev": "a" * 40, "env": ENV}
     assert doc["change"] == {"rev": "b" * 40, "env": ENV}
+    assert doc["map_digests"] == {"base": [], "change": []}  # perfbench reports no map
     assert doc["correct"] is True
-    assert set(doc["metrics"]) == set(BETTER)
+    # every metric the runs report; one that better does not name is lower-is-better
+    assert set(doc["metrics"]) == {"wall_s", "cpu_s", "peak_rss_mb", "miou_pct", "setup_s"}
+    assert doc["metrics"]["miou_pct"]["better"] == "higher"
+    assert doc["metrics"]["cpu_s"]["better"] == "lower"
     assert set(doc["metrics"]["wall_s"]) == {
         "better", "base", "change", "change_pct", "pairs", "pairs_won",
         "base_quartile_spread", "gain_clears_spread", "bound", "worse_than_bound", "unresolved",
     }
     assert doc["metrics"]["wall_s"]["bound"] is None  # no bound given
-    bounded = ab.bench_document(args, "a" * 40, "b" * 40, runs, BETTER, {"wall_s": 0.25})
+    bounded = ab.document(BENCH_LEAD, "a" * 40, "b" * 40, runs, BETTER, {"wall_s": 0.25})
     assert bounded["metrics"]["wall_s"]["bound"] == 0.25
     assert bounded["metrics"]["wall_s"]["worse_than_bound"] is False
     assert [r["correct"] for r in doc["runs"]] == [True] * 4
     runs[3]["correct"] = False
-    assert ab.bench_document(args, "a" * 40, "b" * 40, runs, BETTER)["correct"] is False
-    assert ab.bench_document(args, "a" * 40, "b" * 40, [], BETTER)["correct"] is False
+    assert ab.document(BENCH_LEAD, "a" * 40, "b" * 40, runs, BETTER)["correct"] is False
+    assert ab.document(BENCH_LEAD, "a" * 40, "b" * 40, [], BETTER)["correct"] is False
+
+
+SCALE_ENV = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
 
 
 def canned_scale_stdout(digest="ab" * 32, total=5.0, peak=205.7, children=0.0, traced=True) -> str:
     stages = {"extract": 2.9, "assemble": 0.01, "balance": 0.001, "split": 0.12, "scale": 0.15,
               "train": 1.2, "map": 0.6, "predict": 0.001, "total": total}
-    result = {"env": {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}, "map_sha256": digest,
-              "metrics": {**{k + "_s": v for k, v in stages.items()},
-                          "peak_rss_mb": peak, "children_peak_rss_mb": children,
-                          "minor_faults": 51234, "model_bytes": 2052010,
-                          "save_pipeline_s": 0.011, "load_pipeline_s": 0.012}}
+    metrics = {**{k + "_s": (v, "s") for k, v in stages.items()},
+               "peak_rss_mb": (peak, "MB"), "children_peak_rss_mb": (children, "MB"),
+               "minor_faults": (51234, "count"), "model_bytes": (2052010, "B"),
+               "save_pipeline_s": (0.011, "s"), "load_pipeline_s": (0.012, "s")}
     if traced:  # --jobs 1 runs alone
-        result["metrics"]["traced_peak_mb"] = 97.5
-    return "some warning on stdout\n" + json.dumps(result) + "\n"
+        metrics["traced_peak_mb"] = (97.5, "MB")
+    result = {"correct": True, "attempted": 1, "failed": 0, "map_sha256": digest,
+              "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
+    return "\n".join(["some warning on stdout", "env " + json.dumps(SCALE_ENV), json.dumps(result)]) + "\n"
 
 
 def _scale_runs(base_digests, change_digests):
@@ -179,22 +207,38 @@ def _scale_runs(base_digests, change_digests):
     for pair, (b, c) in enumerate(zip(base_digests, change_digests)):
         for side, digest, peak in (("base", b, 285.7), ("change", c, 205.7 + pair)):
             runs.append({"pair": pair, "side": side, "first": side == "base",
-                         **ab.parse_scale_run(canned_scale_stdout(digest, peak=peak))})
+                         **ab.parse_run(canned_scale_stdout(digest, peak=peak))})
     return runs
 
 
-def test_parse_scale_run_reads_stages_peaks_and_the_map_digest():
-    run = ab.parse_scale_run(canned_scale_stdout(total=4.5, peak=210.0, children=160.5))
+def test_parse_run_reads_a_scale_runs_stages_peaks_and_map_digest():
+    run = ab.parse_run(canned_scale_stdout(total=4.5, peak=210.0, children=160.5))
     assert run["correct"] is True and run["map_sha256"] == "ab" * 32
-    assert run["env"] == {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
+    assert (run["attempted"], run["failed"]) == (1, 0)
+    assert run["env"] == SCALE_ENV
     assert run["metrics"]["total_s"] == 4.5 and run["metrics"]["map_s"] == 0.6
     assert run["metrics"]["peak_rss_mb"] == 210.0
     assert run["metrics"]["children_peak_rss_mb"] == 160.5
     assert run["metrics"]["model_bytes"] == 2052010
     assert run["metrics"]["minor_faults"] == 51234
     assert run["metrics"]["traced_peak_mb"] == 97.5
-    assert "traced_peak_mb" not in ab.parse_scale_run(canned_scale_stdout(traced=False))["metrics"]
-    assert ab.parse_scale_run("")["correct"] is False
+    assert "traced_peak_mb" not in ab.parse_run(canned_scale_stdout(traced=False))["metrics"]
+
+
+def test_the_scale_script_prints_what_parse_run_reads(monkeypatch, capsys):
+    """The scale script itself, in this process on a small spectral scene: its output
+    reads as a correct run with every metric the canned scale output holds."""
+    monkeypatch.chdir(_REPO)  # it imports from src and perfbench, relative to the tree
+    monkeypatch.setattr(ab.sys, "path", list(ab.sys.path))
+    monkeypatch.setattr(ab.sys, "argv", ["-c", "24", "22", "spectral", "1", "1"])
+    try:
+        exec(compile(ab.SCALE_RUN, "<scale run>", "exec"), {"__name__": "__main__"})
+    finally:
+        ab.sys.modules.pop("workloads", None)
+    run = ab.parse_run(capsys.readouterr().out)
+    assert run["correct"] is True and (run["attempted"], run["failed"]) == (1, 0)
+    assert len(run["map_sha256"]) == 64 and set(run["env"]) == set(SCALE_ENV)
+    assert set(run["metrics"]) == set(ab.parse_run(canned_scale_stdout())["metrics"])
 
 
 def test_scale_runs_agree_only_on_one_map_digest_across_both_sides():
@@ -208,14 +252,16 @@ def test_scale_runs_agree_only_on_one_map_digest_across_both_sides():
     assert ab.digests_agree([]) is False
 
 
+SCALE_LEAD = {"scale": 512, "technique": "glcm", "jobs": 1, "seed": 1, "pairs": 3}
+
+
 def test_scale_document_summarizes_every_stage_and_peak():
-    args = Namespace(scale=(512, 512), technique="glcm", jobs=1, seed=1, pairs=3)
     same = "ab" * 32
-    doc = ab.scale_document(args, "a" * 40, "b" * 40, _scale_runs([same] * 3, [same] * 3))
+    doc = ab.document(SCALE_LEAD, "a" * 40, "b" * 40, _scale_runs([same] * 3, [same] * 3), {})
     assert json.loads(json.dumps(doc)) == doc
     assert set(doc) == {"scale", "technique", "jobs", "seed", "pairs", "base", "change",
                         "map_digests", "correct", "metrics", "runs"}
-    assert doc["scale"] == 512
+    assert doc["scale"] == 512 and doc["base"] == {"rev": "a" * 40, "env": SCALE_ENV}
     assert doc["correct"] is True and doc["map_digests"] == {"base": [same], "change": [same]}
     assert set(doc["metrics"]) == {"extract_s", "assemble_s", "balance_s", "split_s", "scale_s",
                                    "train_s", "map_s", "predict_s", "total_s", "peak_rss_mb",
@@ -226,7 +272,7 @@ def test_scale_document_summarizes_every_stage_and_peak():
     assert peak["base"]["median"] == 285.7 and peak["change"]["median"] == 206.7
     assert doc["metrics"]["traced_peak_mb"]["better"] == "lower"
     assert doc["metrics"]["minor_faults"]["base"]["median"] == 51234
-    other = ab.scale_document(args, "a" * 40, "b" * 40, _scale_runs([same] * 3, ["cd" * 32] * 3))
+    other = ab.document(SCALE_LEAD, "a" * 40, "b" * 40, _scale_runs([same] * 3, ["cd" * 32] * 3), {})
     assert other["correct"] is False
     assert other["map_digests"] == {"base": [same], "change": ["cd" * 32]}
 
@@ -250,26 +296,10 @@ def test_scale_rejects_what_is_not_a_side_or_height_x_width(text, capsys):
     assert "SIDE or HxW" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("change_digest, status", [("ab" * 32, 0), ("cd" * 32, 1)])
-def test_scale_mode_exits_one_when_the_maps_differ(tmp_path, monkeypatch, change_digest, status):
-    calls = _scale_main(tmp_path, monkeypatch, change_digest, "64")
-    assert calls[0] == status
-    assert calls[1:] == [(False, (64, 64), "glcm", 2, 1), (True, (64, 64), "glcm", 2, 1),
-                         (True, (64, 64), "glcm", 2, 1), (False, (64, 64), "glcm", 2, 1)]
-    doc = json.loads((tmp_path / "bench" / "SCALE_glcm-64-jobs2.json").read_text())
-    assert doc["correct"] is (status == 0) and len(doc["runs"]) == 4
-
-
-def test_scale_mode_names_a_non_square_scene_height_x_width(tmp_path, monkeypatch):
-    calls = _scale_main(tmp_path, monkeypatch, "ab" * 32, "64x62")
-    assert calls == [0] + [(tree, (64, 62), "glcm", 2, 1) for tree in (False, True, True, False)]
-    doc = json.loads((tmp_path / "bench" / "SCALE_glcm-64x62-jobs2.json").read_text())
-    assert doc["scale"] == "64x62" and doc["correct"] is True
-
-
-def _scale_main(tmp_path, monkeypatch, change_digest, scale) -> list:
-    """main's exit status, then each run_scale call of a two-pair --scale run."""
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+def _main(tmp_path, monkeypatch, argv, change_stdout, base_stdout) -> tuple[int, list]:
+    """main's exit status over two pairs, and each run's (in the change's tree, command),
+    with every run reading base_stdout or change_stdout; BENCHMARK.json is the repository's."""
+    shutil.copy(_REPO / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     monkeypatch.setattr(ab, "ROOT", tmp_path)
     monkeypatch.setattr(ab, "git", lambda *args: "" if args[0] == "status" else "f" * 40)
     monkeypatch.setattr(ab, "export", lambda rev, into: None)
@@ -278,21 +308,57 @@ def _scale_main(tmp_path, monkeypatch, change_digest, scale) -> list:
     monkeypatch.setattr(ab, "compile_tree", lambda tree: None)
     calls = []
 
-    def run_scale(tree, shape, technique, jobs, seed):
+    def run(tree, command):
         assert change[0][0] == tmp_path  # the working tree of ROOT is exported for the change
-        calls.append((tree == change[0][1], shape, technique, jobs, seed))
-        digest = change_digest if tree == change[0][1] else "ab" * 32
-        return ab.parse_scale_run(canned_scale_stdout(digest))
+        calls.append((tree == change[0][1], command))
+        return ab.parse_run(change_stdout if tree == change[0][1] else base_stdout)
 
-    monkeypatch.setattr(ab, "run_scale", run_scale)
-    argv = ["--base", "HEAD", "--scale", scale, "--technique", "glcm", "--jobs", "2", "--pairs", "2"]
-    return [ab.main(argv), *calls]
+    monkeypatch.setattr(ab, "run", run)
+    return ab.main(["--base", "HEAD", *argv, "--pairs", "2"]), calls
+
+
+@pytest.mark.parametrize("failed, status", [(0, 0), (1, 1)])
+def test_workload_mode_runs_perfbench_for_the_benchmarks_run_seconds(tmp_path, monkeypatch, failed,
+                                                                      status):
+    benchmark = json.loads((_REPO / "BENCHMARK.json").read_text())
+    code, calls = _main(tmp_path, monkeypatch, ["--workload", "glcm-noisy"],
+                        canned_stdout(0.05, failed=failed), canned_stdout(0.05))
+    assert code == status
+    command = [ab.sys.executable, "perfbench/run.py", "--workload", "glcm-noisy", "--seed", "1",
+               "--seconds", str(float(benchmark["run_seconds"])), "--trace", "0"]
+    assert calls == [(tree, command) for tree in (False, True, True, False)]
+    doc = json.loads((tmp_path / "bench" / "BENCH_glcm-noisy-seed1.json").read_text())
+    assert doc["seconds"] == benchmark["run_seconds"] and doc["pairs"] == 2
+    assert doc["correct"] is (status == 0)
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    assert {name: m["bound"] for name, m in doc["metrics"].items()} == bounds
+
+
+@pytest.mark.parametrize("change_digest, status", [("ab" * 32, 0), ("cd" * 32, 1)])
+def test_scale_mode_exits_one_when_the_maps_differ(tmp_path, monkeypatch, change_digest, status):
+    code, calls = _main(tmp_path, monkeypatch, ["--scale", "64", "--technique", "glcm", "--jobs", "2"],
+                        canned_scale_stdout(change_digest), canned_scale_stdout())
+    assert code == status
+    command = [ab.sys.executable, "-c", ab.SCALE_RUN, "64", "64", "glcm", "2", "1"]
+    assert calls == [(tree, command) for tree in (False, True, True, False)]
+    doc = json.loads((tmp_path / "bench" / "SCALE_glcm-64-jobs2.json").read_text())
+    assert doc["correct"] is (status == 0) and len(doc["runs"]) == 4
+    # the one scale metric that BENCHMARK.json gates carries its bound
+    assert {name for name, m in doc["metrics"].items() if m["bound"] is not None} == {"peak_rss_mb"}
+
+
+def test_scale_mode_names_a_non_square_scene_height_x_width(tmp_path, monkeypatch):
+    code, calls = _main(tmp_path, monkeypatch, ["--scale", "64x62", "--jobs", "2"],
+                        canned_scale_stdout(), canned_scale_stdout())
+    assert code == 0
+    assert [command[3:] for _, command in calls] == [["64", "62", "glcm", "2", "1"]] * 4
+    doc = json.loads((tmp_path / "bench" / "SCALE_glcm-64x62-jobs2.json").read_text())
+    assert doc["scale"] == "64x62" and doc["correct"] is True
 
 
 @pytest.mark.parametrize("mode", [["--workload", "glcm-noisy"], ["--scale", "64"]])
 def test_both_exports_compile_before_the_first_run(tmp_path, monkeypatch, mode):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s",
-                                                                         "better": "lower"}]}))
+    shutil.copy(_REPO / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     monkeypatch.setattr(ab, "ROOT", tmp_path)
     monkeypatch.setattr(ab, "git", lambda *args: "" if args[0] == "status" else "f" * 40)
     trees, events = {}, []
@@ -305,17 +371,12 @@ def test_both_exports_compile_before_the_first_run(tmp_path, monkeypatch, mode):
         events.append(("compile", cwd))
         return subprocess.CompletedProcess(command, 0, b"", b"")
 
-    def run_perfbench(tree, workload, seed, seconds):
+    def run(tree, command):
         events.append(("run", tree))
-        return ab.parse_run(canned_stdout(0.05))
-
-    def run_scale(tree, shape, technique, jobs, seed):
-        events.append(("run", tree))
-        return ab.parse_scale_run(canned_scale_stdout())
+        return ab.parse_run(canned_stdout(0.05) if "--workload" in mode else canned_scale_stdout())
 
     monkeypatch.setattr(ab.subprocess, "run", compile_only)
-    monkeypatch.setattr(ab, "run_perfbench", run_perfbench)
-    monkeypatch.setattr(ab, "run_scale", run_scale)
+    monkeypatch.setattr(ab, "run", run)
     assert ab.main(["--base", "HEAD", *mode, "--pairs", "2"]) == 0
     assert sorted(events[:2]) == sorted(("compile", tree) for tree in trees.values())
     assert len(trees) == 2 and trees["base"] != trees["change"]

@@ -1,6 +1,6 @@
 """A/B benchmark: the working tree against a base revision, in alternating runs.
 
-    python tools/ab.py --base HEAD~1 --workload glcm-noisy --pairs 10 --seconds 6
+    python tools/ab.py --base HEAD~1 --workload glcm-noisy --pairs 10
     python tools/ab.py --base HEAD~1 --scale 512 --technique glcm --jobs 1 --pairs 3
     python tools/ab.py --base HEAD~1 --scale 512x510 --technique glcm --jobs 1 --pairs 3
 
@@ -10,37 +10,42 @@ tracked ones with their uncommitted edits and untracked ones that are not
 ignored. So neither side imports a bytecode cache or build output the other
 lacks. Before the first run both exports compile ``src`` and ``perfbench``
 (``python -m compileall -q``), so that no timed run pays for compiling source
-text that differs between the sides. Each pair then runs once in each tree,
-against its own ``src/``; even pairs run the base first, odd pairs the change
-first, so a drift of the host over the session falls on both sides alike.
-Nothing under ``perfbench/`` is edited.
+text that differs between the sides. Each pair then runs one command once in
+each tree, against its own ``src/``; even pairs run the base first, odd pairs
+the change first, so a drift of the host over the session falls on both sides
+alike. Nothing under ``perfbench/`` is edited.
 
-With ``--workload`` a run is ``perfbench/run.py --trace 0``. Writes
-``bench/BENCH_<workload>-seed<seed>.json``: for each end-to-end metric the medians
-and quartiles of both sides, the pairs the change won, the base's quartile
-spread and whether the gain clears it; its ``BENCHMARK.json`` bound, whether
-the change's median is worse than the base's by more than the bound
-(``worse_than_bound``), and whether the runs spread too widely to tell
-(``unresolved``: the base quartile spread exceeds the bound, and not every
-change run beat every base run); the ``env`` line of each side; and
-every run with its ``correct`` flag. Exits 1 unless every run read
-``correct: true`` with no failed operation.
-
-With ``--scale SIDE`` or ``--scale HxW`` a run is one ``run_experiment`` in
-a fresh process on ``perfbench/workloads.noisy_scene(S, seed)``, which it
-imports, with S the next even side >= max(H, W), cropped to H x W rows and
-columns; a scene that is not square takes the kernel's three-pass path. It
-records each stage's seconds from ``timings``, the peak RSS (``ru_maxrss``) of
-the process and of its forked children, their minor page faults summed
-(``ru_minflt``), and the sha256 of the map file. At ``--jobs 1`` it then runs
+With ``--workload`` the command is ``perfbench/run.py --trace 0``, for
+``--seconds``, which defaults to ``BENCHMARK.json``'s ``run_seconds``. With
+``--scale SIDE`` or ``--scale HxW`` it is one ``run_experiment`` in a fresh
+process on ``perfbench/workloads.noisy_scene(S, seed)``, which it imports, with
+S the next even side >= max(H, W), cropped to H x W rows and columns; a scene
+that is not square takes the kernel's three-pass path. That run records each
+stage's seconds from ``timings``, the peak RSS (``ru_maxrss``) of the process
+and of its forked children, their minor page faults summed (``ru_minflt``),
+and the sha256 of the map file. At ``--jobs 1`` it then runs
 ``run_experiment`` a second time, untimed, under ``tracemalloc`` and records
 its traced peak (``traced_peak_mb``), which does not depend on what the heap
 held before. Then it saves the model file and loads it back, and records its
 bytes and the seconds of ``save_pipeline`` and ``load_pipeline``; the peaks and
 faults are read before both.
-Writes ``bench/SCALE_<technique>-<SIDE or HxW>-jobs<jobs>.json`` with the same
-statistics per measure. Exits 1 unless every run finished and all maps are
-the same.
+
+Both commands print what ``perfbench/run.py`` prints: an ``env`` line, and a
+closing JSON line with ``correct``, ``attempted``, ``failed`` and ``metrics``
+(each ``{value, unit}``); a scale run adds its ``map_sha256``. So both modes
+write one document, ``bench/BENCH_<workload>-seed<seed>.json`` or
+``bench/SCALE_<technique>-<SIDE or HxW>-jobs<jobs>.json``: after the mode's own
+leading keys, the ``env`` line of each side, each side's distinct map digests,
+and for every metric the runs report the medians and quartiles of both sides,
+the pairs the change won, the base's quartile spread and whether the gain
+clears it. A metric that ``BENCHMARK.json`` gates takes its direction and bound
+from there (the others are lower-is-better and unbounded), with whether the
+change's median is worse than the base's by more than the bound
+(``worse_than_bound``) and whether the runs spread too widely to tell
+(``unresolved``: the base quartile spread exceeds the bound, and not every
+change run beat every base run). Every run is kept with its ``correct`` flag.
+Exits 1 unless every run read ``correct: true`` with no failed operation and
+every map of both sides is the same file.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ WIN_SHARE = 0.9  # a claimed gain must win this share of the pairs
 
 
 def parse_run(stdout: str) -> dict:
-    """The env line and the closing JSON line of one ``perfbench/run.py`` run."""
+    """The env line and the closing JSON line of one run, in either mode."""
     lines = stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     result = json.loads(lines[-1]) if lines else {}
@@ -73,26 +78,26 @@ def parse_run(stdout: str) -> dict:
         "failed": result.get("failed"),
         "attempted": result.get("attempted"),
         "env": env,
+        "map_sha256": result.get("map_sha256"),
         "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()},
     }
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+def run(tree: Path, command: list[str]) -> dict:
+    """command run in tree, as parse_run reads it; a run that failed keeps its stderr's tail."""
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     try:
-        run = parse_run(done.stdout)
-    except (ValueError, KeyError, TypeError):
-        run = {"correct": False, "failed": None, "attempted": None, "env": None, "metrics": {}}
-    if done.returncode != 0 or not run["correct"]:
-        run["correct"] = False
-        run["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
-    return run
+        result = parse_run(done.stdout)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        result = parse_run("")
+    if done.returncode != 0 or not result["correct"]:
+        result["correct"] = False
+        result["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
+    return result
 
 
-# One scale run: argv is height, width, technique, jobs, seed; the last line
-# printed is JSON.
+# One scale run: argv is height, width, technique, jobs, seed; it prints what
+# perfbench/run.py prints.
 SCALE_RUN = """
 import hashlib, json, os, platform, resource, sys, tempfile, time, tracemalloc
 sys.path[:0] = ["src", "perfbench"]
@@ -129,14 +134,14 @@ with tempfile.TemporaryDirectory() as tmp:
     experiment.load_pipeline(model)
     t2 = time.perf_counter()
     model_bytes = os.path.getsize(model)
-print(json.dumps({
-    "env": {"python": platform.python_version(), "numpy": np.__version__,
-            "nproc": len(os.sched_getaffinity(0))},
-    "map_sha256": digest,
-    "metrics": {**{stage + "_s": t for stage, t in result.timings.items()}, **memory,
-                "model_bytes": model_bytes, "save_pipeline_s": t1 - t0,
-                "load_pipeline_s": t2 - t1},
-}))
+print("env " + json.dumps({"python": platform.python_version(), "numpy": np.__version__,
+                           "nproc": len(os.sched_getaffinity(0))}))
+metrics = {**{stage + "_s": t for stage, t in result.timings.items()}, **memory,
+           "model_bytes": model_bytes, "save_pipeline_s": t1 - t0, "load_pipeline_s": t2 - t1}
+units = {"peak_rss_mb": "MB", "children_peak_rss_mb": "MB", "traced_peak_mb": "MB",
+         "minor_faults": "count", "model_bytes": "B"}
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "map_sha256": digest,
+                  "metrics": {k: {"value": v, "unit": units.get(k, "s")} for k, v in metrics.items()}}))
 """
 
 
@@ -155,31 +160,6 @@ def scale_name(shape: tuple[int, int]) -> int | str:
     return height if height == width else f"{height}x{width}"
 
 
-def parse_scale_run(stdout: str) -> dict:
-    """The JSON line that closes one scale run."""
-    lines = stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {}
-    return {
-        "correct": bool(result.get("map_sha256")),
-        "env": result.get("env"),
-        "map_sha256": result.get("map_sha256"),
-        "metrics": result.get("metrics", {}),
-    }
-
-
-def run_scale(tree: Path, shape: tuple[int, int], technique: str, jobs: int, seed: int) -> dict:
-    command = [sys.executable, "-c", SCALE_RUN, *map(str, shape), technique, str(jobs), str(seed)]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    try:
-        run = parse_scale_run(done.stdout)
-    except (ValueError, AttributeError):
-        run = {"correct": False, "env": None, "map_sha256": None, "metrics": {}}
-    if done.returncode != 0 or not run["correct"]:
-        run["correct"] = False
-        run["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
-    return run
-
-
 def map_digests(runs: list[dict]) -> dict[str, list[str]]:
     """Each side's distinct map digests, sorted; a run without a map adds none."""
     return {
@@ -189,30 +169,11 @@ def map_digests(runs: list[dict]) -> dict[str, list[str]]:
 
 
 def digests_agree(runs: list[dict]) -> bool:
-    """Every run made a map, and every map of both sides is the same file."""
+    """Every run read correct, and every map of both sides is the same file
+    (a perfbench run reports none)."""
     digests = map_digests(runs)
     return (bool(runs) and all(r["correct"] for r in runs)
-            and len(digests["base"]) == 1 and digests["base"] == digests["change"])
-
-
-def scale_document(args, base_rev: str, change_rev: str, runs: list[dict]) -> dict:
-    def env(side):
-        return next((r["env"] for r in runs if r["side"] == side and r["env"]), None)
-
-    names = list(dict.fromkeys(n for r in runs for n in r["metrics"]))
-    return {
-        "scale": scale_name(args.scale),
-        "technique": args.technique,
-        "jobs": args.jobs,
-        "seed": args.seed,
-        "pairs": args.pairs,
-        "base": {"rev": base_rev, "env": env("base")},
-        "change": {"rev": change_rev, "env": env("change")},
-        "map_digests": map_digests(runs),
-        "correct": digests_agree(runs),
-        "metrics": summarize(runs, dict.fromkeys(names, "lower")),
-        "runs": runs,
-    }
+            and len(digests["base"]) <= 1 and digests["base"] == digests["change"])
 
 
 def alternate(pairs: int, run_side) -> list[dict]:
@@ -239,19 +200,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict], better: dict[str, str], bounds: dict | None = None) -> dict[str, dict]:
-    """Per metric: both sides' quartiles, pairs the change won, the base spread,
-    and, for a metric with a bound (a fraction of the base median), whether the
-    change's median is worse by more than it, and whether the runs spread too
-    widely to tell: a base quartile spread above the bound, unless every change
-    run beat every base run. Both flags are None for a metric without a bound."""
+    """Per metric that every run of a full pair reports: both sides' quartiles,
+    pairs the change won, the base spread, and, for a metric with a bound (a
+    fraction of the base median), whether the change's median is worse by more
+    than it, and whether the runs spread too widely to tell: a base quartile
+    spread above the bound, unless every change run beat every base run. Both
+    flags are None for a metric without a bound; a metric not in better is
+    lower-is-better."""
     by_pair = {}
-    for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+    for r in runs:
+        by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
     pairs = [p for p in by_pair.values() if all(side in p for side in SIDES)]
-    names = [n for n in better if pairs and all(n in p[side] for p in pairs for side in SIDES)]
+    first = pairs[0]["base"] if pairs else {}
+    names = [n for n in first if all(n in p[side] for p in pairs for side in SIDES)]
     out = {}
     for name in names:
-        lower = better[name] == "lower"
+        direction = better.get(name, "lower")
+        lower = direction == "lower"
         values = {side: [p[side][name] for p in pairs] for side in SIDES}
         stats = {side: dict(zip(("q1", "median", "q3"), quartiles(values[side]))) for side in SIDES}
         base_median, change_median = stats["base"]["median"], stats["change"]["median"]
@@ -267,7 +232,7 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict | None = No
             worse = -gain > limit
             unresolved = spread > limit and not beat_all
         out[name] = {
-            "better": better[name],
+            "better": direction,
             "base": stats["base"],
             "change": stats["change"],
             "change_pct": 100.0 * (change_median - base_median) / base_median if base_median else None,
@@ -282,19 +247,18 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict | None = No
     return out
 
 
-def bench_document(args, base_rev: str, change_rev: str, runs: list[dict], better: dict,
-                   bounds: dict | None = None) -> dict:
+def document(lead: dict, base_rev: str, change_rev: str, runs: list[dict], better: dict,
+             bounds: dict | None = None) -> dict:
+    """A BENCH or SCALE document: the mode's own leading keys, then what both share."""
     def env(side):
         return next((r["env"] for r in runs if r["side"] == side and r["env"]), None)
 
     return {
-        "workload": args.workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        **lead,
         "base": {"rev": base_rev, "env": env("base")},
         "change": {"rev": change_rev, "env": env("change")},
-        "correct": bool(runs) and all(r["correct"] for r in runs),
+        "map_digests": map_digests(runs),
+        "correct": digests_agree(runs),
         "metrics": summarize(runs, better, bounds),
         "runs": runs,
     }
@@ -330,6 +294,7 @@ def compile_tree(tree: Path) -> None:
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -340,7 +305,8 @@ def main(argv=None) -> int:
                         help="with --scale")
     parser.add_argument("--jobs", type=int, default=1, help="with --scale")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=6.0, help="per run, as perfbench/run.py takes it")
+    parser.add_argument("--seconds", type=float, default=float(benchmark["run_seconds"]),
+                        help="per perfbench run; BENCHMARK.json's run_seconds by default")
     parser.add_argument("--seed", type=int, default=1, help="noise seed of the scenes")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -348,9 +314,22 @@ def main(argv=None) -> int:
     if args.scale is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
+    if args.scale is None:
+        lead = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds}
+        command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+                   "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+        shown = ("wall_s",)
+        filename = f"BENCH_{args.workload}-seed{args.seed}.json"
+    else:
+        lead = {"scale": scale_name(args.scale), "technique": args.technique, "jobs": args.jobs,
+                "seed": args.seed}
+        command = [sys.executable, "-c", SCALE_RUN, *map(str, args.scale), args.technique,
+                   str(args.jobs), str(args.seed)]
+        shown = ("total_s", "peak_rss_mb")
+        filename = f"SCALE_{args.technique}-{lead['scale']}-jobs{args.jobs}.json"
+
     base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     change_rev = git("rev-parse", "HEAD") + (" + uncommitted changes" if git("status", "--porcelain") else "")
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"] if "bound" in m}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -361,24 +340,14 @@ def main(argv=None) -> int:
             compile_tree(tree)
 
         def run_side(side):
-            if args.scale is None:
-                run = run_perfbench(trees[side], args.workload, args.seed, args.seconds)
-                shown = ("wall_s",)
-            else:
-                run = run_scale(trees[side], args.scale, args.technique, args.jobs, args.seed)
-                shown = ("total_s", "peak_rss_mb")
-            values = " ".join(f"{k}={run['metrics'].get(k)}" for k in shown)
-            print(f"{side:6} correct={run['correct']} {values}", file=sys.stderr, flush=True)
-            return run
+            result = run(trees[side], command)
+            values = " ".join(f"{k}={result['metrics'].get(k)}" for k in shown)
+            print(f"{side:6} correct={result['correct']} {values}", file=sys.stderr, flush=True)
+            return result
 
         runs = alternate(args.pairs, run_side)
 
-    if args.scale is None:
-        doc = bench_document(args, base_rev, change_rev, runs, better, bounds)
-        filename = f"BENCH_{args.workload}-seed{args.seed}.json"
-    else:
-        doc = scale_document(args, base_rev, change_rev, runs)
-        filename = f"SCALE_{args.technique}-{scale_name(args.scale)}-jobs{args.jobs}.json"
+    doc = document({**lead, "pairs": args.pairs}, base_rev, change_rev, runs, better, bounds)
     path = ROOT / "bench" / filename
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(doc, indent=1) + "\n")
@@ -389,7 +358,7 @@ def main(argv=None) -> int:
             f"unresolved {m['unresolved']}")
         print(f"{name}: {m['base']['median']:.6g} -> {m['change']['median']:.6g}{pct}, "
               f"won {m['pairs_won']}/{m['pairs']}, base spread {m['base_quartile_spread']:.3g}{flags}")
-    if args.scale is not None and not doc["correct"]:
+    if not doc["correct"]:
         print(f"map digests: {doc['map_digests']}")
     print(f"wrote {path}; correct: {doc['correct']}")
     return 0 if doc["correct"] else 1
