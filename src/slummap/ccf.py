@@ -21,6 +21,7 @@ reads the model file.
 from __future__ import annotations
 
 import math
+import time
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -30,6 +31,12 @@ from .pool import fork_map, release_free_heap
 from .rng import FOREST_STREAM, Pcg32, stream
 
 RIDGE = 1e-9
+# Seconds of serial tree growing that pay for a fork. Forked shares run
+# slower than serial ones (copy-on-write faults on both sides, and reaping):
+# on a 2-core Xeon, 10 trees over 2 processes lost wall time on a 64² glcm
+# scene (9 trees at tree 0's pace: 18 ms), broke even at 128² (50 ms) and
+# gained from 256² up (0.23 s). The constant sits in that gap.
+_FORK_BREAK_EVEN_S = 0.1
 
 
 class DegenerateDataError(ValueError):
@@ -384,8 +391,12 @@ def train_forest(
     There is no forest-level bagging; diversity comes from per-node feature
     subsampling and projection bootstraps. Tree t draws from the stream keyed
     by (master_seed, FOREST_STREAM, t), so identical inputs and seed give a
-    bit-identical model. Whole trees are split between ``jobs`` processes,
-    the caller and children forked for this call, with the same result.
+    bit-identical model. The caller grows tree 0 first and times it. If the
+    other trees would take longer than _FORK_BREAK_EVEN_S at that pace, they
+    are split between up to ``jobs`` processes, the caller and children
+    forked for this call, the caller taking the smaller share; otherwise the
+    caller grows them too. Each tree is the same either way, so the choice,
+    which depends on the host's speed, never reaches the model.
 
     Every tree reads x column-major. Pass it so (run_experiment scales into
     that layout) and no copy of x is made; any other x is copied to it here,
@@ -406,7 +417,12 @@ def train_forest(
         raise ValueError("feature_names length must match feature count")
     x = np.asfortranarray(x)  # grow_tree gathers from its transpose
     tasks = [(x, y, params, stream(master_seed, FOREST_STREAM, t)) for t in range(params.n_trees)]
-    trees = list(fork_map(grow_tree, tasks, jobs))
+    start = time.perf_counter()
+    trees = [grow_tree(*tasks[0])]
+    rest = tasks[1:]
+    if (time.perf_counter() - start) * len(rest) < _FORK_BREAK_EVEN_S:
+        jobs = 1
+    trees += fork_map(grow_tree, rest, jobs)
     release_free_heap()
     return CcfModel(trees, list(feature_names), training_params(params, d, master_seed))
 

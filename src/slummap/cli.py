@@ -372,8 +372,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 _JOBS_HELP = (
-    "processes: the caller plus N-1 workers, forked for each parallel stage, which "
-    "split whole GLCM bands and whole trees; outputs are bit-identical for any N"
+    "up to N processes: the caller plus workers, forked for a parallel stage only "
+    "where its work pays for the fork (GLCM bands that take more than one kernel "
+    "pass, trees that would take over 0.1 s after the first); outputs are "
+    "bit-identical for any N"
 )
 
 

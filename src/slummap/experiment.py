@@ -176,14 +176,34 @@ def split_train_test(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_scaler(x: np.ndarray) -> ScalerStats:
-    """Column means and sample standard deviations of an (N, D) matrix."""
-    if x.shape[0] < 1:
+    """Column means and sample standard deviations of an (N, D) matrix,
+    bit-equal to ``x.mean(axis=0)`` and ``x.std(axis=0, ddof=1)``.
+
+    On a row-major x of more than one column, numpy's axis-0 sums add the
+    rows one by one, in order. The squared deviations are then summed in
+    blocks of _GATHER_PIXELS rows, each block's first row carrying the sum so
+    far, which adds them in the same order, so no full-size ``x - mean`` is
+    made. Any other x (one column, where numpy sums pairwise, or a
+    column-major one) takes the plain expression.
+    """
+    n = x.shape[0]
+    if n < 1:
         raise ValueError("cannot fit a scaler on an empty matrix")
     means = x.mean(axis=0)
-    if x.shape[0] == 1:
+    if n == 1:
         stds = np.zeros_like(means)
-    else:
+    elif x.shape[1] == 1 or not x.flags.c_contiguous:
         stds = x.std(axis=0, ddof=1)
+    else:
+        total = None
+        for start in range(0, n, _GATHER_PIXELS):
+            block = x[start : start + _GATHER_PIXELS] - means
+            np.square(block, out=block)
+            if total is not None:
+                block[0] += total
+            total = np.add.reduce(block, axis=0)
+            del block  # before the next block is made
+        stds = np.sqrt(total / (n - 1))
     return ScalerStats(means=means, stds=stds)
 
 
@@ -284,9 +304,13 @@ def run_experiment(
     rows and the map's rows come from one block gather (_gather), and the test
     split is scored from the map. Seconds per stage and in total are in ``timings``.
 
-    Both parallel stages run in ``jobs`` processes, the caller and children
-    forked for that stage alone: extraction splits the bands into groups and
-    training whole trees.
+    Both parallel stages run in up to ``jobs`` processes, the caller and
+    children forked for that stage alone, and each forks only when its work
+    pays for the fork: extraction when the bands take more than one kernel
+    pass (from 65x65 up at the defaults), each process taking whole band
+    groups, and training when the trees after the first would take longer
+    than ccf._FORK_BREAK_EVEN_S, each process taking whole trees. The choice
+    never reaches an output: every one is bit-identical for any ``jobs``.
     """
     ensure_aligned(stack, mask)
     timings: dict[str, float] = {}

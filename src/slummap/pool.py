@@ -35,19 +35,22 @@ def fork_map(fn: Callable, tasks: list[tuple], jobs: int = 1) -> Iterable:
 
     n tasks make k = min(jobs, n) shares, task i going to share i % k. With
     one share the result is a lazy generator, so one result is held at a
-    time. Otherwise k - 1 children are forked now, one per share past the
-    first, the caller computes share 0, and the list of results is returned.
-    Each task is a pure function of its arguments, so results do not depend on
-    ``jobs``. A child's exception is raised in the caller. Every child is
-    reaped before the call returns or raises, and killed first if the
-    caller's share raises or the caller is interrupted while it waits.
+    time, and nothing is forked. Otherwise k - 1 children are forked now,
+    one per share but the last, the caller computes the last share, which is
+    the smallest (a caller may already hold work of its own), and the list of
+    results is returned. Whether to fork at all is the caller's choice:
+    ``jobs`` only caps the processes. Each task is a pure function of its
+    arguments, so results do not depend on ``jobs``. A child's exception is
+    raised in the caller. Every child is reaped before the call returns or
+    raises, and killed first if the caller's share raises or the caller is
+    interrupted while it waits.
     """
     k = max(1, min(jobs, len(tasks)))
     if k == 1:
         return (fn(*task) for task in tasks)
     pids, pipes = [], []
     try:
-        for s in range(1, k):
+        for s in range(k - 1):
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             try:
@@ -58,7 +61,7 @@ def fork_map(fn: Callable, tasks: list[tuple], jobs: int = 1) -> Iterable:
                 os.close(write_end)
             pids.append(pid)
         results = [None] * len(tasks)
-        results[::k] = [fn(*task) for task in tasks[::k]]
+        results[k - 1 :: k] = [fn(*task) for task in tasks[k - 1 :: k]]
         payloads = [pipe.read() for pipe in pipes]
     except BaseException:
         for pid in pids:
@@ -68,7 +71,7 @@ def fork_map(fn: Callable, tasks: list[tuple], jobs: int = 1) -> Iterable:
         for pipe in pipes:
             pipe.close()
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for s, payload, status in zip(range(1, k), payloads, statuses):
+    for s, payload, status in zip(range(k - 1), payloads, statuses):
         if status != 0 or not payload:
             raise RuntimeError(f"a worker ended with exit status {status} and no result")
         ok, value = pickle.loads(payload)

@@ -562,11 +562,14 @@ def extract_texture(
     (within window//2 of any edge) are invalid. A band the stack lacks, or a
     window larger than the stack, raises DimensionMismatchError. The bands
     are dealt into groups, band i to group i % k, and each group is one task:
-    one kernel pass per group of _passes serves a whole group. There are
-    ``jobs`` groups, or more where a pass would hold over _GROUP_PIXELS
-    band-direction pixels, but no more than bands; fork_map splits them
-    between ``jobs`` processes forked for this call. Every window sum is an
-    exact integer, so a band's features do not depend on its group, and
+    one kernel pass per group of _passes serves a whole group. There are as
+    few groups as keep each pass within _GROUP_PIXELS band-direction pixels,
+    whatever ``jobs`` is, and fork_map splits them between up to ``jobs``
+    processes forked for this call. So a scene whose bands fit one pass (up
+    to 64x64 at the defaults) is extracted in the caller, with no fork: at
+    that size a pass over half the bands costs about as much as one over all
+    of them, so splitting it would only double the work. Every window sum is
+    an exact integer, so a band's features do not depend on its group, and
     results are bit-identical for any ``jobs``.
     """
     if params is None:
@@ -589,7 +592,7 @@ def extract_texture(
     quantized = np.stack([quantize(stack.band(band), params.levels) for band in params.bands])
     most = max(len(directions) for directions in _passes(params.directions, h, w, params.window))
     per_group = max(1, _GROUP_PIXELS // (h * w * most))
-    groups = min(n_bands, max(jobs, -(-n_bands // per_group)))
+    groups = -(-n_bands // per_group)
     tasks = [(quantized[s::groups], params) for s in range(groups)]
     for s, block in enumerate(fork_map(_band_measures, tasks, jobs)):
         for b, planes in zip(range(s, n_bands, groups), block):

@@ -187,6 +187,49 @@ def test_test_set_outliers_never_touch_scaler():
     assert np.array_equal(stats.stds, stats_after.stds)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(2, 40),
+    columns=st.integers(1, 5),
+    block=st.integers(1, 9),
+    layout=st.sampled_from("CF"),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_scaler_is_bit_equal_to_the_plain_expressions(
+    rows, columns, block, layout, dtype, seed
+):
+    # Heavy-tailed values round differently under any other order of addition,
+    # and blocks of at most 9 rows put several block edges in most matrices.
+    x = np.random.default_rng(seed).standard_cauchy(size=(rows, columns)) * 1e3
+    x = np.asarray(x, dtype=dtype, order=layout)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "_GATHER_PIXELS", block)
+        stats = fit_scaler(x)
+    assert stats.means.tobytes() == x.mean(axis=0).astype(np.float64).tobytes()
+    assert stats.stds.tobytes() == x.std(axis=0, ddof=1).astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("rows", [4095, 4096, 4097, 3 * 4096 + 1])
+def test_fit_scaler_is_bit_equal_across_its_own_block_edges(rows):
+    assert experiment._GATHER_PIXELS == 4096
+    x = np.random.default_rng(rows).standard_cauchy(size=(rows, 28))
+    stats = fit_scaler(x)
+    assert stats.means.tobytes() == x.mean(axis=0).tobytes()
+    assert stats.stds.tobytes() == x.std(axis=0, ddof=1).tobytes()
+
+
+def test_fit_scaler_makes_no_full_size_temporary():
+    x = np.random.default_rng(5).normal(size=(40_000, 28))  # 8.96 MB
+    tracemalloc.start()
+    try:
+        fit_scaler(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 8  # one block of 4,096 rows is 0.92 MB
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_scale_matrix_is_bit_equal_to_the_plain_expression(dtype, layout):

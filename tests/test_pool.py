@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 import slummap
-from slummap import pool
-from slummap.ccf import DegenerateDataError, ForestParams
-from slummap.experiment import result_to_dict, run_experiment
+from slummap import ccf, pool, texture
+from slummap.ccf import DegenerateDataError, ForestParams, train_forest
+from slummap.experiment import extract_features, result_to_dict, run_experiment
 from slummap.fixtures import make_two_texture_scene
 from slummap.pool import fork_map
 from slummap.raster import BandStack, LabelMask, save_prediction_map
@@ -72,6 +72,14 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def always_fork(monkeypatch):
+    """Both parallel stages fork whatever the scene's size and the host's speed:
+    one band per kernel pass, and no serial work too small for a fork."""
+    monkeypatch.setattr(texture, "_GROUP_PIXELS", 1)
+    monkeypatch.setattr(ccf, "_FORK_BREAK_EVEN_S", 0.0)
+
+
 def _square(i):
     return i * i
 
@@ -116,6 +124,13 @@ def test_children_are_jobs_minus_one_capped_by_the_task_list(forks):
     assert_no_child()
 
 
+def test_the_caller_computes_the_last_and_smallest_share():
+    with deadline():
+        pids = fork_map(lambda i: os.getpid(), [(i,) for i in range(5)], 2)
+    assert [pid == os.getpid() for pid in pids] == [False, True, False, True, False]
+    assert_no_child()
+
+
 def test_one_share_computes_each_task_as_it_is_consumed():
     computed = []
 
@@ -130,22 +145,22 @@ def test_one_share_computes_each_task_as_it_is_consumed():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_failing_task_reaches_the_caller(jobs):
-    # With 2 processes task 3 runs in the child's share, with 1 in the caller's.
-    with deadline(), pytest.raises(ValueError, match="task 3 failed"):
-        list(fork_map(_fail_on(3), [(i,) for i in range(5)], jobs))
+    # With 2 processes task 2 runs in the child's share, with 1 in the caller's.
+    with deadline(), pytest.raises(ValueError, match="task 2 failed"):
+        list(fork_map(_fail_on(2), [(i,) for i in range(5)], jobs))
     assert_no_child()
 
 
 def test_a_failing_task_in_the_callers_share_reaches_the_caller():
-    # Of 5 tasks over 2 processes, task 2 runs in the caller's share.
-    with deadline(), pytest.raises(ValueError, match="task 2 failed"):
-        list(fork_map(_fail_on(2), [(i,) for i in range(5)], 2))
+    # Of 5 tasks over 2 processes, task 3 runs in the caller's share.
+    with deadline(), pytest.raises(ValueError, match="task 3 failed"):
+        list(fork_map(_fail_on(3), [(i,) for i in range(5)], 2))
     assert_no_child()
 
 
 def test_a_child_that_exits_without_a_result_is_an_error():
     def task(i):
-        if i == 1:
+        if i == 0:  # in the child's share
             os._exit(3)
         return i
 
@@ -157,14 +172,14 @@ def test_a_child_that_exits_without_a_result_is_an_error():
 @pytest.mark.parametrize(
     "error, named",
     [
-        (ValueError("task 1 failed", threading.Lock()), "ValueError.'task 1 failed'"),
-        (_NeedsTwoArgs("task 1", "its second argument"), "task 1 and its second argument"),
+        (ValueError("task 0 failed", threading.Lock()), "ValueError.'task 0 failed'"),
+        (_NeedsTwoArgs("task 0", "its second argument"), "task 0 and its second argument"),
     ],
     ids=["does-not-pickle", "does-not-unpickle"],
 )
 def test_an_exception_that_cannot_be_pickled_is_named_in_the_caller(error, named):
     def task(i):
-        if i == 1:
+        if i == 0:  # in the child's share
             raise error
         return i
 
@@ -175,7 +190,7 @@ def test_an_exception_that_cannot_be_pickled_is_named_in_the_caller(error, named
 
 def test_the_callers_share_raising_kills_a_busy_child(forks):
     def task(i):
-        if i == 1:
+        if i == 0:  # the child's share
             time.sleep(DEADLINE_S)
         raise ValueError("the caller's share failed")
 
@@ -189,7 +204,7 @@ def test_the_callers_share_raising_kills_a_busy_child(forks):
 
 def test_an_interrupted_caller_kills_the_children_it_waits_for(forks):
     def task(i):
-        if i:
+        if i < 2:  # the children's shares; the caller's is task 2
             time.sleep(DEADLINE_S)
         return i
 
@@ -224,10 +239,13 @@ def unbalanced_scene(noisy_scene):
     return crop, LabelMask(labels=mask.labels[:, :16])
 
 
+def _tree_bytes(model):
+    return [[getattr(tree, f.name).tobytes() for f in fields(tree)] for tree in model.trees]
+
+
 def _outputs(result, path):
     save_prediction_map(result.prediction, path)
-    model = [[getattr(t, f.name).tobytes() for f in fields(t)] for t in result.model.trees]
-    return model, result_to_dict(result), path.read_bytes()
+    return _tree_bytes(result.model), result_to_dict(result), path.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -235,7 +253,7 @@ def _outputs(result, path):
     [("glcm", ForestParams()), ("spectral", ForestParams()), ("glcm", ForestParams(n_trees=1))],
 )
 def test_run_experiment_outputs_do_not_depend_on_jobs(
-    noisy_scene, unbalanced_scene, tmp_path, technique, forest
+    noisy_scene, unbalanced_scene, tmp_path, technique, forest, always_fork, forks
 ):
     params = GlcmParams(window=5)
     for stack, mask in (noisy_scene, unbalanced_scene):
@@ -246,9 +264,11 @@ def test_run_experiment_outputs_do_not_depend_on_jobs(
             outputs.append(_outputs(result, tmp_path / f"map{jobs}.pgm"))
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+    assert forks  # every case forks in one stage at least
+    assert_no_child()
 
 
-def test_run_experiment_joins_its_workers(noisy_scene, forks):
+def test_run_experiment_joins_its_workers(noisy_scene, always_fork, forks):
     stack, mask = noisy_scene
     with deadline():
         run_experiment(stack, mask, "glcm", GlcmParams(window=5), jobs=2)
@@ -257,7 +277,7 @@ def test_run_experiment_joins_its_workers(noisy_scene, forks):
     assert_no_child()
 
 
-def test_run_experiment_joins_its_workers_when_it_raises(noisy_scene, forks):
+def test_run_experiment_joins_its_workers_when_it_raises(noisy_scene, always_fork, forks):
     stack, _ = noisy_scene
     # One class only: balancing raises after two processes extracted the bands.
     single_class = LabelMask(labels=np.zeros((stack.height, stack.width), dtype=np.uint8))
@@ -265,6 +285,30 @@ def test_run_experiment_joins_its_workers_when_it_raises(noisy_scene, forks):
         run_experiment(stack, single_class, "glcm", GlcmParams(window=5), jobs=2)
     assert len(forks) == 1
     assert_no_child()
+
+
+@pytest.mark.parametrize("side, children", [(64, 0), (66, 1)])
+def test_extraction_forks_only_when_the_bands_take_two_passes(forks, side, children):
+    # At the defaults all four bands share each pass up to 64x64, and the
+    # caller extracts them alone; from 65x65 up they take two passes or more.
+    stack, _ = make_two_texture_scene(side)
+    with deadline():
+        features = extract_features(stack, "glcm", GlcmParams(), jobs=2)
+    assert len(forks) == children
+    assert features.values.tobytes() == extract_features(stack, "glcm").values.tobytes()
+    assert_no_child()
+
+
+@pytest.mark.parametrize("break_even, children", [(0.0, 1), (float("inf"), 0)])
+def test_training_forks_only_past_its_break_even(monkeypatch, forks, break_even, children):
+    x = np.random.default_rng(4).normal(size=(200, 4))
+    y = (x[:, 0] + x[:, 1] > 0).astype(np.uint8)
+    monkeypatch.setattr(ccf, "_FORK_BREAK_EVEN_S", break_even)
+    with deadline():
+        model = train_forest(x, y, jobs=2)
+    assert len(forks) == children
+    assert_no_child()
+    assert _tree_bytes(model) == _tree_bytes(train_forest(x, y))
 
 
 # ---------------------------------------------------------------------------

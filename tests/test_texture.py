@@ -307,7 +307,8 @@ def test_extract_texture_matches_windowed_oracle_everywhere():
                 assert fr.values[k, r, c] == pytest.approx(expected, abs=1e-6)
 
 
-def test_extract_texture_parallel_matches_serial():
+def test_extract_texture_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(texture, "_GROUP_PIXELS", 1)  # one band a group, so jobs=3 forks
     rng = np.random.default_rng(3)
     grid = rng.integers(0, 65536, size=(15, 12), dtype=np.uint16)
     stack = _stack_from_grid(grid, bands=("B2", "B3"))
@@ -347,7 +348,9 @@ def test_extract_texture_matches_oracle_at_default_parameters():
     assert (params.levels, params.window, params.directions) == (32, 19, (0, 45, 90, 135))
     serial = _assert_kernel_matches_oracle(samples, params)
     stack = BandStack(band_names=["B2", "B3"], samples=samples)
-    parallel = extract_texture(stack, params, jobs=2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(texture, "_GROUP_PIXELS", 1)  # one band a group, so jobs=2 forks
+        parallel = extract_texture(stack, params, jobs=2)
     assert parallel.values.tobytes() == serial.values.tobytes()
 
 
@@ -463,8 +466,9 @@ def test_small_count_table_and_blocks_keep_features_byte_identical(monkeypatch, 
 @pytest.mark.parametrize(("levels", "window"), [(32, 7), (300, 5)])
 def test_band_features_do_not_depend_on_their_group(monkeypatch, levels, window):
     """A band's features are the same bytes whichever bands share its kernel
-    pass: all five, itself alone, the uneven groups of jobs=3, or one band
-    per group under a pixel budget of 1."""
+    pass, and whichever process computes it: all five, itself alone, the
+    uneven groups of a two-band budget in one to three processes, or one band
+    per group under a pixel budget of 1 in one or two."""
     bands = ("B1", "B2", "B3", "B4", "B5")
     rng = np.random.default_rng(9)
     stripes = np.where(np.arange(41)[:, np.newaxis] % 3 == 0, 12000, 40000)
@@ -480,10 +484,13 @@ def test_band_features_do_not_depend_on_their_group(monkeypatch, levels, window)
         ]
     )
     assert alone.tobytes() == together.tobytes()
-    for jobs in (2, 3):
+    # Two bands of the 45/135-degree pass, the largest: groups (B1, B4), (B2, B5), (B3).
+    monkeypatch.setattr(texture, "_GROUP_PIXELS", 2 * 2 * 41 * 37)
+    for jobs in (1, 2, 3):
         assert extract_texture(stack, params, jobs=jobs).values.tobytes() == together.tobytes()
     monkeypatch.setattr(texture, "_GROUP_PIXELS", 1)
-    assert extract_texture(stack, params).values.tobytes() == together.tobytes()
+    for jobs in (1, 2):
+        assert extract_texture(stack, params, jobs=jobs).values.tobytes() == together.tobytes()
 
 
 def test_key_kernel_is_skipped_without_second_moment_or_entropy(monkeypatch):
